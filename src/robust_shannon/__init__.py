@@ -39,7 +39,6 @@ from .errors import (
     SingularCenter,
     SolverNoConverge,
     TooLargeForExact,
-    WaterfillNoConverge,
 )
 from .oracle import (
     GelbrichReport,
@@ -85,7 +84,6 @@ __all__ = [
     "TestChannel",
     "TooLargeForExact",
     "WaterfillAllocation",
-    "WaterfillNoConverge",
     "brute_force_compound",
     "bw_ball_project",
     "bw_distance",

@@ -9,15 +9,14 @@ are in nats.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateMI, WaterfillNoConverge
+from .errors import DegenerateMI
 from .psd_geometry import SpdMatrix, _ensure_positive_definite, _symmetrize, symmetric_eig
-
-MAX_BISECTIONS = 200
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,23 +74,66 @@ class GaussianCapacity(NamedTuple):
     allocation: WaterfillAllocation
 
 
-def _bisect_level(total_at, target, lo, hi):
-    """Smallest-bracket bisection of a monotone nondecreasing map.
+def _check_distortion(distortion) -> float:
+    """The distortion budget as a float; ValueError unless positive and finite."""
+    d = float(distortion)
+    if not (d > 0.0 and math.isfinite(d)):
+        raise ValueError(f"distortion must be positive and finite, got {distortion}")
+    return d
 
-    Runs until the bracket collapses to machine resolution (well inside the
-    pinned relative tolerance of 1e-12), capped at MAX_BISECTIONS.
+
+def _check_power(power) -> float:
+    """The power budget as a float; ValueError unless nonnegative and finite."""
+    p = float(power)
+    if not (p >= 0.0 and math.isfinite(p)):
+        raise ValueError(f"power must be nonnegative and finite, got {power}")
+    return p
+
+
+def reverse_waterfill_rows(spectra, distortion: float):
+    """Exact reverse waterfilling of one distortion budget on each row of eigenvalues.
+
+    Sort-and-prefix-sum scan: with a row sorted ascending and its j smallest
+    modes saturated, the candidate level is (D - their sum) / (d - j). The
+    candidates that overshoot their next eigenvalue form a prefix, and the
+    first one that does not is the solution (its lower bracket holds by
+    induction). Returns (level, per_mode, rate_nats) with shapes (m,),
+    (m, d), (m,). Rows whose total variance does not exceed the budget get
+    zero rate and report their largest eigenvalue as the level.
     """
-    for _ in range(MAX_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            return mid
-        if total_at(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    raise WaterfillNoConverge(
-        f"bisection did not collapse in {MAX_BISECTIONS} iterations (bracket [{lo}, {hi}])"
-    )
+    lam = np.asarray(spectra, dtype=float)
+    m, d = lam.shape
+    ordered = np.sort(lam, axis=1)
+    below = np.zeros_like(ordered)
+    np.cumsum(ordered[:, :-1], axis=1, out=below[:, 1:])
+    levels = (distortion - below) / np.arange(d, 0, -1)
+    saturated = (levels[:, :-1] > ordered[:, :-1]).sum(axis=1)
+    level = levels[np.arange(m), saturated][:, None]
+    per_mode = np.minimum(lam, level)
+    rate = 0.5 * np.log(np.maximum(lam, level) / level).sum(axis=1)
+    return np.minimum(level[:, 0], ordered[:, -1]), per_mode, rate
+
+
+def waterfill_rows(inverse_gains, power: float):
+    """Exact waterfilling of one power budget on each row of inverse gains.
+
+    Sort-and-prefix-sum scan: with the k lowest inverse gains of a row
+    active, the candidate level is (P + their sum) / k. The candidates that
+    overshoot the next inverse gain form a prefix, and the first one that
+    does not is the solution. Dead modes carry an infinite inverse gain; a
+    row of only dead modes gets level 0. Returns (level, per_mode,
+    rate_nats) with shapes (m,), (m, d), (m,).
+    """
+    inv = np.asarray(inverse_gains, dtype=float)
+    m, d = inv.shape
+    ordered = np.sort(inv, axis=1)
+    levels = (power + np.cumsum(ordered, axis=1)) / np.arange(1, d + 1)
+    inactive = (levels[:, :-1] > ordered[:, 1:]).sum(axis=1)
+    level = levels[np.arange(m), inactive]
+    level[np.isinf(level)] = 0.0
+    per_mode = np.maximum(level[:, None] - inv, 0.0)
+    snr = np.divide(per_mode, inv, out=np.zeros_like(per_mode), where=per_mode > 0.0)
+    return level, per_mode, 0.5 * np.log1p(snr).sum(axis=1)
 
 
 def rdf_from_spectrum(eigenvalues, distortion: float) -> WaterfillAllocation:
@@ -102,21 +144,10 @@ def rdf_from_spectrum(eigenvalues, distortion: float) -> WaterfillAllocation:
     half-log ratios. A budget at or above the total variance yields zero rate
     and reports the largest eigenvalue as the level.
     """
-    lam = np.asarray(eigenvalues, dtype=float)
-    if float(distortion) <= 0.0:
-        raise ValueError(f"distortion must be positive, got {distortion}")
-    total = float(lam.sum())
-    if distortion >= total:
-        return WaterfillAllocation(float(lam.max()), lam.copy(), 0.0)
-    positive = lam[lam > 0.0]
-    # Bracket must start below the target sum; widen for sub-tiny budgets.
-    lo = min(float(positive.min()) * 1e-16, distortion / (2.0 * lam.size))
-    hi = float(lam.max())
-    level = _bisect_level(lambda t: float(np.minimum(t, lam).sum()), distortion, lo, hi)
-    per_mode = np.minimum(level, lam)
-    active = lam > level
-    rate = float(0.5 * np.log(lam[active] / level).sum())
-    return WaterfillAllocation(float(level), per_mode, rate)
+    level, per_mode, rate = reverse_waterfill_rows(
+        np.asarray(eigenvalues, dtype=float)[None, :], _check_distortion(distortion)
+    )
+    return WaterfillAllocation(float(level[0]), per_mode[0], float(rate[0]))
 
 
 def capacity_from_gains(gains, power: float) -> WaterfillAllocation:
@@ -126,19 +157,10 @@ def capacity_from_gains(gains, power: float) -> WaterfillAllocation:
     the sum of half-log(1 + gain * power) terms. An all-zero gain vector
     (dead channel) yields zero rate with level reported as 0.
     """
-    g = np.asarray(gains, dtype=float)
-    if float(power) < 0.0:
-        raise ValueError(f"power must be nonnegative, got {power}")
-    if float(g.max()) == 0.0:
-        return WaterfillAllocation(0.0, np.zeros_like(g), 0.0)
-    inv = np.divide(1.0, g, out=np.full_like(g, np.inf), where=g > 0.0)
-    lo = float(inv.min())
-    level = _bisect_level(
-        lambda t: float(np.maximum(t - inv, 0.0).sum()), power, lo, lo + float(power)
-    )
-    per_mode = np.maximum(level - inv, 0.0)
-    rate = float(0.5 * np.log1p(g * per_mode).sum())
-    return WaterfillAllocation(float(level), per_mode, rate)
+    with np.errstate(divide="ignore"):
+        inv = 1.0 / np.asarray(gains, dtype=float)[None, :]
+    level, per_mode, rate = waterfill_rows(inv, _check_power(power))
+    return WaterfillAllocation(float(level[0]), per_mode[0], float(rate[0]))
 
 
 def reverse_waterfill(cov: SpdMatrix, distortion: float) -> WaterfillAllocation:
@@ -211,8 +233,6 @@ def gaussian_capacity(channel, noise_cov: SpdMatrix, power: float) -> GaussianCa
     strictly positive definite (jittered if nearly singular).
     """
     h = np.asarray(channel.entries if isinstance(channel, ChannelMatrix) else channel, dtype=float)
-    if float(power) < 0.0:
-        raise ValueError(f"power must be nonnegative, got {power}")
     if h.shape != (noise_cov.dim, noise_cov.dim):
         raise ValueError("channel shape does not match noise covariance")
     noise, _ = _ensure_positive_definite(noise_cov)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -37,8 +36,6 @@ EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NO_CONVERGE = 3
 EXIT_IO = 4
-
-THREADS_ENV = "ROBUST_SHANNON_THREADS"
 
 CLASSICAL_DIAGNOSTICS = SolverDiagnostics(0, 0.0, True, "classical")
 
@@ -171,21 +168,6 @@ def emit(rows, fmt: str, units: str, stream) -> None:
     stream.flush()
 
 
-def _sweep_workers() -> int | None:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}") from exc
-    if value < 0:
-        raise ValueError(f"{THREADS_ENV} must be nonnegative, got {value}")
-    if value == 0:
-        return os.cpu_count() or 1
-    return value
-
-
 def _cmd_rdf(args, out) -> int:
     center = _resolve_center(args)
     value = gaussian_rdf(center, args.distortion)
@@ -241,9 +223,7 @@ def _cmd_sweep(args, out) -> int:
         channel = _resolve_channel(args, center.dim)
         base = CompoundCapacityRequest(BwBall(center, radii[0]), channel, max(budgets[0], 0.0))
     grid = sorted((r, b) for r in radii for b in budgets)
-    points = sweep_compound(
-        args.kind, base, grid, max_workers=_sweep_workers(), value_tol=args.solver_tol
-    )
+    points = sweep_compound(args.kind, base, grid, value_tol=args.solver_tol)
     rows = [
         _row(p.r, p.budget, p.value_nats, p.worst_case_trace, None) for p in points
     ]

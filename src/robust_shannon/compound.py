@@ -13,17 +13,18 @@ eigenvalues. The supremum is therefore attained in the center's eigenbasis
 and reduces to a Euclidean-ball-constrained search over the square roots of
 the eigenvalues. Capacity gets the same reduction whenever the channel
 shares an eigenbasis with the center (or is a scalar multiple of the
-identity); otherwise projected gradient descent with the Danskin envelope
-gradient runs in optimal-transport-map coordinates, where the ball is an
-exact Euclidean ball and PSD-ness is automatic. Convergence is declared on
-value stagnation because the waterfilling objectives carry kinks where the
-water level crosses an eigenvalue.
+identity); otherwise the search uses the Danskin envelope gradient in
+optimal-transport-map coordinates, where the ball is an exact Euclidean ball
+and PSD-ness is automatic. All of these run one projected-gradient loop that
+minimizes (the RDF passes its negated rate); each objective hands its inner
+waterfill to the gradient, so an accepted point is solved once. Convergence
+is declared on value stagnation because the waterfilling objectives carry
+kinks where the water level crosses an eigenvalue.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -32,6 +33,8 @@ import numpy as np
 from .classical import (
     ChannelMatrix,
     WaterfillAllocation,
+    _check_distortion,
+    _check_power,
     capacity_from_gains,
     gaussian_capacity,
     rdf_from_spectrum,
@@ -69,9 +72,7 @@ class CompoundRdfRequest:
     distortion: float
 
     def __post_init__(self):
-        if not float(self.distortion) > 0.0:
-            raise ValueError(f"distortion must be positive, got {self.distortion}")
-        object.__setattr__(self, "distortion", float(self.distortion))
+        object.__setattr__(self, "distortion", _check_distortion(self.distortion))
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,11 +84,9 @@ class CompoundCapacityRequest:
     power: float
 
     def __post_init__(self):
-        if not float(self.power) >= 0.0:
-            raise ValueError(f"power must be nonnegative, got {self.power}")
         if self.channel.dim != self.ball.center.dim:
             raise ValueError("channel and ball center dimensions do not match")
-        object.__setattr__(self, "power", float(self.power))
+        object.__setattr__(self, "power", _check_power(self.power))
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,17 +107,13 @@ class SweepPoint(NamedTuple):
 def compound_rdf_scalar(sigma0: float, r: float, distortion: float) -> float:
     """Closed-form scalar worst-case RDF: half log+ of (sigma0 + r)^2 / D."""
     _check_scalar_domain(sigma0, r)
-    if not float(distortion) > 0.0:
-        raise ValueError(f"distortion must be positive, got {distortion}")
-    return max(0.0, 0.5 * math.log((sigma0 + r) ** 2 / distortion))
+    return max(0.0, 0.5 * math.log((sigma0 + r) ** 2 / _check_distortion(distortion)))
 
 
 def compound_capacity_scalar(sigma0: float, r: float, power: float) -> float:
     """Closed-form scalar worst-case capacity: half log(1 + B / (sigma0 + r)^2)."""
     _check_scalar_domain(sigma0, r)
-    if not float(power) >= 0.0:
-        raise ValueError(f"power must be nonnegative, got {power}")
-    return 0.5 * math.log1p(power / (sigma0 + r) ** 2)
+    return 0.5 * math.log1p(_check_power(power) / (sigma0 + r) ** 2)
 
 
 def _check_scalar_domain(sigma0, r):
@@ -136,64 +131,69 @@ def _project_ball_nonneg(u, s, radius):
     return np.maximum(u, 0.0)
 
 
-def _ascend(value_fn, grad_fn, u0, s, radius, label, value_tol):
-    """Projected gradient ascent over the nonnegative ball slice around s.
+def _minimize(objective, gradient, x0, project, label, value_tol):
+    """Projected gradient descent with a backtracking line search.
 
-    Backtracking line search (halving, Armijo 1e-4 on the projected step);
-    converged once the relative value change stays below tolerance for
-    STAGNATION_PATIENCE consecutive iterations.
+    ``objective(x)`` returns the value at x together with the inner solve
+    behind it, and ``gradient(x, inner)`` takes that inner solve, so the
+    accepted point of one iteration is never solved again for the next.
+    Steps halve until the Armijo condition (1e-4 on the projected step)
+    holds; converged once the relative value change stays below tolerance
+    for STAGNATION_PATIENCE consecutive iterations. Maximization problems
+    pass the negated objective. Returns (x, value, diagnostics).
     """
-    u = _project_ball_nonneg(np.asarray(u0, dtype=float), s, radius)
-    value = value_fn(u)
+    x = project(np.asarray(x0, dtype=float))
+    value, inner = objective(x)
     stagnant = 0
     step_norm = 0.0
     for iteration in range(1, MAX_ITERATIONS + 1):
-        grad = grad_fn(u)
+        grad = gradient(x, inner)
         improved = False
         alpha = 1.0
         for _ in range(MAX_HALVINGS):
-            candidate = _project_ball_nonneg(u + alpha * grad, s, radius)
-            if np.array_equal(candidate, u):
+            candidate = project(x - alpha * grad)
+            if np.array_equal(candidate, x):
                 break  # step underflowed: first-order stationary
-            ascent = float(grad @ (candidate - u))
-            if ascent > 0.0:
-                cand_value = value_fn(candidate)
-                if cand_value >= value + ARMIJO * ascent:
+            descent = float(grad @ (candidate - x))
+            if descent < 0.0:
+                cand_value, cand_inner = objective(candidate)
+                if cand_value <= value + ARMIJO * descent:
                     improved = True
                     break
             alpha *= 0.5
         if not improved:
             # The iterate did not move; every further iteration would repeat
             # this line search verbatim, so the stagnation rule is met.
-            return u, SolverDiagnostics(iteration, 0.0, True, label)
-        step_norm = float(np.linalg.norm(candidate - u))
+            return x, value, SolverDiagnostics(iteration, 0.0, True, label)
+        step_norm = float(np.linalg.norm(candidate - x))
         rel_change = abs(cand_value - value) / max(1.0, abs(value))
-        u, value = candidate, cand_value
+        x, value, inner = candidate, cand_value, cand_inner
         stagnant = stagnant + 1 if rel_change < value_tol else 0
         if stagnant >= STAGNATION_PATIENCE:
-            return u, SolverDiagnostics(iteration, step_norm, True, label)
+            return x, value, SolverDiagnostics(iteration, step_norm, True, label)
     raise SolverNoConverge(
         f"value did not stagnate within {MAX_ITERATIONS} iterations",
         SolverDiagnostics(MAX_ITERATIONS, step_norm, False, label),
     )
 
 
-def _rdf_value(u, distortion):
+def _rdf_objective(u, distortion):
+    """Negated rate at the spectrum u**2, with its waterfill (None when the
+    budget covers the total variance and the rate is zero)."""
     lam = u * u
     if distortion >= float(lam.sum()):
-        return 0.0
-    return rdf_from_spectrum(lam, distortion).rate_nats
-
-
-def _rdf_gradient(u, distortion):
-    lam = u * u
-    grad = np.zeros_like(u)
-    if distortion >= float(lam.sum()):
-        return grad
+        return 0.0, None
     alloc = rdf_from_spectrum(lam, distortion)
-    active = lam > alloc.level
-    grad[active] = 1.0 / u[active]
-    grad[~active] = u[~active] / alloc.level
+    return -alloc.rate_nats, alloc
+
+
+def _rdf_gradient(u, alloc):
+    grad = np.zeros_like(u)
+    if alloc is None:
+        return grad
+    active = u * u > alloc.level
+    grad[active] = -1.0 / u[active]
+    grad[~active] = -u[~active] / alloc.level
     return grad
 
 
@@ -216,12 +216,11 @@ def compound_rdf(req: CompoundRdfRequest, value_tol: float = VALUE_STAGNATION_TO
     norm_s = float(np.linalg.norm(s))
     direction = s / norm_s if norm_s > 0.0 else np.full_like(s, 1.0 / math.sqrt(s.size))
     u0 = s + ball.radius * direction
-    u_star, diagnostics = _ascend(
-        lambda u: _rdf_value(u, distortion),
-        lambda u: _rdf_gradient(u, distortion),
+    u_star, _, diagnostics = _minimize(
+        lambda u: _rdf_objective(u, distortion),
+        _rdf_gradient,
         u0,
-        s,
-        ball.radius,
+        lambda u: _project_ball_nonneg(u, s, ball.radius),
         "eigen-reduction",
         value_tol,
     )
@@ -256,25 +255,24 @@ def _is_diagonal(m):
     return float(np.abs(off).max()) <= 1e-10 * max(1.0, float(np.abs(m).max()))
 
 
-def _capacity_value_u(u, hvals, power):
+def _capacity_objective(u, hvals, power):
+    """Capacity at the noise spectrum u**2, with its waterfill (None where
+    the gradient vanishes: a dead channel or a noiseless active mode)."""
     with np.errstate(divide="ignore"):
         gains = np.where(u > 0.0, (hvals / np.maximum(u, 1e-300)) ** 2, np.inf)
     gains = np.where(hvals == 0.0, 0.0, gains)
     if float(gains.max()) == 0.0:
-        return 0.0
-    if np.any(np.isinf(gains)) and power > 0.0:
-        return math.inf
-    return capacity_from_gains(gains, power).rate_nats
-
-
-def _capacity_gradient_u(u, hvals, power):
-    grad = np.zeros_like(u)
-    with np.errstate(divide="ignore"):
-        gains = np.where(u > 0.0, (hvals / np.maximum(u, 1e-300)) ** 2, np.inf)
-    gains = np.where(hvals == 0.0, 0.0, gains)
-    if float(gains.max()) == 0.0 or np.any(np.isinf(gains)):
-        return grad
+        return 0.0, None
+    if np.any(np.isinf(gains)):
+        return (math.inf if power > 0.0 else 0.0), None
     alloc = capacity_from_gains(gains, power)
+    return alloc.rate_nats, alloc
+
+
+def _capacity_gradient(u, hvals, alloc):
+    grad = np.zeros_like(u)
+    if alloc is None:
+        return grad
     active = alloc.per_mode > 0.0
     grad[active] = u[active] / (alloc.level * hvals[active] ** 2) - 1.0 / u[active]
     return grad
@@ -320,19 +318,21 @@ class _TransportCoordinates:
     def noise_in_original_basis(self, x: np.ndarray) -> SpdMatrix:
         return SpdMatrix(self.basis @ self.noise(x).entries @ self.basis.T)
 
-    def rate(self, x: np.ndarray) -> float:
-        return gaussian_capacity(self.channel, self.noise(x), self.power).rate_nats
+    def objective(self, x: np.ndarray):
+        """Capacity at the noise of x, with that (jittered) noise and its inner solve."""
+        noise, _ = _ensure_positive_definite(self.noise(x))
+        result = gaussian_capacity(self.channel, noise, self.power)
+        return result.rate_nats, (noise, result)
 
-    def gradient(self, x: np.ndarray) -> np.ndarray:
+    def gradient(self, x: np.ndarray, inner) -> np.ndarray:
         """Danskin envelope gradient pulled back to the x coordinates.
 
         The covariance gradient is 0.5 ((noise + H Q* H^T)^{-1} - noise^{-1})
         at the inner-optimal input Q*; the chain rule through S diag(lam) S
         gives diag(lam) S G + G S diag(lam) on the symmetric slot.
         """
+        noise, result = inner
         s = self.smatrix(x)
-        noise, _ = _ensure_positive_definite(self.noise(x))
-        result = gaussian_capacity(self.channel, noise, self.power)
         output_cov = noise.entries + self.channel @ result.input_cov.entries @ self.channel.T
         g = 0.5 * (np.linalg.inv(_symmetrize(output_cov)) - np.linalg.inv(noise.entries))
         g = _symmetrize(g)
@@ -345,50 +345,6 @@ def _project_euclidean_ball(x: np.ndarray, radius: float) -> np.ndarray:
     if norm > radius:
         return x * (radius / norm)
     return x
-
-
-def _descend_noise_matrix(
-    ball: BwBall, channel: np.ndarray, power: float, x0: np.ndarray, value_tol: float
-):
-    """Projected gradient descent on the noise, in transport coordinates."""
-    coords = _TransportCoordinates(ball.center, channel, power)
-    x = _project_euclidean_ball(np.asarray(x0, dtype=float), ball.radius)
-    value = coords.rate(x)
-    stagnant = 0
-    step_norm = 0.0
-    for iteration in range(1, MAX_ITERATIONS + 1):
-        grad = coords.gradient(x)
-        improved = False
-        alpha = 1.0
-        for _ in range(MAX_HALVINGS):
-            candidate = _project_euclidean_ball(x - alpha * grad, ball.radius)
-            if np.array_equal(candidate, x):
-                break  # step underflowed: first-order stationary
-            descent = float(grad @ (candidate - x))
-            if descent < 0.0:
-                cand_value = coords.rate(candidate)
-                if cand_value <= value + ARMIJO * descent:
-                    improved = True
-                    break
-            alpha *= 0.5
-        if not improved:
-            # No movement at any step size; further iterations would repeat
-            # the same line search, so the stagnation rule is met.
-            return coords.noise_in_original_basis(x), SolverDiagnostics(
-                iteration, 0.0, True, "projected-gradient"
-            )
-        step_norm = float(np.linalg.norm(candidate - x))
-        rel_change = abs(cand_value - value) / max(1.0, abs(value))
-        x, value = candidate, cand_value
-        stagnant = stagnant + 1 if rel_change < value_tol else 0
-        if stagnant >= STAGNATION_PATIENCE:
-            return coords.noise_in_original_basis(x), SolverDiagnostics(
-                iteration, step_norm, True, "projected-gradient"
-            )
-    raise SolverNoConverge(
-        f"value did not stagnate within {MAX_ITERATIONS} iterations",
-        SolverDiagnostics(MAX_ITERATIONS, step_norm, False, "projected-gradient"),
-    )
 
 
 def compound_capacity(
@@ -412,12 +368,11 @@ def compound_capacity(
     axes = _commuting_channel_axes(center_pd, h)
     if axes is not None:
         basis, s, hvals = axes
-        u_star, diagnostics = _ascend(
-            lambda u: -_capacity_value_u(u, hvals, power),
-            lambda u: -_capacity_gradient_u(u, hvals, power),
+        u_star, _, diagnostics = _minimize(
+            lambda u: _capacity_objective(u, hvals, power),
+            lambda u, alloc: _capacity_gradient(u, hvals, alloc),
             s.copy(),
-            s,
-            ball.radius,
+            lambda u: _project_ball_nonneg(u, s, ball.radius),
             "eigen-reduction",
             value_tol,
         )
@@ -432,23 +387,30 @@ def _descend_from_best_start(ball: BwBall, h: np.ndarray, power: float, value_to
     """Run the matrix descent from the center and from the max-trace boundary
     point, keeping whichever run ends lower (the landscape is not known to be
     geodesically convex for a non-commuting channel)."""
-    lam, _ = symmetric_eig(ball.center)
-    n_coords = lam.size * (lam.size + 1) // 2
-    center_start = np.zeros(n_coords)
+    coords = _TransportCoordinates(ball.center, h, power)
+    lam = coords.lam
+    center_start = np.zeros(coords.rows.size)
     # S = (1 + a) I with a = radius / sqrt(tr) is the max-trace boundary point.
-    radial_start = np.zeros(n_coords)
-    rows, cols = np.triu_indices(lam.size)
-    radial_start[rows == cols] = np.sqrt(lam) * (ball.radius / math.sqrt(float(lam.sum())))
+    radial_start = np.zeros(coords.rows.size)
+    radial_start[coords.rows == coords.cols] = np.sqrt(lam) * (
+        ball.radius / math.sqrt(float(lam.sum()))
+    )
     best = None
     total_iterations = 0
     for x0 in (center_start, radial_start):
-        noise, diag = _descend_noise_matrix(ball, h, power, x0, value_tol)
-        value = gaussian_capacity(h, noise, power).rate_nats
+        x, value, diag = _minimize(
+            coords.objective,
+            coords.gradient,
+            x0,
+            lambda x: _project_euclidean_ball(x, ball.radius),
+            "projected-gradient",
+            value_tol,
+        )
         total_iterations += diag.iterations
         if best is None or value < best[0]:
-            best = (value, noise, diag)
-    _, noise, diag = best
-    return noise, SolverDiagnostics(
+            best = (value, x, diag)
+    _, x, diag = best
+    return coords.noise_in_original_basis(x), SolverDiagnostics(
         total_iterations, diag.final_step_norm, diag.converged, diag.solver_path
     )
 
@@ -457,14 +419,13 @@ def sweep_compound(
     kind: str,
     base,
     grid: Sequence[tuple[float, float]],
-    max_workers: int | None = None,
     value_tol: float = VALUE_STAGNATION_TOL,
 ) -> list[SweepPoint]:
     """Evaluate a compound problem over a grid of (radius, budget) pairs.
 
-    Pointwise identical to the single-shot solvers; the input order is
-    preserved and points may be evaluated concurrently. Per-point failures
-    are re-raised with the grid index attached.
+    Pointwise identical to the single-shot solvers, in input order. A
+    per-point failure is re-raised as the same exception, diagnostics
+    included, with the grid index prefixed to its message.
     """
     if kind not in ("rdf", "capacity"):
         raise ValueError(f"kind must be 'rdf' or 'capacity', got {kind!r}")
@@ -472,9 +433,8 @@ def sweep_compound(
     if not points:
         raise ValueError("grid must be non-empty")
     center = base.ball.center
-
-    def solve(indexed):
-        index, (r, budget) = indexed
+    out = []
+    for index, (r, budget) in enumerate(points):
         try:
             if kind == "rdf":
                 res = compound_rdf(CompoundRdfRequest(BwBall(center, r), budget), value_tol)
@@ -484,12 +444,7 @@ def sweep_compound(
                     value_tol,
                 )
         except (ValueError, RobustShannonError) as exc:
-            raise type(exc)(
-                f"grid point {index} (r={r}, budget={budget}): {exc}"
-            ) from exc
-        return SweepPoint(float(r), float(budget), res.value_nats, res.worst_case_cov.trace)
-
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(solve, enumerate(points)))
-    return [solve(item) for item in enumerate(points)]
+            exc.args = (f"grid point {index} (r={r}, budget={budget}): {exc}",)
+            raise
+        out.append(SweepPoint(float(r), float(budget), res.value_nats, res.worst_case_cov.trace))
+    return out

@@ -13,10 +13,6 @@ class DegenerateMI(RobustShannonError):
     """Mutual information undefined: signal does not vanish on the noise null space."""
 
 
-class WaterfillNoConverge(RobustShannonError):
-    """Water-level bisection exhausted its iteration cap."""
-
-
 class TooLargeForExact(RobustShannonError):
     """Sample clouds exceed the exact-assignment size bound."""
 

@@ -3,8 +3,9 @@
 Gaussian sampling, exact empirical Wasserstein-2 between equal-size sample
 clouds by optimal assignment, a sampled check of the Gaussian closed-form
 distance against the empirical one, and exhaustive grid searches for small
-compound instances. The grid oracles use an exact active-set waterfill,
-deliberately a different algorithm than the bisection used by the solvers.
+compound instances. The grid oracles share the solvers' waterfill; their
+independence comes from the exhaustive grid over the ball, not from the
+inner solve.
 """
 
 from __future__ import annotations
@@ -15,7 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .classical import ChannelMatrix, gaussian_capacity, gaussian_rdf
+from .classical import (
+    ChannelMatrix,
+    _check_distortion,
+    _check_power,
+    gaussian_capacity,
+    gaussian_rdf,
+    reverse_waterfill_rows,
+    waterfill_rows,
+)
 from .errors import TooLargeForExact
 from .psd_geometry import GaussianLaw, SpdMatrix, gaussian_w2, matrix_sqrt
 
@@ -163,60 +172,6 @@ def sampler_dominance_checks(seed: int, draws: int):
     )
 
 
-def _rdf_rates_for_spectra(spectra: np.ndarray, distortion: float) -> np.ndarray:
-    """Reverse-waterfilled rates for a batch of eigenvalue rows, exactly.
-
-    Active-set scan: with the row sorted ascending and the j smallest modes
-    saturated, the candidate level is (D - prefix sum)/(d - j); the first j
-    whose level does not exceed the next eigenvalue is the solution (the
-    lower bracket holds by induction once earlier candidates overshoot).
-    """
-    lam = np.sort(np.asarray(spectra, dtype=float), axis=1)
-    m, d = lam.shape
-    rates = np.zeros(m)
-    working = distortion < lam.sum(axis=1)
-    if not np.any(working):
-        return rates
-    lam = lam[working]
-    mw = lam.shape[0]
-    prefix = np.concatenate([np.zeros((mw, 1)), np.cumsum(lam, axis=1)], axis=1)
-    levels = (distortion - prefix[:, :d]) / (d - np.arange(d))
-    chosen = levels <= lam
-    chosen[:, d - 1] = True
-    first = chosen.argmax(axis=1)
-    picked = np.arange(mw)
-    level = levels[picked, first]
-    with np.errstate(divide="ignore"):
-        suffix_log = np.cumsum(np.log(lam[:, ::-1]), axis=1)[:, ::-1]
-    rates[working] = 0.5 * (suffix_log[picked, first] - (d - first) * np.log(level))
-    return np.maximum(rates, 0.0)
-
-
-def _capacity_rates_for_noise_spectra(spectra: np.ndarray, power: float) -> np.ndarray:
-    """Identity-channel capacities for a batch of noise eigenvalue rows, exactly.
-
-    With unit channel the inverse gains are the noise eigenvalues themselves;
-    the k lowest-noise modes are active at level (B + prefix sum)/k, and the
-    first k whose level does not exceed the next eigenvalue is the solution.
-    """
-    lam = np.sort(np.asarray(spectra, dtype=float), axis=1)
-    m, d = lam.shape
-    if power == 0.0:
-        return np.zeros(m)
-    prefix_lam = np.cumsum(lam, axis=1)
-    levels = (power + prefix_lam) / np.arange(1, d + 1)
-    chosen = np.ones((m, d), dtype=bool)
-    if d > 1:
-        chosen[:, : d - 1] = levels[:, : d - 1] <= lam[:, 1:]
-    first = chosen.argmax(axis=1)
-    picked = np.arange(m)
-    level = levels[picked, first]
-    with np.errstate(divide="ignore"):
-        prefix_log = np.cumsum(np.log(lam), axis=1)
-    rates = 0.5 * ((first + 1) * np.log(level) - prefix_log[picked, first])
-    return np.maximum(rates, 0.0)
-
-
 def brute_force_compound(
     kind: str, center: SpdMatrix, r: float, budget: float, grid_step: float
 ) -> float:
@@ -239,10 +194,7 @@ def brute_force_compound(
         raise ValueError(f"grid_step must be positive, got {grid_step}")
     if not float(r) >= 0.0:
         raise ValueError(f"r must be nonnegative, got {r}")
-    if kind == "rdf" and not float(budget) > 0.0:
-        raise ValueError(f"distortion must be positive, got {budget}")
-    if kind == "capacity" and not float(budget) >= 0.0:
-        raise ValueError(f"power must be nonnegative, got {budget}")
+    budget = _check_distortion(budget) if kind == "rdf" else _check_power(budget)
     s = np.sqrt(diag)
     axes = [
         np.arange(max(0.0, si - r), si + r + 0.5 * grid_step, grid_step) for si in s
@@ -252,5 +204,8 @@ def brute_force_compound(
     feasible = np.linalg.norm(u - s, axis=1) <= r * (1.0 + 1e-12) + 1e-15
     spectra = u[feasible] ** 2
     if kind == "rdf":
-        return float(_rdf_rates_for_spectra(spectra, budget).max())
-    return float(_capacity_rates_for_noise_spectra(spectra, budget).min())
+        return float(reverse_waterfill_rows(spectra, budget)[2].max())
+    # With unit channel the inverse gains are the noise eigenvalues; a noiseless
+    # mode makes the capacity infinite, which the minimum then passes over.
+    with np.errstate(divide="ignore"):
+        return float(waterfill_rows(spectra, budget)[2].min())

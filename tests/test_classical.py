@@ -7,12 +7,15 @@ from robust_shannon import (
     ChannelMatrix,
     DegenerateMI,
     SpdMatrix,
+    capacity_from_gains,
     gaussian_capacity,
     gaussian_mi,
     gaussian_rdf,
+    rdf_from_spectrum,
     rdf_realization,
     reverse_waterfill,
 )
+from robust_shannon.classical import reverse_waterfill_rows, waterfill_rows
 
 HALF_LOG4 = 0.6931471805599453
 HALF_LOG6 = 0.8958797346140275
@@ -31,6 +34,98 @@ def grid_waterfill_rate(eigenvalues, distortion, points=200_000):
     theta = thetas[np.argmin(np.abs(sums - distortion))]
     per_mode = np.minimum(theta, lam)
     return float(np.sum(0.5 * np.log(lam[lam > theta] / theta))), theta, per_mode
+
+
+def bisect_level(total_at, target, lo, hi):
+    """Reference water level: bisect a nondecreasing map to machine resolution."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return mid
+        lo, hi = (mid, hi) if total_at(mid) < target else (lo, mid)
+
+
+def reference_rdf(eigenvalues, distortion):
+    lam = np.asarray(eigenvalues, dtype=float)
+    if distortion >= lam.sum():
+        return lam.max(), lam, 0.0
+    level = bisect_level(lambda t: np.minimum(t, lam).sum(), distortion, 0.0, lam.max())
+    return level, np.minimum(level, lam), 0.5 * np.log(lam[lam > level] / level).sum()
+
+
+def reference_capacity(gains, power):
+    g = np.asarray(gains, dtype=float)
+    if g.max() == 0.0:
+        return 0.0, np.zeros_like(g), 0.0
+    inv = np.divide(1.0, g, out=np.full_like(g, np.inf), where=g > 0.0)
+    total_at = lambda t: np.maximum(t - inv, 0.0).sum()  # noqa: E731
+    level = bisect_level(total_at, power, inv.min(), inv.min() + power)
+    per_mode = np.maximum(level - inv, 0.0)
+    return level, per_mode, 0.5 * np.log1p(g * per_mode).sum()
+
+
+def assert_matches_reference(got, expected):
+    (level, per_mode, rate), (ref_level, ref_per_mode, ref_rate) = got, expected
+    assert level == pytest.approx(ref_level, rel=1e-12, abs=1e-300)
+    # Capacity allocations are level - 1/gain, so they inherit the level's rounding.
+    assert np.allclose(per_mode, ref_per_mode, rtol=1e-12, atol=1e-12 * ref_level)
+    assert rate == pytest.approx(ref_rate, rel=1e-12, abs=1e-12)
+
+
+RDF_CASES = {
+    "d1": ([2.0], 0.5),
+    "repeated": ([1.0, 1.0, 1.0, 4.0, 4.0], 2.5),
+    "repeated_tie": ([1.0, 1.0, 4.0, 4.0], 4.0),
+    "singular_center": ([0.0, 0.0, 1.0, 3.0], 0.7),
+    "singular_center_wide": ([0.0, 1.0, 3.0], 2.0),
+    "budget_equals_total": ([1.0, 4.0], 5.0),
+    "budget_above_total": ([1.0, 4.0], 7.0),
+    "sub_tiny": ([1e-3, 1.0, 2.0], 1e-300),
+    "sub_tiny_singular": ([0.0, 1.0], 1e-300),
+}
+CAPACITY_CASES = {
+    "d1": ([3.0], 1.0),
+    "repeated": ([2.0, 2.0, 2.0], 0.3),
+    "dead_modes": ([0.0, 1.5, 0.0, 0.2], 2.0),
+    "dead_channel": ([0.0, 0.0], 1.0),
+    "power_zero": ([1.0, 2.0], 0.0),
+    "one_active": ([1.0, 0.01], 0.5),
+    "sub_tiny": ([1.0, 2.0, 0.5], 1e-300),
+}
+
+
+class TestExactWaterfill:
+    """The sort-and-prefix-sum scan against an independent bisection."""
+
+    @pytest.mark.parametrize("case", sorted(RDF_CASES))
+    def test_rdf_matches_reference_bisection(self, case):
+        eigenvalues, distortion = RDF_CASES[case]
+        alloc = rdf_from_spectrum(eigenvalues, distortion)
+        assert_matches_reference(
+            (alloc.level, alloc.per_mode, alloc.rate_nats), reference_rdf(eigenvalues, distortion)
+        )
+
+    @pytest.mark.parametrize("case", sorted(CAPACITY_CASES))
+    def test_capacity_matches_reference_bisection(self, case):
+        gains, power = CAPACITY_CASES[case]
+        alloc = capacity_from_gains(gains, power)
+        assert_matches_reference(
+            (alloc.level, alloc.per_mode, alloc.rate_nats), reference_capacity(gains, power)
+        )
+
+    def test_batched_rows_match_reference_bisection(self):
+        rng = np.random.default_rng(27)
+        spectra = rng.uniform(0.0, 3.0, size=(60, 5)) ** 2
+        spectra[::7, 0] = 0.0
+        gains = np.where(rng.random((60, 5)) < 0.2, 0.0, spectra)
+        for budget in (1e-9, 0.4, 3.0, 40.0):
+            rows = zip(*reverse_waterfill_rows(spectra, budget))
+            for row, got in zip(spectra, rows):
+                assert_matches_reference(got, reference_rdf(row, budget))
+            with np.errstate(divide="ignore"):
+                rows = zip(*waterfill_rows(1.0 / gains, budget))
+            for row, got in zip(gains, rows):
+                assert_matches_reference(got, reference_capacity(row, budget))
 
 
 class TestReverseWaterfill:

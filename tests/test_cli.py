@@ -4,7 +4,21 @@ import math
 import numpy as np
 import pytest
 
-from robust_shannon import SpdMatrix, compound_rdf, CompoundRdfRequest, BwBall
+from robust_shannon import (
+    BwBall,
+    ChannelMatrix,
+    CompoundCapacityRequest,
+    CompoundRdfRequest,
+    SpdMatrix,
+    compound,
+    compound_capacity,
+    compound_capacity_scalar,
+    compound_rdf,
+    compound_rdf_scalar,
+    gaussian_capacity,
+    gaussian_rdf,
+    sweep_compound,
+)
 from robust_shannon.cli import main
 
 
@@ -177,26 +191,64 @@ def test_verify_deterministic(capsys):
     assert out1 == out2
 
 
-def test_threads_env_sweep(capsys, monkeypatch):
-    monkeypatch.setenv("ROBUST_SHANNON_THREADS", "2")
-    argv = ["sweep", "--kind", "rdf", "--sigma0-scalar", "1",
-            "--radii", "0,1", "--distortion", "0.5:2:4"]
-    code, out_parallel, _ = run_cli(capsys, *argv)
-    assert code == 0
-    monkeypatch.delenv("ROBUST_SHANNON_THREADS")
-    code, out_serial, _ = run_cli(capsys, *argv)
-    assert code == 0
-    assert out_parallel == out_serial
-
-
-def test_bad_threads_env(capsys, monkeypatch):
-    monkeypatch.setenv("ROBUST_SHANNON_THREADS", "lots")
+def test_sweep_no_convergence_reports_iterations(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(compound, "MAX_ITERATIONS", 2)
+    center = write_matrix(tmp_path / "center.json", [[1.0, 0.3], [0.3, 4.0]])
     code, _, err = run_cli(
-        capsys, "sweep", "--kind", "rdf", "--sigma0-scalar", "1",
-        "--radii", "0", "--distortion", "1",
+        capsys, "sweep", "--kind", "rdf", "--center", center, "--radii", "0.5",
+        "--distortion", "1", "--solver-tol", "0",
     )
-    assert code == 2
-    assert "ROBUST_SHANNON_THREADS" in err
+    assert code == 3
+    assert "after 2 iterations" in err
+    assert "grid point 0" in err
+
+
+BALL = BwBall(SpdMatrix([[1.0, 0.3], [0.3, 4.0]]), 0.5)
+
+
+def _library_rejects(call):
+    def check(budget, capsys):
+        with pytest.raises(ValueError, match="finite"):
+            call(budget)
+    return check
+
+
+def _cli_rejects(*argv):
+    def check(budget, capsys):
+        # --flag=value, so that argparse does not read "-inf" as an option
+        code, _, err = run_cli(capsys, *argv[:-1], f"{argv[-1]}={budget!r}")
+        assert code == 2
+        assert "finite" in err
+    return check
+
+
+BUDGET_ENTRY_POINTS = {
+    "gaussian_rdf": _library_rejects(lambda b: gaussian_rdf(BALL.center, b)),
+    "gaussian_capacity": _library_rejects(lambda b: gaussian_capacity(np.eye(2), BALL.center, b)),
+    "compound_rdf": _library_rejects(lambda b: compound_rdf(CompoundRdfRequest(BALL, b))),
+    "compound_capacity": _library_rejects(
+        lambda b: compound_capacity(CompoundCapacityRequest(BALL, ChannelMatrix(np.eye(2)), b))
+    ),
+    "compound_rdf_scalar": _library_rejects(lambda b: compound_rdf_scalar(1.0, 0.5, b)),
+    "compound_capacity_scalar": _library_rejects(lambda b: compound_capacity_scalar(1.0, 0.5, b)),
+    "sweep_compound": _library_rejects(
+        lambda b: sweep_compound("rdf", CompoundRdfRequest(BALL, 1.0), [(0.5, 1.0), (0.5, b)])
+    ),
+    "cli_rdf": _cli_rejects("rdf", "--sigma0-scalar", "1", "--distortion"),
+    "cli_capacity": _cli_rejects("capacity", "--sigma0-scalar", "1", "--power"),
+    "cli_compound_rdf": _cli_rejects(
+        "compound-rdf", "--sigma0-scalar", "1", "--radius", "0.5", "--distortion"
+    ),
+    "cli_sweep": _cli_rejects(
+        "sweep", "--kind", "capacity", "--sigma0-scalar", "1", "--radii", "0,0.5", "--power"
+    ),
+}
+
+
+@pytest.mark.parametrize("budget", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", sorted(BUDGET_ENTRY_POINTS))
+def test_non_finite_budget_rejected(entry, budget, capsys):
+    BUDGET_ENTRY_POINTS[entry](budget, capsys)
 
 
 def test_solver_tol_flag_accepted(capsys):

@@ -8,6 +8,7 @@ from robust_shannon import (
     ChannelMatrix,
     CompoundCapacityRequest,
     CompoundRdfRequest,
+    SolverNoConverge,
     SpdMatrix,
     brute_force_compound,
     bw_distance,
@@ -20,6 +21,7 @@ from robust_shannon import (
     random_psd_in_ball,
     sweep_compound,
 )
+from robust_shannon import compound
 
 HALF_LOG4 = 0.6931471805599453
 HALF_LOG_225 = 0.4054651081081644
@@ -252,19 +254,19 @@ class TestSweep:
         points = sweep_compound("rdf", CompoundRdfRequest(BwBall(center, 0.1), 1.0), grid)
         assert [(p.r, p.budget) for p in points] == grid
 
-    def test_parallel_matches_serial(self):
-        center = SpdMatrix.from_diag([1.0, 2.0])
-        base = CompoundCapacityRequest(BwBall(center, 0.1), ChannelMatrix(np.eye(2)), 1.0)
-        grid = [(r, b) for r in (0.0, 0.3) for b in (0.5, 1.0, 2.0)]
-        serial = sweep_compound("capacity", base, grid)
-        parallel = sweep_compound("capacity", base, grid, max_workers=4)
-        assert serial == parallel
-
     def test_error_carries_grid_index(self):
         center = SpdMatrix.from_diag([1.0])
         base = CompoundRdfRequest(BwBall(center, 0.1), 1.0)
         with pytest.raises(ValueError, match="grid point 1"):
             sweep_compound("rdf", base, [(0.1, 1.0), (0.1, -2.0)])
+
+    def test_no_convergence_keeps_diagnostics(self, monkeypatch):
+        monkeypatch.setattr(compound, "MAX_ITERATIONS", 2)
+        base = CompoundRdfRequest(BwBall(SpdMatrix([[1.0, 0.3], [0.3, 4.0]]), 0.5), 1.0)
+        with pytest.raises(SolverNoConverge, match="grid point 0") as info:
+            sweep_compound("rdf", base, [(0.5, 1.0)], value_tol=0.0)
+        assert info.value.diagnostics.iterations == 2
+        assert not info.value.diagnostics.converged
 
     def test_rejects_empty_grid_and_bad_kind(self):
         base = CompoundRdfRequest(BwBall(SpdMatrix.identity(1), 0.1), 1.0)

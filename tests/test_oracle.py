@@ -17,10 +17,7 @@ from robust_shannon import (
     gaussian_w2,
     sample_gaussian,
 )
-from robust_shannon.oracle import (
-    _capacity_rates_for_noise_spectra,
-    _rdf_rates_for_spectra,
-)
+from robust_shannon.classical import reverse_waterfill_rows, waterfill_rows
 
 HALF_LOG_225 = 0.4054651081081644
 
@@ -170,13 +167,13 @@ class TestBruteForceCompound:
 
 
 class TestGridEvaluators:
-    """The vectorized active-set waterfills must match the bisection route."""
+    """The batched waterfills the grid oracle uses must match the single-shot route."""
 
     def test_rdf_rates_match_classical(self):
         rng = np.random.default_rng(42)
         spectra = rng.uniform(0.0, 5.0, size=(200, 3))
         for distortion in (0.05, 0.7, 2.0, 12.0):
-            batch = _rdf_rates_for_spectra(spectra, distortion)
+            batch = reverse_waterfill_rows(spectra, distortion)[2]
             for row, rate in zip(spectra, batch):
                 expected = gaussian_rdf(SpdMatrix.from_diag(row), distortion)
                 assert rate == pytest.approx(expected, abs=1e-12)
@@ -185,7 +182,7 @@ class TestGridEvaluators:
         rng = np.random.default_rng(43)
         spectra = rng.uniform(0.05, 5.0, size=(200, 3))
         for power in (0.0, 0.4, 2.0, 9.0):
-            batch = _capacity_rates_for_noise_spectra(spectra, power)
+            batch = waterfill_rows(spectra, power)[2]
             for row, rate in zip(spectra, batch):
                 expected = gaussian_capacity(np.eye(3), SpdMatrix.from_diag(row), power).rate_nats
                 assert rate == pytest.approx(expected, abs=1e-12)
