@@ -11,13 +11,10 @@ import numpy as np
 
 from robust_shannon import (
     BwBall,
-    ChannelMatrix,
-    CompoundCapacityRequest,
     CompoundRdfRequest,
     SpdMatrix,
     brute_force_compound,
     bw_distance,
-    compound_capacity,
     compound_rdf,
     compound_rdf_scalar,
     gaussian_rdf,
@@ -29,11 +26,8 @@ def scalar_capacity_family():
     print("Scalar compound capacity, nominal noise N(0,1)")
     radii = (0.0, 0.5, 1.0, 2.0)
     budgets = (0.0, 1.0, 2.0, 5.0, 10.0)
-    base = CompoundCapacityRequest(
-        BwBall(SpdMatrix.from_diag([1.0]), 0.0), ChannelMatrix(np.eye(1)), 1.0
-    )
     grid = [(r, b) for r in radii for b in budgets]
-    points = sweep_compound("capacity", base, grid)
+    points = sweep_compound("capacity", SpdMatrix.from_diag([1.0]), grid)
     header = "  B:" + "".join(f"{b:>10.1f}" for b in budgets)
     print(header)
     for r in radii:

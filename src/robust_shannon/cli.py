@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .compound import (
 )
 from .errors import RobustShannonError, SolverNoConverge
 from .oracle import check_gelbrich, random_seeded_laws, sampler_dominance_checks
-from .psd_geometry import BwBall, SpdMatrix
+from .psd_geometry import BwBall, SpdMatrix, _ensure_positive_definite
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -162,6 +163,8 @@ def emit(rows, fmt: str, units: str, stream) -> None:
                 "final_step_norm": diag.final_step_norm,
                 "converged": diag.converged,
                 "solver_path": diag.solver_path,
+                "jitter": diag.jitter,
+                "certificate_gap": diag.certificate_gap,
             }
             payload.append(item)
         stream.write(json.dumps(payload, indent=2) + "\n")
@@ -180,7 +183,9 @@ def _cmd_capacity(args, out) -> int:
     center = _resolve_center(args)
     channel = _resolve_channel(args, center.dim)
     rate, _, _ = gaussian_capacity(channel, center, args.power)
-    emit([_row(0.0, args.power, rate, center.trace, CLASSICAL_DIAGNOSTICS)],
+    _, jitter = _ensure_positive_definite(center)
+    diagnostics = replace(CLASSICAL_DIAGNOSTICS, jitter=jitter)
+    emit([_row(0.0, args.power, rate, center.trace, diagnostics)],
          args.format, args.units, out)
     return EXIT_OK
 
@@ -211,21 +216,20 @@ def _cmd_sweep(args, out) -> int:
     radii = _parse_float_list(args.radii)
     if any(r < 0 for r in radii):
         raise ValueError("radii must be nonnegative")
+    channel = None
     if args.kind == "rdf":
         if args.distortion is None:
             raise ValueError("sweep --kind rdf requires --distortion")
         budgets = _parse_grid(args.distortion)
-        base = CompoundRdfRequest(BwBall(center, radii[0]), budgets[0])
     else:
         if args.power is None:
             raise ValueError("sweep --kind capacity requires --power")
         budgets = _parse_grid(args.power)
         channel = _resolve_channel(args, center.dim)
-        base = CompoundCapacityRequest(BwBall(center, radii[0]), channel, max(budgets[0], 0.0))
     grid = sorted((r, b) for r in radii for b in budgets)
-    points = sweep_compound(args.kind, base, grid, value_tol=args.solver_tol)
+    points = sweep_compound(args.kind, center, grid, channel, value_tol=args.solver_tol)
     rows = [
-        _row(p.r, p.budget, p.value_nats, p.worst_case_trace, None) for p in points
+        _row(p.r, p.budget, p.value_nats, p.worst_case_trace, p.diagnostics) for p in points
     ]
     emit(rows, args.format, args.units, out)
     return EXIT_OK

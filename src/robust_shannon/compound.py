@@ -20,12 +20,23 @@ minimizes (the RDF passes its negated rate); each objective hands its inner
 waterfill to the gradient, so an accepted point is solved once. Convergence
 is declared on value stagnation because the waterfilling objectives carry
 kinks where the water level crosses an eigenvalue.
+
+The general-channel capacity is a convex problem: capacity is convex in the
+noise covariance and the ball is convex. It is therefore solved from one
+start, the center, and certified afterwards by a Frank-Wolfe duality gap
+(``SolverDiagnostics.certificate_gap``), an upper bound in nats on how far
+the returned value lies above the optimum. The linear minimization over the
+ball behind the gap is a scalar dual search, solved by Newton steps that
+climb onto the root of a trust-region secular equation from below, so
+every step gives a valid bound. A singular center is made
+positive definite by a small diagonal jitter, reported as
+``SolverDiagnostics.jitter``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -54,14 +65,27 @@ STAGNATION_PATIENCE = 10
 MAX_ITERATIONS = 10_000
 ARMIJO = 1e-4
 MAX_HALVINGS = 60
+MAX_SECULAR_NEWTON = 50
 
 
 @dataclass(frozen=True)
 class SolverDiagnostics:
+    """How a compound value was obtained.
+
+    ``jitter`` is the diagonal shift added to a singular center before
+    solving (0.0 when none was needed, and always for the RDF).
+    ``certificate_gap`` is an upper bound, in nats, on how far the returned
+    value lies above the true optimum (at a converged point it can read a
+    few ulps below zero from rounding); it is set on the general-channel
+    capacity path and None elsewhere.
+    """
+
     iterations: int
     final_step_norm: float
     converged: bool
     solver_path: str
+    jitter: float = 0.0
+    certificate_gap: float | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,6 +126,7 @@ class SweepPoint(NamedTuple):
     budget: float
     value_nats: float
     worst_case_trace: float
+    diagnostics: SolverDiagnostics
 
 
 def compound_rdf_scalar(sigma0: float, r: float, distortion: float) -> float:
@@ -327,17 +352,22 @@ class _TransportCoordinates:
     def gradient(self, x: np.ndarray, inner) -> np.ndarray:
         """Danskin envelope gradient pulled back to the x coordinates.
 
-        The covariance gradient is 0.5 ((noise + H Q* H^T)^{-1} - noise^{-1})
-        at the inner-optimal input Q*; the chain rule through S diag(lam) S
-        gives diag(lam) S G + G S diag(lam) on the symmetric slot.
+        The chain rule through S diag(lam) S takes the covariance gradient G
+        to diag(lam) S G + G S diag(lam) on the symmetric slot.
         """
         noise, result = inner
         s = self.smatrix(x)
-        output_cov = noise.entries + self.channel @ result.input_cov.entries @ self.channel.T
-        g = 0.5 * (np.linalg.inv(_symmetrize(output_cov)) - np.linalg.inv(noise.entries))
-        g = _symmetrize(g)
+        g = _noise_gradient(self.channel, noise, result.input_cov)
         m = (self.lam[:, None] * s) @ g + g @ (s * self.lam[None, :])
         return self.pack * m[self.rows, self.cols] / self.scale
+
+
+def _noise_gradient(h, noise: SpdMatrix, input_cov: SpdMatrix) -> np.ndarray:
+    """Danskin gradient of the capacity in the (positive definite) noise W:
+    0.5 ((W + H Q* H^T)^{-1} - W^{-1}) at the inner-optimal input Q*."""
+    output_cov = noise.entries + h @ input_cov.entries @ h.T
+    g = 0.5 * (np.linalg.inv(_symmetrize(output_cov)) - np.linalg.inv(noise.entries))
+    return _symmetrize(g)
 
 
 def _project_euclidean_ball(x: np.ndarray, radius: float) -> np.ndarray:
@@ -354,18 +384,21 @@ def compound_capacity(
 
     Uses the eigenvalue-space reduction when the channel shares an eigenbasis
     with the center (starting from the center itself); otherwise projected
-    gradient descent on the PSD cone. The worst-case noise covariance is
-    returned alongside the inner waterfilling at that noise.
+    gradient descent in transport coordinates, started once at the center,
+    with a Frank-Wolfe duality gap as ``diagnostics.certificate_gap``. The
+    worst-case noise covariance is returned alongside the inner waterfilling
+    at that noise; ``diagnostics.jitter`` is the diagonal shift that made a
+    singular center positive definite.
     """
     ball, power = req.ball, req.power
     h = req.channel.entries
+    center_pd, jitter = _ensure_positive_definite(ball.center)
     if ball.radius == 0.0:
         rate, _, alloc = gaussian_capacity(req.channel, ball.center, power)
-        diag = SolverDiagnostics(0, 0.0, True, "eigen-reduction")
+        diag = SolverDiagnostics(0, 0.0, True, "eigen-reduction", jitter)
         return CompoundResult(rate, ball.center, alloc, diag)
-    center_pd, jitter = _ensure_positive_definite(ball.center)
-    work_ball = ball if jitter == 0.0 else BwBall(center_pd, ball.radius)
     axes = _commuting_channel_axes(center_pd, h)
+    gap = None
     if axes is not None:
         basis, s, hvals = axes
         u_star, _, diagnostics = _minimize(
@@ -377,62 +410,105 @@ def compound_capacity(
             value_tol,
         )
         worst = SpdMatrix((basis * (u_star * u_star)) @ basis.T)
+        rate, _, alloc = gaussian_capacity(req.channel, worst, power)
     else:
-        worst, diagnostics = _descend_from_best_start(work_ball, h, power, value_tol)
-    rate, _, alloc = gaussian_capacity(req.channel, worst, power)
-    return CompoundResult(rate, worst, alloc, diagnostics)
-
-
-def _descend_from_best_start(ball: BwBall, h: np.ndarray, power: float, value_tol: float):
-    """Run the matrix descent from the center and from the max-trace boundary
-    point, keeping whichever run ends lower (the landscape is not known to be
-    geodesically convex for a non-commuting channel)."""
-    coords = _TransportCoordinates(ball.center, h, power)
-    lam = coords.lam
-    center_start = np.zeros(coords.rows.size)
-    # S = (1 + a) I with a = radius / sqrt(tr) is the max-trace boundary point.
-    radial_start = np.zeros(coords.rows.size)
-    radial_start[coords.rows == coords.cols] = np.sqrt(lam) * (
-        ball.radius / math.sqrt(float(lam.sum()))
-    )
-    best = None
-    total_iterations = 0
-    for x0 in (center_start, radial_start):
-        x, value, diag = _minimize(
+        coords = _TransportCoordinates(center_pd, h, power)
+        x, _, diagnostics = _minimize(
             coords.objective,
             coords.gradient,
-            x0,
+            np.zeros(coords.rows.size),
             lambda x: _project_euclidean_ball(x, ball.radius),
             "projected-gradient",
             value_tol,
         )
-        total_iterations += diag.iterations
-        if best is None or value < best[0]:
-            best = (value, x, diag)
-    _, x, diag = best
-    return coords.noise_in_original_basis(x), SolverDiagnostics(
-        total_iterations, diag.final_step_norm, diag.converged, diag.solver_path
-    )
+        worst = coords.noise_in_original_basis(x)
+        rate, input_cov, alloc = gaussian_capacity(req.channel, worst, power)
+        gap = _frank_wolfe_gap(h, center_pd, worst, input_cov, ball.radius)
+    diagnostics = replace(diagnostics, jitter=jitter, certificate_gap=gap)
+    return CompoundResult(rate, worst, alloc, diagnostics)
+
+
+def _frank_wolfe_gap(h, center: SpdMatrix, noise: SpdMatrix, input_cov: SpdMatrix, radius):
+    """Frank-Wolfe duality gap of the capacity at ``noise``, in nats.
+
+    The capacity is convex in the noise covariance and the ball is convex,
+    so with G the Danskin gradient at the (jittered) noise W and Q* its
+    optimal input, the optimum is at least C(W) - tr(G W) - max over the
+    ball of tr(-G N). The maximum is bounded from above by
+    ``_ball_support``, so the gap bounds C(W) - C* from above.
+    """
+    noise, _ = _ensure_positive_definite(noise)
+    g = _noise_gradient(h, noise, input_cov)
+    a, q = np.linalg.eigh(-g)
+    b = np.maximum(np.einsum("ij,ij->j", q, center.entries @ q), 0.0)
+    return float(np.sum(g * noise.entries)) + _ball_support(a, b, radius)
+
+
+def _support_dual(a, b, radius, gamma):
+    """U(gamma) = gamma r^2 + gamma sum_i b_i a_i / (gamma - a_i).
+
+    For a PSD A = Q diag(a) Q^T and b_i = q_i^T C q_i, every gamma > max(a)
+    (and > 0) bounds max tr(A N) over the ball of ``radius`` around C: U is
+    the Lagrangian dual of that maximum in Gaussian coupling form, with
+    x^T A x - gamma ||x - y||^2 maximized pointwise over x, so weak duality
+    makes it an upper bound.
+    """
+    return gamma * (radius * radius + float(np.sum(b * a / (gamma - a))))
+
+
+def _ball_support(a, b, radius):
+    """Upper bound on max tr(A N) over the ball: U minimized over gamma.
+
+    U is convex with stationary point sum_i b_i a_i^2 / (gamma - a_i)^2 =
+    r^2, a trust-region secular equation. Newton on f^{-1/2} = 1/r, which
+    is increasing and concave, started left of the root (where each term
+    alone already reaches r^2) climbs monotonically onto it, so every
+    iterate stays a valid gamma. In the hard case, b about 0 on the top
+    eigenvector, there is no root and U increases from max(a); the search
+    then stops at once just above max(a).
+    """
+    top = float(a.max())
+    if top <= 0.0:
+        return 0.0  # A is negative semidefinite and N is PSD
+    root = np.sqrt(b) * np.abs(a)
+    r2 = radius * radius
+    gamma = max(float(np.max(a + root / radius)), top * (1.0 + 1e-12))
+    for _ in range(MAX_SECULAR_NEWTON):
+        terms = (root / (gamma - a)) ** 2
+        f = float(terms.sum())
+        if f <= r2:
+            break  # at the root, or past it in the hard case
+        step = f * (math.sqrt(f) / radius - 1.0) / float(np.sum(terms / (gamma - a)))
+        gamma += step
+        if step <= 1e-15 * gamma:
+            break
+    return _support_dual(a, b, radius, gamma)
 
 
 def sweep_compound(
     kind: str,
-    base,
+    center: SpdMatrix,
     grid: Sequence[tuple[float, float]],
+    channel: ChannelMatrix | None = None,
     value_tol: float = VALUE_STAGNATION_TOL,
 ) -> list[SweepPoint]:
-    """Evaluate a compound problem over a grid of (radius, budget) pairs.
+    """Evaluate a compound problem around ``center`` over (radius, budget) pairs.
 
-    Pointwise identical to the single-shot solvers, in input order. A
-    per-point failure is re-raised as the same exception, diagnostics
+    Capacity sweeps use ``channel`` (the identity when None); RDF sweeps take
+    none. Pointwise identical to the single-shot solvers, in input order,
+    each point with its diagnostics. A per-point failure, a bad budget or
+    radius included, is re-raised as the same exception, diagnostics
     included, with the grid index prefixed to its message.
     """
     if kind not in ("rdf", "capacity"):
         raise ValueError(f"kind must be 'rdf' or 'capacity', got {kind!r}")
+    if kind == "rdf" and channel is not None:
+        raise ValueError("an RDF sweep takes no channel")
     points = list(grid)
     if not points:
         raise ValueError("grid must be non-empty")
-    center = base.ball.center
+    if kind == "capacity" and channel is None:
+        channel = ChannelMatrix(np.eye(center.dim))
     out = []
     for index, (r, budget) in enumerate(points):
         try:
@@ -440,11 +516,14 @@ def sweep_compound(
                 res = compound_rdf(CompoundRdfRequest(BwBall(center, r), budget), value_tol)
             else:
                 res = compound_capacity(
-                    CompoundCapacityRequest(BwBall(center, r), base.channel, budget),
-                    value_tol,
+                    CompoundCapacityRequest(BwBall(center, r), channel, budget), value_tol
                 )
         except (ValueError, RobustShannonError) as exc:
             exc.args = (f"grid point {index} (r={r}, budget={budget}): {exc}",)
             raise
-        out.append(SweepPoint(float(r), float(budget), res.value_nats, res.worst_case_cov.trace))
+        out.append(
+            SweepPoint(
+                float(r), float(budget), res.value_nats, res.worst_case_cov.trace, res.diagnostics
+            )
+        )
     return out

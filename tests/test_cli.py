@@ -232,7 +232,7 @@ BUDGET_ENTRY_POINTS = {
     "compound_rdf_scalar": _library_rejects(lambda b: compound_rdf_scalar(1.0, 0.5, b)),
     "compound_capacity_scalar": _library_rejects(lambda b: compound_capacity_scalar(1.0, 0.5, b)),
     "sweep_compound": _library_rejects(
-        lambda b: sweep_compound("rdf", CompoundRdfRequest(BALL, 1.0), [(0.5, 1.0), (0.5, b)])
+        lambda b: sweep_compound("rdf", BALL.center, [(0.5, 1.0), (0.5, b)])
     ),
     "cli_rdf": _cli_rejects("rdf", "--sigma0-scalar", "1", "--distortion"),
     "cli_capacity": _cli_rejects("capacity", "--sigma0-scalar", "1", "--power"),
@@ -279,3 +279,52 @@ def test_sweep_bad_budget_reports_grid_point(capsys):
     )
     assert code == 2
     assert "grid point 0 (r=0.0, budget=-1.0)" in err
+    # a bad first budget keeps its grid point too
+    code, _, err = run_cli(
+        capsys, "sweep", "--kind", "rdf", "--sigma0-scalar", "1",
+        "--radii", "0.5", "--distortion", "0:1:3",
+    )
+    assert code == 2
+    assert "grid point 0 (r=0.5, budget=0.0)" in err
+    code, _, err = run_cli(
+        capsys, "sweep", "--kind", "capacity", "--sigma0-scalar", "1",
+        "--radii", "0.5", "--power", "nan:1:3",
+    )
+    assert code == 2
+    assert "grid point 0 (r=0.5, budget=nan)" in err
+
+
+def test_sweep_json_carries_diagnostics(capsys):
+    code, out, _ = run_cli(
+        capsys, "sweep", "--kind", "capacity", "--sigma0-scalar", "1",
+        "--radii", "0,0.5", "--power", "1", "--format", "json",
+    )
+    assert code == 0
+    rows = json.loads(out)
+    assert [row["diagnostics"]["iterations"] for row in rows][0] == 0
+    assert rows[1]["diagnostics"]["iterations"] > 0
+    for row in rows:
+        assert row["diagnostics"]["solver_path"] == "eigen-reduction"
+        assert row["diagnostics"]["jitter"] == 0.0
+        assert row["diagnostics"]["certificate_gap"] is None
+
+
+def test_json_reports_jitter_and_certificate(tmp_path, capsys):
+    singular = write_matrix(tmp_path / "singular.json", [[0.0, 0.0], [0.0, 1.0]])
+    channel = write_matrix(tmp_path / "h.json", [[1.0, 0.4], [-0.3, 0.8]])
+    argv = ["compound-capacity", "--center", singular, "--channel", channel,
+            "--radius", "0.5", "--power", "1"]
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    diag = json.loads(out)[0]["diagnostics"]
+    assert diag["solver_path"] == "projected-gradient"
+    assert diag["jitter"] == pytest.approx(0.5e-12, rel=1e-12)
+    assert 0.0 <= diag["certificate_gap"] < 1e-3
+    code, csv_out, _ = run_cli(capsys, *argv)
+    assert csv_out.split("\n")[0] == "r,budget,value_nats,worst_case_trace"
+    assert len(csv_out.strip().split("\n")[1].split(",")) == 4
+    code, out, _ = run_cli(
+        capsys, "capacity", "--center", singular, "--channel", channel, "--power", "1",
+        "--format", "json",
+    )
+    assert json.loads(out)[0]["diagnostics"]["jitter"] == diag["jitter"]

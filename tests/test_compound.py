@@ -181,16 +181,15 @@ class TestCompoundCapacity:
         reeval = gaussian_capacity(h, result.worst_case_cov, 2.0).rate_nats
         assert reeval == pytest.approx(result.value_nats, abs=1e-8)
 
-    def test_solver_paths_agree_on_commuting_instance(self):
+    def test_solver_paths_agree_on_commuting_instance(self, monkeypatch):
         # identity channel commutes, so both routes must find the same optimum
-        from robust_shannon.compound import _descend_from_best_start
-
         center = SpdMatrix.from_diag([1.0, 3.0])
         request = CompoundCapacityRequest(BwBall(center, 0.6), ChannelMatrix(np.eye(2)), 1.5)
         reduced = compound_capacity(request).value_nats
-        noise, _ = _descend_from_best_start(BwBall(center, 0.6), np.eye(2), 1.5, 1e-10)
-        pgd = gaussian_capacity(np.eye(2), noise, 1.5).rate_nats
-        assert reduced == pytest.approx(pgd, abs=1e-6)
+        monkeypatch.setattr(compound, "_commuting_channel_axes", lambda center, h: None)
+        single_start = compound_capacity(request)
+        assert single_start.diagnostics.solver_path == "projected-gradient"
+        assert reduced == pytest.approx(single_start.value_nats, abs=1e-6)
 
     def test_radius_monotonicity(self):
         rng = np.random.default_rng(37)
@@ -233,44 +232,167 @@ class TestCompoundCapacity:
 class TestSweep:
     def test_single_point_matches_single_shot(self):
         center = SpdMatrix.from_diag([1.0, 4.0])
-        base = CompoundRdfRequest(BwBall(center, 0.5), 1.0)
-        points = sweep_compound("rdf", base, [(0.5, 1.0)])
-        single = compound_rdf(base)
+        points = sweep_compound("rdf", center, [(0.5, 1.0)])
+        single = compound_rdf(CompoundRdfRequest(BwBall(center, 0.5), 1.0))
         assert points[0].value_nats == single.value_nats
         assert points[0].worst_case_trace == single.worst_case_cov.trace
+        assert points[0].diagnostics == single.diagnostics
+
+    def test_capacity_point_matches_single_shot(self):
+        rng = np.random.default_rng(41)
+        center = random_spd(rng, 2)
+        h = ChannelMatrix(rng.standard_normal((2, 2)))
+        points = sweep_compound("capacity", center, [(0.5, 2.0)], h)
+        single = compound_capacity(CompoundCapacityRequest(BwBall(center, 0.5), h, 2.0))
+        assert points[0].value_nats == single.value_nats
+        assert points[0].diagnostics == single.diagnostics
+        assert points[0].diagnostics.certificate_gap is not None
 
     def test_zero_radius_sweep_is_classical_curve(self):
         center = SpdMatrix.from_diag([2.0])
         budgets = [0.25, 0.5, 1.0, 2.0]
-        points = sweep_compound(
-            "rdf", CompoundRdfRequest(BwBall(center, 0.0), 1.0), [(0.0, b) for b in budgets]
-        )
+        points = sweep_compound("rdf", center, [(0.0, b) for b in budgets])
         for point, budget in zip(points, budgets):
             assert point.value_nats == gaussian_rdf(center, budget)
 
     def test_order_preserved(self):
         center = SpdMatrix.from_diag([1.0])
         grid = [(0.5, 1.0), (0.0, 1.0), (0.2, 0.3)]
-        points = sweep_compound("rdf", CompoundRdfRequest(BwBall(center, 0.1), 1.0), grid)
+        points = sweep_compound("rdf", center, grid)
         assert [(p.r, p.budget) for p in points] == grid
 
     def test_error_carries_grid_index(self):
         center = SpdMatrix.from_diag([1.0])
-        base = CompoundRdfRequest(BwBall(center, 0.1), 1.0)
         with pytest.raises(ValueError, match="grid point 1"):
-            sweep_compound("rdf", base, [(0.1, 1.0), (0.1, -2.0)])
+            sweep_compound("rdf", center, [(0.1, 1.0), (0.1, -2.0)])
+        with pytest.raises(ValueError, match="grid point 0"):
+            sweep_compound("capacity", center, [(0.1, math.nan), (0.1, 1.0)])
 
     def test_no_convergence_keeps_diagnostics(self, monkeypatch):
         monkeypatch.setattr(compound, "MAX_ITERATIONS", 2)
-        base = CompoundRdfRequest(BwBall(SpdMatrix([[1.0, 0.3], [0.3, 4.0]]), 0.5), 1.0)
+        center = SpdMatrix([[1.0, 0.3], [0.3, 4.0]])
         with pytest.raises(SolverNoConverge, match="grid point 0") as info:
-            sweep_compound("rdf", base, [(0.5, 1.0)], value_tol=0.0)
+            sweep_compound("rdf", center, [(0.5, 1.0)], value_tol=0.0)
         assert info.value.diagnostics.iterations == 2
         assert not info.value.diagnostics.converged
 
     def test_rejects_empty_grid_and_bad_kind(self):
-        base = CompoundRdfRequest(BwBall(SpdMatrix.identity(1), 0.1), 1.0)
+        center = SpdMatrix.identity(1)
         with pytest.raises(ValueError):
-            sweep_compound("rdf", base, [])
+            sweep_compound("rdf", center, [])
         with pytest.raises(ValueError):
-            sweep_compound("both", base, [(0.1, 1.0)])
+            sweep_compound("both", center, [(0.1, 1.0)])
+
+    def test_rdf_sweep_rejects_channel(self):
+        center = SpdMatrix.identity(1)
+        with pytest.raises(ValueError, match="no channel"):
+            sweep_compound("rdf", center, [(0.1, 1.0)], ChannelMatrix(np.eye(1)))
+
+
+def _rotation(rng, d):
+    q, r = np.linalg.qr(rng.standard_normal((d, d)))
+    return q * np.sign(np.diag(r))
+
+
+def _benchmark_like(rng, d):
+    """Noise center with spectrum in [0.5, 2], non-commuting channel, r = 0.2 sqrt(tr C), P = tr C."""
+    q = _rotation(rng, d)
+    center = SpdMatrix((q * np.exp(rng.uniform(math.log(0.5), math.log(2.0), d))) @ q.T)
+    h = (_rotation(rng, d) * np.exp(rng.uniform(math.log(0.5), math.log(1.5), d))) @ _rotation(rng, d).T
+    return CompoundCapacityRequest(
+        BwBall(center, 0.2 * math.sqrt(center.trace)), ChannelMatrix(h), center.trace
+    )
+
+
+class TestCertificate:
+    def test_gap_at_center_bounds_suboptimality(self):
+        rng = np.random.default_rng(51)
+        for k in range(8):
+            d = 2 + k % 3
+            lam = np.exp(rng.uniform(-3.0, 1.0, d))
+            if k % 4 == 1:
+                lam[-1] = 0.0  # singular center, jittered by the solver
+            q = _rotation(rng, d)
+            center = SpdMatrix((q * lam) @ q.T)
+            h = rng.standard_normal((d, d))
+            if k % 4 == 2:
+                h = h[:, :1] @ rng.standard_normal((1, d))  # rank one
+            radius = float(rng.uniform(0.1, 1.0)) * math.sqrt(center.trace)
+            power = float(rng.uniform(0.1, 5.0)) * center.trace
+            request = CompoundCapacityRequest(BwBall(center, radius), ChannelMatrix(h), power)
+            returned = compound_capacity(request).value_nats
+            center_pd, _ = compound._ensure_positive_definite(center)
+            at_center = gaussian_capacity(h, center_pd, power)
+            gap = compound._frank_wolfe_gap(h, center_pd, center_pd, at_center.input_cov, radius)
+            assert math.isfinite(gap)
+            assert gap >= at_center.rate_nats - returned - 1e-12
+
+    def test_dual_bounds_every_ball_point(self):
+        rng = np.random.default_rng(52)
+        for d in (1, 2, 3):
+            center = random_spd(rng, d)
+            ball = BwBall(center, 0.7)
+            g = rng.standard_normal((d, d))
+            a, q = np.linalg.eigh(g @ g.T)
+            b = np.einsum("ij,ij->j", q, center.entries @ q)
+            top = float(a.max())
+            for gamma in (1.01 * top, 2.0 * top, top + 10.0):
+                bound = compound._support_dual(a, b, ball.radius, gamma)
+                assert bound >= compound._ball_support(a, b, ball.radius) - 1e-12
+                for seed in range(100):
+                    draw = random_psd_in_ball(ball, seed).entries
+                    assert bound >= float(np.sum((q * a) @ q.T * draw)) - 1e-12
+
+    def test_support_is_exact_in_closed_forms(self):
+        # scalar ball around sigma^2: max a N = a (sigma + r)^2
+        support = compound._ball_support(np.array([3.0]), np.array([4.0]), 0.5)
+        assert support == pytest.approx(3.0 * 2.5**2, rel=1e-12)
+        # hard case, b = 0 on the top eigenvector: around diag(0, 1) with
+        # r = 2, max 2 N11 + N22 is 10, at N = diag(3, 4)
+        for b_top in (0.0, 1e-30, 1e-20):
+            support = compound._ball_support(np.array([2.0, 1.0]), np.array([b_top, 1.0]), 2.0)
+            assert support == pytest.approx(10.0, rel=1e-9)
+
+    def test_gap_matches_scalar_closed_form(self):
+        # d = 1: the linear minimizer over the ball is the largest noise
+        # (sigma + r)^2, so the gap at N = sigma^2 is G (sigma^2 - (sigma + r)^2)
+        sigma, r, h, power = 1.5, 0.4, 0.8, 2.0
+        noise = SpdMatrix.from_diag([sigma**2])
+        inner = gaussian_capacity(np.array([[h]]), noise, power)
+        gap = compound._frank_wolfe_gap(np.array([[h]]), noise, noise, inner.input_cov, r)
+        grad = 0.5 * (1.0 / (sigma**2 + h * h * power) - 1.0 / sigma**2)
+        assert gap == pytest.approx(grad * (sigma**2 - (sigma + r) ** 2), rel=1e-12)
+
+    def test_returned_gap_is_tight_on_benchmark_like_instances(self):
+        rng = np.random.default_rng(53)
+        for d in (4, 8, 16, 32):
+            result = compound_capacity(_benchmark_like(rng, d))
+            gap = result.diagnostics.certificate_gap
+            assert result.diagnostics.solver_path == "projected-gradient"
+            assert -1e-12 <= gap <= 1e-8 * max(1.0, abs(result.value_nats))
+
+    def test_singular_center_hard_case_gap(self):
+        # A's top direction is e1, where the jittered center diag(0, 1) has
+        # almost no variance: the secular equation nearly loses its root
+        center, jitter = compound._ensure_positive_definite(SpdMatrix.from_diag([0.0, 1.0]))
+        assert jitter > 0.0
+        noise = SpdMatrix.identity(2)
+        c, s = math.cos(0.4), math.sin(0.4)
+        h = np.diag([2.0, 0.5]) @ np.array([[c, -s], [s, c]])
+        inner = gaussian_capacity(h, noise, 1.0)
+        gap = compound._frank_wolfe_gap(h, center, noise, inner.input_cov, 1.5)
+        assert math.isfinite(gap) and gap >= 0.0
+        ball = BwBall(SpdMatrix.from_diag([0.0, 1.0]), 1.5)
+        request = CompoundCapacityRequest(ball, ChannelMatrix(h), 1.0)
+        result = compound_capacity(request)
+        assert gap >= inner.rate_nats - result.value_nats - 1e-12
+        assert result.diagnostics.jitter == jitter
+        assert -1e-12 <= result.diagnostics.certificate_gap < 1e-6
+
+    def test_reduction_paths_carry_no_gap(self):
+        center = SpdMatrix.from_diag([1.0, 4.0])
+        request = CompoundCapacityRequest(BwBall(center, 0.5), ChannelMatrix(np.eye(2)), 2.0)
+        assert compound_capacity(request).diagnostics.certificate_gap is None
+        rdf = compound_rdf(CompoundRdfRequest(BwBall(center, 0.5), 1.0))
+        assert rdf.diagnostics.certificate_gap is None
+        assert rdf.diagnostics.jitter == 0.0

@@ -1,0 +1,64 @@
+"""Property tests of general-channel compound capacity (single start, certified)."""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from robust_shannon import BwBall, ChannelMatrix, CompoundCapacityRequest, SpdMatrix, compound_capacity
+
+
+def _rotation(rng, d):
+    q, r = np.linalg.qr(rng.standard_normal((d, d)))
+    return q * np.sign(np.diag(r))
+
+
+@st.composite
+def general_channel_instances(draw):
+    """(center, channel, radius fraction of sqrt(tr C), power fraction of tr C) at d = 2, 3."""
+    d = draw(st.integers(2, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = _rotation(rng, d)
+    center = (q * np.exp(rng.uniform(math.log(0.2), math.log(5.0), d))) @ q.T
+    channel = rng.standard_normal((d, d))
+    radius = draw(st.floats(0.05, 1.0))
+    power = draw(st.floats(0.1, 5.0))
+    return center, channel, radius, power, rng
+
+
+def _solve(center, channel, radius_fraction, power_fraction):
+    total = float(np.trace(center))
+    request = CompoundCapacityRequest(
+        BwBall(SpdMatrix(center), radius_fraction * math.sqrt(total)),
+        ChannelMatrix(channel),
+        power_fraction * total,
+    )
+    result = compound_capacity(request)
+    assert result.diagnostics.solver_path == "projected-gradient"
+    return result
+
+
+@settings(max_examples=25)
+@given(general_channel_instances())
+def test_rotation_equivariance(instance):
+    center, channel, radius, power, rng = instance
+    q = _rotation(rng, center.shape[0])
+    plain = _solve(center, channel, radius, power)
+    rotated = _solve(q @ center @ q.T, q @ channel @ q.T, radius, power)
+    # both values lie within their certificate gaps above the common optimum
+    slack = max(plain.diagnostics.certificate_gap, rotated.diagnostics.certificate_gap)
+    assert abs(rotated.value_nats - plain.value_nats) <= slack + 1e-10 * max(1.0, plain.value_nats)
+    expected = q @ plain.worst_case_cov.entries @ q.T
+    assert np.allclose(rotated.worst_case_cov.entries, expected, rtol=0.0, atol=1e-6 * np.trace(expected))
+
+
+@settings(max_examples=25)
+@given(general_channel_instances(), st.floats(0.05, 1.0))
+def test_monotone_in_radius(instance, other_radius):
+    center, channel, radius, power, _ = instance
+    small, large = sorted((radius, other_radius))
+    inner = _solve(center, channel, small, power)
+    outer = _solve(center, channel, large, power)
+    # C*(large) <= C*(small) <= inner value, and outer lies within its gap of C*(large)
+    assert outer.value_nats <= inner.value_nats + outer.diagnostics.certificate_gap + 1e-12
