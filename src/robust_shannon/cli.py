@@ -15,7 +15,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .compound import (
     CompoundCapacityRequest,
     CompoundRdfRequest,
     SolverDiagnostics,
+    SweepPoint,
     compound_capacity,
     compound_rdf,
     sweep_compound,
@@ -121,18 +122,8 @@ def _resolve_channel(args, dim: int) -> ChannelMatrix:
     return ChannelMatrix(np.eye(dim))
 
 
-def _row(r, budget, value_nats, worst_case_trace, diagnostics):
-    return {
-        "r": float(r),
-        "budget": float(budget),
-        "value_nats": float(value_nats),
-        "worst_case_trace": float(worst_case_trace),
-        "diagnostics": diagnostics,
-    }
-
-
 def emit(rows, fmt: str, units: str, stream) -> None:
-    """Write result rows as CSV (header + data, LF endings) or a JSON array."""
+    """Write ``SweepPoint`` rows as CSV (header + data, LF endings) or a JSON array."""
     if not rows:
         raise ValueError("nothing to emit")
     bits = units == "bits"
@@ -140,32 +131,20 @@ def emit(rows, fmt: str, units: str, stream) -> None:
         header = "r,budget,value_nats" + (",value_bits" if bits else "") + ",worst_case_trace"
         lines = [header]
         for row in rows:
-            fields = [_fmt(row["r"]), _fmt(row["budget"]), _fmt(row["value_nats"])]
+            fields = [_fmt(row.r), _fmt(row.budget), _fmt(row.value_nats)]
             if bits:
-                fields.append(_fmt(row["value_nats"] / math.log(2)))
-            fields.append(_fmt(row["worst_case_trace"]))
+                fields.append(_fmt(row.value_nats / math.log(2)))
+            fields.append(_fmt(row.worst_case_trace))
             lines.append(",".join(fields))
         stream.write("\n".join(lines) + "\n")
     else:
         payload = []
         for row in rows:
-            diag = row["diagnostics"]
-            item = {
-                "r": row["r"],
-                "budget": row["budget"],
-                "value_nats": row["value_nats"],
-            }
+            item = {"r": row.r, "budget": row.budget, "value_nats": row.value_nats}
             if bits:
-                item["value_bits"] = row["value_nats"] / math.log(2)
-            item["worst_case_trace"] = row["worst_case_trace"]
-            item["diagnostics"] = None if diag is None else {
-                "iterations": diag.iterations,
-                "final_step_norm": diag.final_step_norm,
-                "converged": diag.converged,
-                "solver_path": diag.solver_path,
-                "jitter": diag.jitter,
-                "certificate_gap": diag.certificate_gap,
-            }
+                item["value_bits"] = row.value_nats / math.log(2)
+            item["worst_case_trace"] = row.worst_case_trace
+            item["diagnostics"] = asdict(row.diagnostics)
             payload.append(item)
         stream.write(json.dumps(payload, indent=2) + "\n")
     stream.flush()
@@ -174,7 +153,7 @@ def emit(rows, fmt: str, units: str, stream) -> None:
 def _cmd_rdf(args, out) -> int:
     center = _resolve_center(args)
     value = gaussian_rdf(center, args.distortion)
-    emit([_row(0.0, args.distortion, value, center.trace, CLASSICAL_DIAGNOSTICS)],
+    emit([SweepPoint(0.0, args.distortion, value, center.trace, CLASSICAL_DIAGNOSTICS)],
          args.format, args.units, out)
     return EXIT_OK
 
@@ -185,7 +164,7 @@ def _cmd_capacity(args, out) -> int:
     rate, _, _ = gaussian_capacity(channel, center, args.power)
     _, jitter = _ensure_positive_definite(center)
     diagnostics = replace(CLASSICAL_DIAGNOSTICS, jitter=jitter)
-    emit([_row(0.0, args.power, rate, center.trace, diagnostics)],
+    emit([SweepPoint(0.0, args.power, rate, center.trace, diagnostics)],
          args.format, args.units, out)
     return EXIT_OK
 
@@ -193,9 +172,9 @@ def _cmd_capacity(args, out) -> int:
 def _cmd_compound_rdf(args, out) -> int:
     center = _resolve_center(args)
     request = CompoundRdfRequest(BwBall(center, args.radius), args.distortion)
-    result = compound_rdf(request, value_tol=args.solver_tol)
-    emit([_row(args.radius, args.distortion, result.value_nats,
-               result.worst_case_cov.trace, result.diagnostics)],
+    result = compound_rdf(request)
+    emit([SweepPoint(args.radius, args.distortion, result.value_nats,
+                     result.worst_case_cov.trace, result.diagnostics)],
          args.format, args.units, out)
     return EXIT_OK
 
@@ -204,9 +183,9 @@ def _cmd_compound_capacity(args, out) -> int:
     center = _resolve_center(args)
     channel = _resolve_channel(args, center.dim)
     request = CompoundCapacityRequest(BwBall(center, args.radius), channel, args.power)
-    result = compound_capacity(request, value_tol=args.solver_tol)
-    emit([_row(args.radius, args.power, result.value_nats,
-               result.worst_case_cov.trace, result.diagnostics)],
+    result = compound_capacity(request)
+    emit([SweepPoint(args.radius, args.power, result.value_nats,
+                     result.worst_case_cov.trace, result.diagnostics)],
          args.format, args.units, out)
     return EXIT_OK
 
@@ -227,11 +206,7 @@ def _cmd_sweep(args, out) -> int:
         budgets = _parse_grid(args.power)
         channel = _resolve_channel(args, center.dim)
     grid = sorted((r, b) for r in radii for b in budgets)
-    points = sweep_compound(args.kind, center, grid, channel, value_tol=args.solver_tol)
-    rows = [
-        _row(p.r, p.budget, p.value_nats, p.worst_case_trace, p.diagnostics) for p in points
-    ]
-    emit(rows, args.format, args.units, out)
+    emit(sweep_compound(args.kind, center, grid, channel), args.format, args.units, out)
     return EXIT_OK
 
 
@@ -263,19 +238,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p, with_seed=True):
+    def add_common(p):
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--units", choices=("nats", "bits"), default="nats")
-        if with_seed:
-            p.add_argument("--seed", type=int, default=0)
-
-    def add_solver_tol(p):
-        p.add_argument(
-            "--solver-tol",
-            type=float,
-            default=1e-10,
-            help="relative value-stagnation tolerance of the compound solvers",
-        )
+        p.add_argument("--seed", type=int, default=0)
 
     def add_center(p):
         p.add_argument("--center", help="covariance matrix JSON file")
@@ -302,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_center(p)
     p.add_argument("--radius", type=float, required=True)
     p.add_argument("--distortion", type=float, required=True)
-    add_solver_tol(p)
     add_common(p)
     p.set_defaults(handler=_cmd_compound_rdf)
 
@@ -311,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--channel", help="channel matrix JSON file (default identity)")
     p.add_argument("--radius", type=float, required=True)
     p.add_argument("--power", type=float, required=True)
-    add_solver_tol(p)
     add_common(p)
     p.set_defaults(handler=_cmd_compound_capacity)
 
@@ -322,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radii", required=True, help="comma-separated radii")
     p.add_argument("--distortion", help="distortion value or start:stop:count grid")
     p.add_argument("--power", help="power value or start:stop:count grid")
-    add_solver_tol(p)
     add_common(p)
     p.set_defaults(handler=_cmd_sweep)
 

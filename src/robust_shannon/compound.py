@@ -142,32 +142,35 @@ def compound_capacity_scalar(sigma0: float, r: float, power: float) -> float:
 
 
 def _check_scalar_domain(sigma0, r):
-    if not float(sigma0) > 0.0:
-        raise ValueError(f"sigma0 must be positive, got {sigma0}")
-    if not float(r) >= 0.0:
-        raise ValueError(f"r must be nonnegative, got {r}")
+    if not (float(sigma0) > 0.0 and math.isfinite(sigma0)):
+        raise ValueError(f"sigma0 must be positive and finite, got {sigma0}")
+    if not (float(r) >= 0.0 and math.isfinite(r)):
+        raise ValueError(f"r must be nonnegative and finite, got {r}")
 
 
-def _project_ball_nonneg(u, s, radius):
-    diff = u - s
+def _project_ball(x, center, radius):
+    """Euclidean projection onto the ball of ``radius`` around ``center``;
+    a point inside is returned as is."""
+    diff = x - center
     norm = float(np.linalg.norm(diff))
     if norm > radius:
-        u = s + diff * (radius / norm)
-    return np.maximum(u, 0.0)
+        return center + diff * (radius / norm)
+    return x
 
 
-def _minimize(objective, gradient, x0, project, label, value_tol):
-    """Projected gradient descent with a backtracking line search.
+def _minimize(objective, gradient, x0, center, radius, label):
+    """Projected gradient descent on the ball ||x - center|| <= radius.
 
     ``objective(x)`` returns the value at x together with the inner solve
     behind it, and ``gradient(x, inner)`` takes that inner solve, so the
     accepted point of one iteration is never solved again for the next.
     Steps halve until the Armijo condition (1e-4 on the projected step)
-    holds; converged once the relative value change stays below tolerance
-    for STAGNATION_PATIENCE consecutive iterations. Maximization problems
-    pass the negated objective. Returns (x, value, diagnostics).
+    holds; converged once the relative value change stays below
+    VALUE_STAGNATION_TOL for STAGNATION_PATIENCE consecutive iterations.
+    Maximization problems pass the negated objective. Returns (x, value,
+    diagnostics).
     """
-    x = project(np.asarray(x0, dtype=float))
+    x = _project_ball(np.asarray(x0, dtype=float), center, radius)
     value, inner = objective(x)
     stagnant = 0
     step_norm = 0.0
@@ -176,7 +179,7 @@ def _minimize(objective, gradient, x0, project, label, value_tol):
         improved = False
         alpha = 1.0
         for _ in range(MAX_HALVINGS):
-            candidate = project(x - alpha * grad)
+            candidate = _project_ball(x - alpha * grad, center, radius)
             if np.array_equal(candidate, x):
                 break  # step underflowed: first-order stationary
             descent = float(grad @ (candidate - x))
@@ -193,7 +196,7 @@ def _minimize(objective, gradient, x0, project, label, value_tol):
         step_norm = float(np.linalg.norm(candidate - x))
         rel_change = abs(cand_value - value) / max(1.0, abs(value))
         x, value, inner = candidate, cand_value, cand_inner
-        stagnant = stagnant + 1 if rel_change < value_tol else 0
+        stagnant = stagnant + 1 if rel_change < VALUE_STAGNATION_TOL else 0
         if stagnant >= STAGNATION_PATIENCE:
             return x, value, SolverDiagnostics(iteration, step_norm, True, label)
     raise SolverNoConverge(
@@ -222,7 +225,7 @@ def _rdf_gradient(u, alloc):
     return grad
 
 
-def compound_rdf(req: CompoundRdfRequest, value_tol: float = VALUE_STAGNATION_TOL) -> CompoundResult:
+def compound_rdf(req: CompoundRdfRequest) -> CompoundResult:
     """Worst-case rate-distortion over the ambiguity ball, in nats.
 
     Eigenvalue-space reduction: with s the square roots of the center's
@@ -245,9 +248,8 @@ def compound_rdf(req: CompoundRdfRequest, value_tol: float = VALUE_STAGNATION_TO
         lambda u: _rdf_objective(u, distortion),
         _rdf_gradient,
         u0,
-        lambda u: _project_ball_nonneg(u, s, ball.radius),
+        s, ball.radius,
         "eigen-reduction",
-        value_tol,
     )
     worst = SpdMatrix((vecs * (u_star * u_star)) @ vecs.T)
     alloc = reverse_waterfill(worst, distortion)
@@ -281,23 +283,17 @@ def _is_diagonal(m):
 
 
 def _capacity_objective(u, hvals, power):
-    """Capacity at the noise spectrum u**2, with its waterfill (None where
-    the gradient vanishes: a dead channel or a noiseless active mode)."""
-    with np.errstate(divide="ignore"):
-        gains = np.where(u > 0.0, (hvals / np.maximum(u, 1e-300)) ** 2, np.inf)
-    gains = np.where(hvals == 0.0, 0.0, gains)
-    if float(gains.max()) == 0.0:
-        return 0.0, None
-    if np.any(np.isinf(gains)):
-        return (math.inf if power > 0.0 else 0.0), None
-    alloc = capacity_from_gains(gains, power)
+    """Capacity at the noise spectrum u**2, with its waterfill.
+
+    Every iterate has u >= s > 0 (s: the jittered center's stddevs), as the
+    gradient is nonpositive and the projection only rescales u - s; a dead
+    mode's zero gain stays inactive in the waterfill."""
+    alloc = capacity_from_gains((hvals / u) ** 2, power)
     return alloc.rate_nats, alloc
 
 
 def _capacity_gradient(u, hvals, alloc):
     grad = np.zeros_like(u)
-    if alloc is None:
-        return grad
     active = alloc.per_mode > 0.0
     grad[active] = u[active] / (alloc.level * hvals[active] ** 2) - 1.0 / u[active]
     return grad
@@ -370,16 +366,7 @@ def _noise_gradient(h, noise: SpdMatrix, input_cov: SpdMatrix) -> np.ndarray:
     return _symmetrize(g)
 
 
-def _project_euclidean_ball(x: np.ndarray, radius: float) -> np.ndarray:
-    norm = float(np.linalg.norm(x))
-    if norm > radius:
-        return x * (radius / norm)
-    return x
-
-
-def compound_capacity(
-    req: CompoundCapacityRequest, value_tol: float = VALUE_STAGNATION_TOL
-) -> CompoundResult:
+def compound_capacity(req: CompoundCapacityRequest) -> CompoundResult:
     """Worst-case capacity over the noise ambiguity ball, in nats.
 
     Uses the eigenvalue-space reduction when the channel shares an eigenbasis
@@ -405,9 +392,8 @@ def compound_capacity(
             lambda u: _capacity_objective(u, hvals, power),
             lambda u, alloc: _capacity_gradient(u, hvals, alloc),
             s.copy(),
-            lambda u: _project_ball_nonneg(u, s, ball.radius),
+            s, ball.radius,
             "eigen-reduction",
-            value_tol,
         )
         worst = SpdMatrix((basis * (u_star * u_star)) @ basis.T)
         rate, _, alloc = gaussian_capacity(req.channel, worst, power)
@@ -417,9 +403,8 @@ def compound_capacity(
             coords.objective,
             coords.gradient,
             np.zeros(coords.rows.size),
-            lambda x: _project_euclidean_ball(x, ball.radius),
+            0.0, ball.radius,
             "projected-gradient",
-            value_tol,
         )
         worst = coords.noise_in_original_basis(x)
         rate, input_cov, alloc = gaussian_capacity(req.channel, worst, power)
@@ -490,7 +475,6 @@ def sweep_compound(
     center: SpdMatrix,
     grid: Sequence[tuple[float, float]],
     channel: ChannelMatrix | None = None,
-    value_tol: float = VALUE_STAGNATION_TOL,
 ) -> list[SweepPoint]:
     """Evaluate a compound problem around ``center`` over (radius, budget) pairs.
 
@@ -513,11 +497,9 @@ def sweep_compound(
     for index, (r, budget) in enumerate(points):
         try:
             if kind == "rdf":
-                res = compound_rdf(CompoundRdfRequest(BwBall(center, r), budget), value_tol)
+                res = compound_rdf(CompoundRdfRequest(BwBall(center, r), budget))
             else:
-                res = compound_capacity(
-                    CompoundCapacityRequest(BwBall(center, r), channel, budget), value_tol
-                )
+                res = compound_capacity(CompoundCapacityRequest(BwBall(center, r), channel, budget))
         except (ValueError, RobustShannonError) as exc:
             exc.args = (f"grid point {index} (r={r}, budget={budget}): {exc}",)
             raise

@@ -25,8 +25,21 @@ from .classical import (
     reverse_waterfill_rows,
     waterfill_rows,
 )
+from .compound import (
+    CompoundCapacityRequest,
+    CompoundRdfRequest,
+    compound_capacity,
+    compound_rdf,
+)
 from .errors import TooLargeForExact
-from .psd_geometry import GaussianLaw, SpdMatrix, gaussian_w2, matrix_sqrt
+from .psd_geometry import (
+    BwBall,
+    GaussianLaw,
+    SpdMatrix,
+    gaussian_w2,
+    matrix_sqrt,
+    random_psd_in_ball,
+)
 
 MAX_EXACT_ASSIGNMENT = 512
 GELBRICH_SLACK = 0.15  # calibrated at n = 512; see demos/gelbrich_calibration.py
@@ -138,15 +151,6 @@ def sampler_dominance_checks(seed: int, draws: int):
     Yields one report line per problem kind; a draw beating the compound
     extremum beyond a 1e-6 slack marks the check failed.
     """
-    # local import: the oracle helpers above stay usable without the solver stack
-    from .compound import (
-        CompoundCapacityRequest,
-        CompoundRdfRequest,
-        compound_capacity,
-        compound_rdf,
-    )
-    from .psd_geometry import BwBall, random_psd_in_ball
-
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((2, 2))
     ball = BwBall(SpdMatrix(g @ g.T + 0.5 * np.eye(2)), 0.4)
@@ -190,10 +194,10 @@ def brute_force_compound(
     diag = np.diag(center.entries)
     if float(np.abs(center.entries - np.diag(diag)).max()) > 1e-12 * max(1.0, center.trace):
         raise ValueError("center must be diagonal")
-    if not float(grid_step) > 0.0:
-        raise ValueError(f"grid_step must be positive, got {grid_step}")
-    if not float(r) >= 0.0:
-        raise ValueError(f"r must be nonnegative, got {r}")
+    if not (float(grid_step) > 0.0 and math.isfinite(grid_step)):
+        raise ValueError(f"grid_step must be positive and finite, got {grid_step}")
+    if not (float(r) >= 0.0 and math.isfinite(r)):
+        raise ValueError(f"r must be nonnegative and finite, got {r}")
     budget = _check_distortion(budget) if kind == "rdf" else _check_power(budget)
     s = np.sqrt(diag)
     axes = [

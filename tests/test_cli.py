@@ -162,6 +162,10 @@ def test_domain_error_exit_code(capsys):
 def test_bad_flags_exit_code(capsys):
     assert run_cli(capsys, "rdf", "--sigma0-scalar", "1")[0] == 2  # missing --distortion
     assert run_cli(capsys, "unknown-command")[0] == 2
+    assert run_cli(  # the solver tolerance is a constant, not a flag
+        capsys, "compound-rdf", "--sigma0-scalar", "1", "--radius", "0.5",
+        "--distortion", "1", "--solver-tol", "1e-6",
+    )[0] == 2
 
 
 def test_missing_center_is_config_error(capsys):
@@ -193,10 +197,11 @@ def test_verify_deterministic(capsys):
 
 def test_sweep_no_convergence_reports_iterations(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(compound, "MAX_ITERATIONS", 2)
+    monkeypatch.setattr(compound, "VALUE_STAGNATION_TOL", 0.0)
     center = write_matrix(tmp_path / "center.json", [[1.0, 0.3], [0.3, 4.0]])
     code, _, err = run_cli(
         capsys, "sweep", "--kind", "rdf", "--center", center, "--radii", "0.5",
-        "--distortion", "1", "--solver-tol", "0",
+        "--distortion", "1",
     )
     assert code == 3
     assert "after 2 iterations" in err
@@ -249,16 +254,6 @@ BUDGET_ENTRY_POINTS = {
 @pytest.mark.parametrize("entry", sorted(BUDGET_ENTRY_POINTS))
 def test_non_finite_budget_rejected(entry, budget, capsys):
     BUDGET_ENTRY_POINTS[entry](budget, capsys)
-
-
-def test_solver_tol_flag_accepted(capsys):
-    code, out, _ = run_cli(
-        capsys, "compound-rdf", "--sigma0-scalar", "1", "--radius", "0.5",
-        "--distortion", "1", "--solver-tol", "1e-6",
-    )
-    assert code == 0
-    value = float(out.strip().split("\n")[1].split(",")[2])
-    assert value == pytest.approx(0.4054651081081644, abs=1e-5)
 
 
 def test_empty_radii_is_config_error(capsys):

@@ -61,6 +61,14 @@ class TestScalarClosedForms:
         with pytest.raises(ValueError):
             compound_capacity_scalar(1.0, 0.5, -1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("closed_form", [compound_rdf_scalar, compound_capacity_scalar])
+    def test_non_finite_sigma0_or_radius_rejected(self, closed_form, bad):
+        with pytest.raises(ValueError, match="finite"):
+            closed_form(bad, 0.5, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            closed_form(1.0, bad, 1.0)
+
 
 class TestCompoundRdf:
     def test_zero_radius_reduces_to_classical(self):
@@ -270,9 +278,10 @@ class TestSweep:
 
     def test_no_convergence_keeps_diagnostics(self, monkeypatch):
         monkeypatch.setattr(compound, "MAX_ITERATIONS", 2)
+        monkeypatch.setattr(compound, "VALUE_STAGNATION_TOL", 0.0)
         center = SpdMatrix([[1.0, 0.3], [0.3, 4.0]])
         with pytest.raises(SolverNoConverge, match="grid point 0") as info:
-            sweep_compound("rdf", center, [(0.5, 1.0)], value_tol=0.0)
+            sweep_compound("rdf", center, [(0.5, 1.0)])
         assert info.value.diagnostics.iterations == 2
         assert not info.value.diagnostics.converged
 

@@ -165,6 +165,13 @@ class TestBruteForceCompound:
         with pytest.raises(ValueError):
             brute_force_compound("rdf", SpdMatrix.identity(2), 0.1, 1.0, 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_radius_or_step(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            brute_force_compound("rdf", SpdMatrix.identity(2), bad, 1.0, 1e-2)
+        with pytest.raises(ValueError, match="finite"):
+            brute_force_compound("rdf", SpdMatrix.identity(2), 0.1, 1.0, bad)
+
 
 class TestGridEvaluators:
     """The batched waterfills the grid oracle uses must match the single-shot route."""

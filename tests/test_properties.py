@@ -1,4 +1,5 @@
-"""Property tests of general-channel compound capacity (single start, certified)."""
+"""Property tests of the compound solvers: general-channel capacity (single
+start, certified) and the RDF's eigenvalue-space reduction."""
 
 import math
 
@@ -6,7 +7,16 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robust_shannon import BwBall, ChannelMatrix, CompoundCapacityRequest, SpdMatrix, compound_capacity
+from robust_shannon import (
+    BwBall,
+    ChannelMatrix,
+    CompoundCapacityRequest,
+    CompoundRdfRequest,
+    SpdMatrix,
+    bw_distance,
+    compound_capacity,
+    compound_rdf,
+)
 
 
 def _rotation(rng, d):
@@ -62,3 +72,53 @@ def test_monotone_in_radius(instance, other_radius):
     outer = _solve(center, channel, large, power)
     # C*(large) <= C*(small) <= inner value, and outer lies within its gap of C*(large)
     assert outer.value_nats <= inner.value_nats + outer.diagnostics.certificate_gap + 1e-12
+
+
+@st.composite
+def rdf_instances(draw):
+    """(center, radius fraction of sqrt(tr C), distortion fraction of tr C) at d = 1..4."""
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = _rotation(rng, d)
+    center = (q * np.exp(rng.uniform(math.log(0.2), math.log(5.0), d))) @ q.T
+    radius = draw(st.floats(0.05, 1.0))
+    distortion = draw(st.floats(0.05, 1.2))
+    return center, radius, distortion, rng
+
+
+def _solve_rdf(center, radius_fraction, distortion_fraction, scale=1.0):
+    """compound_rdf on (a^2 C, a r, a^2 D) with a = ``scale``."""
+    total = float(np.trace(center))
+    request = CompoundRdfRequest(
+        BwBall(SpdMatrix(scale**2 * center), scale * radius_fraction * math.sqrt(total)),
+        scale**2 * distortion_fraction * total,
+    )
+    return compound_rdf(request)
+
+
+@settings(max_examples=25)
+@given(rdf_instances())
+def test_rdf_rotation_equivariance(instance):
+    center, radius, distortion, rng = instance
+    q = _rotation(rng, center.shape[0])
+    plain = _solve_rdf(center, radius, distortion).value_nats
+    rotated = _solve_rdf(q @ center @ q.T, radius, distortion).value_nats
+    assert abs(rotated - plain) <= 1e-12 * max(1.0, plain)
+
+
+@settings(max_examples=25)
+@given(rdf_instances(), st.floats(0.1, 10.0))
+def test_rdf_scale_invariance(instance, scale):
+    center, radius, distortion, _ = instance
+    plain = _solve_rdf(center, radius, distortion).value_nats
+    scaled = _solve_rdf(center, radius, distortion, scale).value_nats
+    assert abs(scaled - plain) <= 1e-7 * max(1.0, plain)
+
+
+@settings(max_examples=25)
+@given(rdf_instances())
+def test_rdf_worst_case_in_ball(instance):
+    center, radius, distortion, _ = instance
+    result = _solve_rdf(center, radius, distortion)
+    r = radius * math.sqrt(float(np.trace(center)))
+    assert bw_distance(result.worst_case_cov, SpdMatrix(center)) <= r * (1.0 + 1e-9)
