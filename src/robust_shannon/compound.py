@@ -10,26 +10,35 @@ Solver strategy: the RDF objective depends on the covariance only through
 its spectrum, and among matrices with a fixed spectrum the ball distance is
 minimized by the one commuting with the center with descending-aligned
 eigenvalues. The supremum is therefore attained in the center's eigenbasis
-and reduces to a Euclidean-ball-constrained search over the square roots of
-the eigenvalues. Capacity gets the same reduction whenever the channel
+and reduces to a Euclidean-ball-constrained problem over the square roots
+u of the eigenvalues. Capacity gets the same reduction whenever the channel
 shares an eigenbasis with the center (or is a scalar multiple of the
-identity); otherwise the search uses the Danskin envelope gradient in
-optimal-transport-map coordinates, where the ball is an exact Euclidean ball
-and PSD-ness is automatic. All of these run one projected-gradient loop that
-minimizes (the RDF passes its negated rate); each objective hands its inner
-waterfill to the gradient, so an accepted point is solved once. Convergence
-is declared on value stagnation because the waterfilling objectives carry
-kinks where the water level crosses an eigenvalue.
+identity). Both reductions are solved from their KKT conditions: given the
+water level and the ball multiplier, every mode's stationary point is in
+closed form, so the solve is a scalar root find for the water level (its
+equation is monotone) around one for the multiplier (the norm of u - s
+decreases in it), each by Newton steps kept inside a shrinking bracket.
+Both problems are convex in suitable coordinates, so the KKT point is the
+optimum.
 
-The general-channel capacity is a convex problem: capacity is convex in the
-noise covariance and the ball is convex. It is therefore solved from one
-start, the center, and certified afterwards by a Frank-Wolfe duality gap
-(``SolverDiagnostics.certificate_gap``), an upper bound in nats on how far
-the returned value lies above the optimum. The linear minimization over the
-ball behind the gap is a scalar dual search, solved by Newton steps that
-climb onto the root of a trust-region secular equation from below, so
-every step gives a valid bound. A singular center is made
-positive definite by a small diagonal jitter, reported as
+A channel that shares no eigenbasis with the center leaves the capacity a
+convex problem (capacity is convex in the noise covariance and the ball is
+convex) without a closed-form reduction. It is solved by projected gradient
+in optimal-transport-map coordinates, where the ball is an exact Euclidean
+ball and PSD-ness is automatic, from one start, the center, using the
+Danskin envelope gradient; each objective hands its inner waterfill to the
+gradient, so an accepted point is solved once, and convergence is declared
+on value stagnation because the waterfilling objective carries kinks.
+
+Every compound result carries a duality gap
+(``SolverDiagnostics.certificate_gap``), an upper bound in nats on the
+distance from the returned value to the optimum. For capacity it is the
+Frank-Wolfe gap, whose linear minimization over the ball is a scalar dual
+search, solved by Newton steps that climb onto the root of a trust-region
+secular equation from below, so every step gives a valid bound. For the
+RDF it is the analogous linearization bound in the coordinates where the
+reduced problem is concave. A singular noise center is made positive
+definite by a small diagonal jitter, reported as
 ``SolverDiagnostics.jitter``.
 """
 
@@ -48,8 +57,8 @@ from .classical import (
     _check_power,
     capacity_from_gains,
     gaussian_capacity,
-    rdf_from_spectrum,
     reverse_waterfill,
+    waterfill_rows,
 )
 from .errors import RobustShannonError, SolverNoConverge
 from .psd_geometry import (
@@ -66,18 +75,21 @@ MAX_ITERATIONS = 10_000
 ARMIJO = 1e-4
 MAX_HALVINGS = 60
 MAX_SECULAR_NEWTON = 50
+ROOT_STEP_TOL = 1e-14
 
 
 @dataclass(frozen=True)
 class SolverDiagnostics:
     """How a compound value was obtained.
 
-    ``jitter`` is the diagonal shift added to a singular center before
-    solving (0.0 when none was needed, and always for the RDF).
-    ``certificate_gap`` is an upper bound, in nats, on how far the returned
-    value lies above the true optimum (at a converged point it can read a
-    few ulps below zero from rounding); it is set on the general-channel
-    capacity path and None elsewhere.
+    ``iterations`` counts water-level steps on the eigen-reduction paths
+    and projected-gradient iterations otherwise. ``jitter`` is the diagonal
+    shift added to a singular center before solving (0.0 when none was
+    needed, and always for the RDF). ``certificate_gap`` is an upper bound,
+    in nats, on how far the returned value lies from the true optimum
+    (above it for capacity, below it for the RDF; at a converged point it
+    can read a few ulps below zero from rounding); it is None only in the
+    diagnostics of a ``SolverNoConverge``.
     """
 
     iterations: int
@@ -148,18 +160,17 @@ def _check_scalar_domain(sigma0, r):
         raise ValueError(f"r must be nonnegative and finite, got {r}")
 
 
-def _project_ball(x, center, radius):
-    """Euclidean projection onto the ball of ``radius`` around ``center``;
-    a point inside is returned as is."""
-    diff = x - center
-    norm = float(np.linalg.norm(diff))
+def _project_ball(x, radius):
+    """Euclidean projection onto the ball of ``radius`` around 0; a point
+    inside is returned as is."""
+    norm = float(np.linalg.norm(x))
     if norm > radius:
-        return center + diff * (radius / norm)
+        return x * (radius / norm)
     return x
 
 
-def _minimize(objective, gradient, x0, center, radius, label):
-    """Projected gradient descent on the ball ||x - center|| <= radius.
+def _minimize(objective, gradient, x0, radius):
+    """Projected gradient descent on the ball ||x|| <= radius, from x0 in it.
 
     ``objective(x)`` returns the value at x together with the inner solve
     behind it, and ``gradient(x, inner)`` takes that inner solve, so the
@@ -167,10 +178,10 @@ def _minimize(objective, gradient, x0, center, radius, label):
     Steps halve until the Armijo condition (1e-4 on the projected step)
     holds; converged once the relative value change stays below
     VALUE_STAGNATION_TOL for STAGNATION_PATIENCE consecutive iterations.
-    Maximization problems pass the negated objective. Returns (x, value,
-    diagnostics).
+    Returns (x, value, diagnostics).
     """
-    x = _project_ball(np.asarray(x0, dtype=float), center, radius)
+    label = "projected-gradient"
+    x = x0
     value, inner = objective(x)
     stagnant = 0
     step_norm = 0.0
@@ -179,7 +190,7 @@ def _minimize(objective, gradient, x0, center, radius, label):
         improved = False
         alpha = 1.0
         for _ in range(MAX_HALVINGS):
-            candidate = _project_ball(x - alpha * grad, center, radius)
+            candidate = _project_ball(x - alpha * grad, radius)
             if np.array_equal(candidate, x):
                 break  # step underflowed: first-order stationary
             descent = float(grad @ (candidate - x))
@@ -205,24 +216,43 @@ def _minimize(objective, gradient, x0, center, radius, label):
     )
 
 
-def _rdf_objective(u, distortion):
-    """Negated rate at the spectrum u**2, with its waterfill (None when the
-    budget covers the total variance and the rate is zero)."""
-    lam = u * u
-    if distortion >= float(lam.sum()):
-        return 0.0, None
-    alloc = rdf_from_spectrum(lam, distortion)
-    return -alloc.rate_nats, alloc
+def _increasing_root(fun, x, lo, hi, cap, what):
+    """Root of an increasing function on [lo, hi] by safeguarded Newton steps.
 
-
-def _rdf_gradient(u, alloc):
-    grad = np.zeros_like(u)
-    if alloc is None:
-        return grad
-    active = u * u > alloc.level
-    grad[active] = -1.0 / u[active]
-    grad[~active] = -u[~active] / alloc.level
-    return grad
+    ``fun(x)`` returns the value and the slope at x; its last call is always
+    at the x returned. Each evaluation moves the bracket end on its side. A
+    step that leaves the bracket is cut back to the bound it crosses while
+    that bound is still the initial one, and replaced by bisection once the
+    bound was evaluated. Stops when the next step is at most ROOT_STEP_TOL
+    relative to x and returns (x, steps, that step); raises SolverNoConverge
+    after ``cap`` steps.
+    """
+    initial_lo = initial_hi = True
+    step = 0.0
+    for k in range(1, cap + 1):
+        f, slope = fun(x)
+        if f == 0.0:
+            return x, k, 0.0
+        if f < 0.0:
+            lo, initial_lo = x, False
+        else:
+            hi, initial_hi = x, False
+        nxt = x - f / slope if slope > 0.0 else math.nan
+        if not abs(nxt - x) <= ROOT_STEP_TOL * abs(x) and not lo < nxt < hi:
+            if initial_lo and nxt <= lo:
+                nxt = lo
+            elif initial_hi and nxt >= hi:
+                nxt = hi
+            else:
+                nxt = 0.5 * (lo + hi)
+        step = abs(nxt - x)
+        if step <= ROOT_STEP_TOL * abs(x):
+            return x, k, step
+        x = nxt
+    raise SolverNoConverge(
+        f"{what} search did not converge within {cap} steps",
+        SolverDiagnostics(cap, step, False, "eigen-reduction"),
+    )
 
 
 def compound_rdf(req: CompoundRdfRequest) -> CompoundResult:
@@ -230,30 +260,154 @@ def compound_rdf(req: CompoundRdfRequest) -> CompoundResult:
 
     Eigenvalue-space reduction: with s the square roots of the center's
     descending eigenvalues, maximizes the reverse-waterfilled rate over
-    nonnegative u with ||u - s|| <= radius, starting from the radial
-    inflation of s. The worst-case covariance is assembled in the center's
-    eigenbasis.
+    u >= 0 with ||u - s|| <= radius by solving its KKT conditions
+    (``_RdfKkt``). The worst-case covariance is assembled in the center's
+    eigenbasis, and ``diagnostics.certificate_gap`` bounds its distance to
+    the optimum (``_rdf_gap``).
     """
     ball, distortion = req.ball, req.distortion
     if ball.radius == 0.0:
         alloc = reverse_waterfill(ball.center, distortion)
-        diag = SolverDiagnostics(0, 0.0, True, "eigen-reduction")
+        diag = SolverDiagnostics(0, 0.0, True, "eigen-reduction", certificate_gap=0.0)
         return CompoundResult(alloc.rate_nats, ball.center, alloc, diag)
     vals, vecs = symmetric_eig(ball.center)
     s = np.sqrt(vals)
     norm_s = float(np.linalg.norm(s))
-    direction = s / norm_s if norm_s > 0.0 else np.full_like(s, 1.0 / math.sqrt(s.size))
-    u0 = s + ball.radius * direction
-    u_star, _, diagnostics = _minimize(
-        lambda u: _rdf_objective(u, distortion),
-        _rdf_gradient,
-        u0,
-        s, ball.radius,
-        "eigen-reduction",
-    )
-    worst = SpdMatrix((vecs * (u_star * u_star)) @ vecs.T)
+    if distortion >= (norm_s + ball.radius) ** 2:
+        # Every spectrum in the ball sums to at most the budget: the rate is
+        # zero everywhere, reported at the radial (largest-trace) point.
+        direction = s / norm_s if norm_s > 0.0 else np.full_like(s, 1.0 / math.sqrt(s.size))
+        u = s + ball.radius * direction
+        diagnostics = SolverDiagnostics(0, 0.0, True, "eigen-reduction")
+    else:
+        u, diagnostics = _RdfKkt(s, ball.radius, distortion).solve()
+    lam = u * u
+    worst = SpdMatrix((vecs * lam) @ vecs.T)
     alloc = reverse_waterfill(worst, distortion)
-    return CompoundResult(alloc.rate_nats, worst, alloc, diagnostics)
+    gap = _rdf_gap(lam, alloc, vals, ball.radius, distortion)
+    return CompoundResult(alloc.rate_nats, worst, alloc, replace(diagnostics, certificate_gap=gap))
+
+
+class _RdfKkt:
+    """KKT solve of the RDF reduction: max rate(u^2) over ||u - s|| <= r.
+
+    With water level theta and ball multiplier kappa, each mode's
+    stationary point is in closed form. Above the water (u^2 >= theta)
+    u = (s + sqrt(s^2 + 4/kappa))/2; below it u = s kappa theta /
+    (kappa theta - 1), for kappa theta > 1; u is the smaller of the two.
+    The multiplier is searched as omega = 1 - 1/(kappa theta), in which
+    u - s decreases and the branch below the water, s (1 - omega)/omega,
+    stays well conditioned for small s; omega <= 0 puts every mode above
+    the water. At omega = 0 the modes with s = 0 jump from 0 to
+    sqrt(theta); when the radius falls inside that jump they share what
+    the other modes leave of it, each with u^2 <= theta (the hard case).
+
+    The water level solves sum min(u^2, theta) = D, increasing in theta on
+    [D/d, (s_max + r)^2]; the search starts at the top, where every mode is
+    below the water and u is the radial point s (1 + r/||s||). In
+    the coordinates (lambda/(2 theta), 1/(2 theta)) the reduced problem
+    maximizes a jointly concave function over a convex cone, so this KKT
+    point is the optimum.
+    """
+
+    def __init__(self, s, radius, distortion):
+        self.s, self.radius, self.distortion = s, radius, distortion
+        self.r2 = radius * radius
+        self.zero = s == 0.0
+        norm_s = float(np.linalg.norm(s))
+        self.omega_radial = norm_s / (norm_s + radius)  # every mode below the water
+        # the last solve's theta, omega and d omega/d theta: the next multiplier
+        # search starts on that tangent
+        self.theta, self.omega, self.slope = 0.0, self.omega_radial, 0.0
+
+    def solve(self):
+        top = (float(self.s[0]) + self.radius) ** 2
+        theta, steps, last = _increasing_root(
+            self._excess, top, self.distortion / self.s.size, top, MAX_ITERATIONS, "water level"
+        )
+        return self.u, SolverDiagnostics(steps, last, True, "eigen-reduction")
+
+    def _modes(self, theta, omega):
+        """u - s at (theta, omega), its partial derivatives in omega and
+        theta, and the mask of the modes below the water."""
+        s = self.s
+        x = theta * (1.0 - omega)  # 1/kappa
+        root = np.sqrt(s * s + 4.0 * x)
+        delta = 2.0 * x / (s + root)
+        d_omega = -theta / root
+        d_theta = (1.0 - omega) / root
+        if omega <= 0.0:
+            return delta, d_omega, d_theta, np.zeros(s.size, dtype=bool)
+        below = s * ((1.0 - omega) / omega)
+        under = below < delta
+        delta = np.where(under, below, delta)
+        d_omega = np.where(under, -s / (omega * omega), d_omega)
+        d_theta = np.where(under, 0.0, d_theta)
+        return delta, d_omega, d_theta, under
+
+    def _multiplier(self, theta, lo, hi):
+        """omega in [lo, hi] with ||u - s|| = r; returns ``_modes`` there."""
+        parts = []
+
+        def residual(omega):
+            parts[:] = self._modes(theta, omega)
+            delta, d_omega = parts[0], parts[1]
+            return self.r2 - float(delta @ delta), -2.0 * float(delta @ d_omega)
+
+        start = self.omega + self.slope * (theta - self.theta)
+        if not lo < start < hi:
+            start = self.omega if lo < self.omega < hi else hi
+        self.omega, _, _ = _increasing_root(
+            residual, start, lo, hi, MAX_SECULAR_NEWTON, "ball multiplier"
+        )
+        self.theta = theta
+        return parts
+
+    def _excess(self, theta):
+        """sum min(u^2, theta) - D at theta, with its slope in theta."""
+        s, d, zero, r2 = self.s, self.s.size, self.zero, self.r2
+        above = 2.0 * theta / (s + np.sqrt(s * s + 4.0 * theta))  # u - s at omega = 0
+        above[zero] = 0.0
+        rho0 = float(above @ above)
+        n_zero = int(zero.sum())
+        if rho0 <= r2 < rho0 + n_zero * theta:
+            # hard case: kappa theta = 1 and the s = 0 modes share the rest
+            self.theta, self.omega, self.slope = theta, 0.0, 0.0
+            d_above = 1.0 / np.sqrt(s[~zero] ** 2 + 4.0 * theta)
+            slope = (d - n_zero) - 2.0 * float(above[~zero] @ d_above)
+            above[zero] = math.sqrt((r2 - rho0) / n_zero)
+            self.u = s + above
+            return (d - n_zero) * theta + r2 - rho0 - self.distortion, slope
+        if r2 < rho0:
+            lo, hi = 0.0, self.omega_radial
+        else:  # every mode above the water: at 1/kappa = (s_max + r) r the top one spends r
+            lo, hi = 1.0 - max(theta, (float(s[0]) + self.radius) * self.radius) / theta, 0.0
+        delta, d_omega, d_theta, under = self._multiplier(theta, lo, hi)
+        self.u = s + delta
+        self.slope = -float(delta @ d_theta) / float(delta @ d_omega)
+        value = float(np.minimum(self.u * self.u, theta).sum()) - self.distortion
+        n_below = int(under.sum())
+        slope = float(d - n_below)
+        if n_below:
+            # below the water u = s/omega, and u^2 moves with theta only through omega
+            slope -= 2.0 * float(s[under] @ s[under]) / self.omega**3 * self.slope
+        return value, slope
+
+
+def _rdf_gap(lam, alloc, center_vals, radius, distortion):
+    """Duality gap of the RDF reduction at the spectrum ``lam``, in nats.
+
+    With theta the water level of lam and c = min(1, theta/lam), the rate at
+    any ball point is at most R(lam) + eta (S - D), where S = max sum c_i
+    lambda_i over the ball (bounded by ``_ball_support``) and eta is that
+    point's 1/(2 theta), at most d/(2D) as every level is at least D/d. So
+    d (S - D)/(2D) bounds the distance to the optimum; 0 at zero rate.
+    """
+    if alloc.rate_nats == 0.0:
+        return 0.0
+    c = alloc.level / np.maximum(lam, alloc.level)
+    support = _ball_support(c, center_vals, radius)
+    return lam.size * (support - distortion) / (2.0 * distortion)
 
 
 def _commuting_channel_axes(center: SpdMatrix, h: np.ndarray):
@@ -282,21 +436,89 @@ def _is_diagonal(m):
     return float(np.abs(off).max()) <= 1e-10 * max(1.0, float(np.abs(m).max()))
 
 
-def _capacity_objective(u, hvals, power):
-    """Capacity at the noise spectrum u**2, with its waterfill.
+class _CapacityKkt:
+    """KKT solve of the commuting-channel capacity: min capacity over ||u - s|| <= r.
 
-    Every iterate has u >= s > 0 (s: the jittered center's stddevs), as the
-    gradient is nonpositive and the projection only rescales u - s; a dead
-    mode's zero gain stays inactive in the waterfill."""
-    alloc = capacity_from_gains((hvals / u) ** 2, power)
-    return alloc.rate_nats, alloc
+    u are the noise stddevs per axis, s the (jittered) center's and w = h^2
+    the squared channel weights. With water level nu and ball multiplier
+    kappa, a mode with s^2 >= w nu gets no power and keeps u = s (dead
+    modes, w = 0, always); otherwise u is the positive root of
+    (kappa + 1/(w nu)) u^2 - kappa s u - 1 = 0, solved for u - s without
+    cancellation. kappa = 0 when u = max(s, sqrt(w nu)) lies inside the
+    ball; else ||u - s|| = r fixes it, with 1/||u - s|| increasing in kappa.
+    The water level solves sum (nu - u^2/w)+ = P, increasing in nu between
+    the classical levels at the noise stddevs s and s + r; the search starts
+    at the latter, which is the answer at d = 1. The problem is jointly
+    convex in (u^2, 1/nu), so this KKT point is the optimum.
+    """
 
+    def __init__(self, s, w, radius, power):
+        self.s, self.w, self.radius, self.power = s, w, radius, power
+        # the last solve's nu, kappa and d kappa/d nu: the next multiplier
+        # search starts on that tangent
+        self.nu, self.kappa, self.slope = 0.0, 0.0, 0.0
 
-def _capacity_gradient(u, hvals, alloc):
-    grad = np.zeros_like(u)
-    active = alloc.per_mode > 0.0
-    grad[active] = u[active] / (alloc.level * hvals[active] ** 2) - 1.0 / u[active]
-    return grad
+    def solve(self):
+        s, w = self.s, self.w
+        with np.errstate(divide="ignore"):
+            inverse = np.stack([s * s, (s + self.radius) ** 2]) / w
+        (lo, hi), _, _ = waterfill_rows(inverse, self.power)
+        nu, steps, last = _increasing_root(
+            self._excess, float(hi), float(lo), float(hi), MAX_ITERATIONS, "water level"
+        )
+        return self.u, SolverDiagnostics(steps, last, True, "eigen-reduction")
+
+    def _excess(self, nu):
+        """sum (nu - u^2/w)+ - P at nu, with its slope in nu."""
+        s, w = self.s, self.w
+        active = w * nu > s * s
+        sa, wa = s[active], w[active]
+        self.u = s.copy()
+        if sa.size == 0:
+            return -self.power, 0.0
+        c = 1.0 / (wa * nu)
+        e = 1.0 - c * sa * sa
+        free = np.sqrt(wa * nu) - sa  # u - s at kappa = 0
+        free_norm = math.sqrt(float(free @ free))
+        if free_norm <= self.radius:
+            self.u[active] = sa + free
+            return -self.power, 0.0
+        c2, e2, e4 = 2.0 * c, 2.0 * e, 4.0 * e
+        parts = []
+
+        def residual(kappa):
+            # (kappa + c) d^2 + (kappa + 2c) s d - e = 0 for d = u - s
+            kc = kappa + c
+            k2c = (kappa + c2) * sa
+            delta = e2 / (k2c + np.sqrt(k2c * k2c + kc * e4))
+            u = sa + delta
+            jac = 2.0 * kc * delta + k2c  # its derivative in d
+            parts[:] = delta, u, jac
+            squares = delta * delta
+            norm2 = float(squares.sum())
+            norm = math.sqrt(norm2)
+            return 1.0 / norm - 1.0 / self.radius, float((squares / jac) @ u) / (norm2 * norm)
+
+        hi = sa.size / self.radius**2
+        start = self.kappa + self.slope * (nu - self.nu)
+        if not 0.0 < start < hi:
+            # the kappa = 0 step pulled onto the sphere, with each mode's
+            # kappa from its quadratic there, weighted by its share of r^2
+            guess = free * (self.radius / free_norm)
+            u0 = sa + guess
+            start = float(guess @ ((1.0 - c * u0 * u0) / u0)) / self.radius**2
+            start = min(start, hi)
+        self.kappa, _, _ = _increasing_root(
+            residual, start, 0.0, hi, MAX_SECULAR_NEWTON, "ball multiplier"
+        )
+        delta, u, jac = parts
+        self.u[active] = u
+        d_kappa = -delta * u / jac
+        d_nu = u * u * c / (nu * jac)
+        self.nu, self.slope = nu, -float(delta @ d_nu) / float(delta @ d_kappa)
+        value = nu * sa.size - float(u @ (u / wa)) - self.power
+        slope = sa.size - 2.0 * float((u / wa) @ (d_nu + d_kappa * self.slope))
+        return value, slope
 
 
 class _TransportCoordinates:
@@ -369,42 +591,40 @@ def _noise_gradient(h, noise: SpdMatrix, input_cov: SpdMatrix) -> np.ndarray:
 def compound_capacity(req: CompoundCapacityRequest) -> CompoundResult:
     """Worst-case capacity over the noise ambiguity ball, in nats.
 
-    Uses the eigenvalue-space reduction when the channel shares an eigenbasis
-    with the center (starting from the center itself); otherwise projected
-    gradient descent in transport coordinates, started once at the center,
-    with a Frank-Wolfe duality gap as ``diagnostics.certificate_gap``. The
-    worst-case noise covariance is returned alongside the inner waterfilling
-    at that noise; ``diagnostics.jitter`` is the diagonal shift that made a
-    singular center positive definite.
+    Uses the eigenvalue-space reduction, solved from its KKT conditions
+    (``_CapacityKkt``), when the channel shares an eigenbasis with the
+    center; otherwise projected gradient descent in transport coordinates,
+    started once at the center. Either way ``diagnostics.certificate_gap``
+    is the Frank-Wolfe duality gap at the returned noise. The worst-case
+    noise covariance is returned alongside the inner waterfilling at that
+    noise (per axis of the shared eigenbasis on the reduction, per singular
+    direction of the whitened channel otherwise); ``diagnostics.jitter`` is
+    the diagonal shift that made a singular center positive definite.
     """
     ball, power = req.ball, req.power
     h = req.channel.entries
     center_pd, jitter = _ensure_positive_definite(ball.center)
     if ball.radius == 0.0:
         rate, _, alloc = gaussian_capacity(req.channel, ball.center, power)
-        diag = SolverDiagnostics(0, 0.0, True, "eigen-reduction", jitter)
+        diag = SolverDiagnostics(0, 0.0, True, "eigen-reduction", jitter, 0.0)
         return CompoundResult(rate, ball.center, alloc, diag)
     axes = _commuting_channel_axes(center_pd, h)
-    gap = None
     if axes is not None:
         basis, s, hvals = axes
-        u_star, _, diagnostics = _minimize(
-            lambda u: _capacity_objective(u, hvals, power),
-            lambda u, alloc: _capacity_gradient(u, hvals, alloc),
-            s.copy(),
-            s, ball.radius,
-            "eigen-reduction",
-        )
-        worst = SpdMatrix((basis * (u_star * u_star)) @ basis.T)
-        rate, _, alloc = gaussian_capacity(req.channel, worst, power)
+        w = hvals * hvals
+        if power == 0.0 or not np.any(w):
+            u, diagnostics = s, SolverDiagnostics(0, 0.0, True, "eigen-reduction")
+        else:
+            u, diagnostics = _CapacityKkt(s, w, ball.radius, power).solve()
+        noise = u * u
+        worst = SpdMatrix((basis * noise) @ basis.T)
+        alloc = capacity_from_gains(w / noise, power)  # per axis of the shared basis
+        rate = alloc.rate_nats
+        gap = _axis_frank_wolfe_gap(noise, w, s * s, alloc.per_mode, ball.radius)
     else:
         coords = _TransportCoordinates(center_pd, h, power)
         x, _, diagnostics = _minimize(
-            coords.objective,
-            coords.gradient,
-            np.zeros(coords.rows.size),
-            0.0, ball.radius,
-            "projected-gradient",
+            coords.objective, coords.gradient, np.zeros(coords.rows.size), ball.radius
         )
         worst = coords.noise_in_original_basis(x)
         rate, input_cov, alloc = gaussian_capacity(req.channel, worst, power)
@@ -427,6 +647,19 @@ def _frank_wolfe_gap(h, center: SpdMatrix, noise: SpdMatrix, input_cov: SpdMatri
     a, q = np.linalg.eigh(-g)
     b = np.maximum(np.einsum("ij,ij->j", q, center.entries @ q), 0.0)
     return float(np.sum(g * noise.entries)) + _ball_support(a, b, radius)
+
+
+def _axis_frank_wolfe_gap(noise, w, center_vars, p, radius):
+    """``_frank_wolfe_gap`` in a basis shared by noise, center and channel.
+
+    There the Danskin gradient is diagonal, G_i = -w p / (2 n (n + w p))
+    per axis with noise variance n, squared channel weight w and the
+    waterfilled power p, and it is formed without subtracting two inverses,
+    which loses all accuracy once a jittered singular center puts noise
+    variances near 1e-13.
+    """
+    g = -0.5 * w * p / (noise * (noise + w * p))
+    return float(g @ noise) + _ball_support(-g, center_vars, radius)
 
 
 def _support_dual(a, b, radius, gamma):

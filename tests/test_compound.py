@@ -19,7 +19,9 @@ from robust_shannon import (
     gaussian_capacity,
     gaussian_rdf,
     random_psd_in_ball,
+    rdf_from_spectrum,
     sweep_compound,
+    symmetric_eig,
 )
 from robust_shannon import compound
 
@@ -95,6 +97,23 @@ class TestCompoundRdf:
         reference = brute_force_compound("rdf", center, 0.5, 1.0, 1e-3)
         assert result.value_nats == pytest.approx(reference, abs=1e-3)
         assert result.value_nats > gaussian_rdf(center, 1.0) + 0.1
+
+    @pytest.mark.parametrize(
+        "eigenvalues, r, distortion, step",
+        [([0.0, 1.0], 0.5, 0.5, 1e-3), ([0.0, 0.0, 1.0], 0.4, 0.3, 4e-3)],
+    )
+    def test_singular_center_matches_brute_force(self, eigenvalues, r, distortion, step):
+        # the hard case: the s = 0 modes share the radius the other mode
+        # leaves, each below the water level
+        center = SpdMatrix.from_diag(eigenvalues)
+        result = compound_rdf(CompoundRdfRequest(BwBall(center, r), distortion))
+        reference = brute_force_compound("rdf", center, r, distortion, step)
+        assert result.value_nats == pytest.approx(reference, abs=1e-3)
+        assert result.value_nats >= reference - 1e-12
+        assert bw_distance(center, result.worst_case_cov) <= r * (1.0 + 1e-9)
+        lam = np.sort(np.linalg.eigvalsh(result.worst_case_cov.entries))
+        level = result.inner_allocation.level
+        assert np.all(lam[:-1] > 0.0) and np.all(lam[:-1] < level)
 
     def test_worst_case_feasible_and_reproduces_value(self):
         rng = np.random.default_rng(31)
@@ -230,6 +249,46 @@ class TestCompoundCapacity:
         result = compound_capacity(request)
         assert result.value_nats == 0.0
 
+    @pytest.mark.parametrize("h", [0.1, 0.2])
+    def test_weak_scalar_channel_matches_closed_form(self, h):
+        # a weak channel behind a wide ball: tiny gradients, closed-form answer
+        request = CompoundCapacityRequest(
+            BwBall(SpdMatrix.from_diag([1.0]), 3.0), ChannelMatrix([[h]]), 0.25
+        )
+        result = compound_capacity(request)
+        expected = 0.5 * math.log1p(h * h * 0.25 / (1.0 + 3.0) ** 2)
+        assert result.value_nats == pytest.approx(expected, rel=0.0, abs=1e-12)
+        assert result.diagnostics.converged
+
+    def test_commuting_channel_with_dead_mode(self, monkeypatch):
+        # the dead axis keeps the center's noise: the radius all goes to the
+        # live axes, so the value is that of the live sub-problem
+        q = _rotation(np.random.default_rng(39), 3)
+        center = SpdMatrix((q * [1.0, 4.0, 2.0]) @ q.T)
+        h = ChannelMatrix((q * [1.0, 0.0, -1.5]) @ q.T)
+        request = CompoundCapacityRequest(BwBall(center, 0.8), h, 3.0)
+        result = compound_capacity(request)
+        assert result.diagnostics.solver_path == "eigen-reduction"
+        live = compound_capacity(
+            CompoundCapacityRequest(
+                BwBall(SpdMatrix.from_diag([1.0, 2.0]), 0.8), ChannelMatrix(np.diag([1.0, -1.5])), 3.0
+            )
+        )
+        assert result.value_nats == pytest.approx(live.value_nats, rel=1e-12)
+        dead_axis = q[:, 1]
+        assert dead_axis @ result.worst_case_cov.entries @ dead_axis == pytest.approx(4.0, rel=1e-12)
+        assert bw_distance(center, result.worst_case_cov) <= 0.8 * (1.0 + 1e-9)
+        monkeypatch.setattr(compound, "_commuting_channel_axes", lambda center, h: None)
+        assert compound_capacity(request).value_nats == pytest.approx(result.value_nats, abs=1e-6)
+
+    def test_commuting_channel_zero_power_returns_center(self):
+        center = SpdMatrix.from_diag([1.0, 4.0, 2.0])
+        h = ChannelMatrix(np.diag([1.0, 0.0, 2.0]))
+        result = compound_capacity(CompoundCapacityRequest(BwBall(center, 0.8), h, 0.0))
+        assert result.value_nats == 0.0
+        assert np.allclose(result.worst_case_cov.entries, center.entries, rtol=0.0, atol=1e-15)
+        assert result.diagnostics.certificate_gap == 0.0
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             CompoundCapacityRequest(
@@ -336,6 +395,24 @@ class TestCertificate:
             assert math.isfinite(gap)
             assert gap >= at_center.rate_nats - returned - 1e-12
 
+    def test_rdf_gap_at_center_bounds_suboptimality(self):
+        rng = np.random.default_rng(54)
+        for k in range(12):
+            d = 1 + k % 4
+            lam = np.exp(rng.uniform(-3.0, 1.0, d))
+            if k % 3 == 1 and d > 1:
+                lam[-1] = 0.0  # singular center
+            q = _rotation(rng, d)
+            center = SpdMatrix((q * lam) @ q.T)
+            radius = float(rng.uniform(0.1, 1.0)) * math.sqrt(center.trace)
+            distortion = float(rng.uniform(0.05, 1.0)) * center.trace
+            returned = compound_rdf(CompoundRdfRequest(BwBall(center, radius), distortion))
+            vals, _ = symmetric_eig(center)
+            at_center = rdf_from_spectrum(vals, distortion)
+            gap = compound._rdf_gap(vals, at_center, vals, radius, distortion)
+            assert math.isfinite(gap)
+            assert gap >= returned.value_nats - at_center.rate_nats - 1e-12
+
     def test_dual_bounds_every_ball_point(self):
         rng = np.random.default_rng(52)
         for d in (1, 2, 3):
@@ -398,10 +475,11 @@ class TestCertificate:
         assert result.diagnostics.jitter == jitter
         assert -1e-12 <= result.diagnostics.certificate_gap < 1e-6
 
-    def test_reduction_paths_carry_no_gap(self):
+    def test_reduction_paths_carry_tight_gap(self):
         center = SpdMatrix.from_diag([1.0, 4.0])
         request = CompoundCapacityRequest(BwBall(center, 0.5), ChannelMatrix(np.eye(2)), 2.0)
-        assert compound_capacity(request).diagnostics.certificate_gap is None
         rdf = compound_rdf(CompoundRdfRequest(BwBall(center, 0.5), 1.0))
-        assert rdf.diagnostics.certificate_gap is None
+        for result in (compound_capacity(request), rdf):
+            gap = result.diagnostics.certificate_gap
+            assert -1e-12 <= gap <= 1e-8 * max(1.0, abs(result.value_nats))
         assert rdf.diagnostics.jitter == 0.0

@@ -1,5 +1,6 @@
 """Property tests of the compound solvers: general-channel capacity (single
-start, certified) and the RDF's eigenvalue-space reduction."""
+start, certified) and the two eigenvalue-space reductions (the RDF, and
+capacity with a channel that commutes with the center)."""
 
 import math
 
@@ -120,5 +121,88 @@ def test_rdf_scale_invariance(instance, scale):
 def test_rdf_worst_case_in_ball(instance):
     center, radius, distortion, _ = instance
     result = _solve_rdf(center, radius, distortion)
+    r = radius * math.sqrt(float(np.trace(center)))
+    assert bw_distance(result.worst_case_cov, SpdMatrix(center)) <= r * (1.0 + 1e-9)
+
+
+@settings(max_examples=25)
+@given(rdf_instances(), st.floats(0.05, 1.0), st.floats(0.05, 1.2))
+def test_rdf_monotone_in_radius_and_distortion(instance, other_radius, other_distortion):
+    center, radius, distortion, _ = instance
+    small, large = sorted((radius, other_radius))
+    inner = _solve_rdf(center, small, distortion)
+    outer = _solve_rdf(center, large, distortion)
+    # R*(small r) <= R*(large r), and outer lies within its gap below R*(large r)
+    slack = 1e-12 * max(1.0, inner.value_nats)
+    assert inner.value_nats <= outer.value_nats + outer.diagnostics.certificate_gap + slack
+    low, high = sorted((distortion, other_distortion))
+    tight = _solve_rdf(center, radius, low)
+    loose = _solve_rdf(center, radius, high)
+    slack = 1e-12 * max(1.0, tight.value_nats)
+    assert loose.value_nats <= tight.value_nats + tight.diagnostics.certificate_gap + slack
+
+
+@st.composite
+def commuting_instances(draw):
+    """(center, symmetric channel sharing its eigenbasis, radius fraction of
+    sqrt(tr C), power fraction of tr C) at d = 1..4, some channel weights 0."""
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = _rotation(rng, d)
+    center = (q * np.exp(rng.uniform(math.log(0.2), math.log(5.0), d))) @ q.T
+    weights = rng.uniform(-2.0, 2.0, d)
+    if d > 1 and draw(st.booleans()):
+        weights[rng.integers(d)] = 0.0  # a dead mode
+    channel = (q * weights) @ q.T
+    radius = draw(st.floats(0.05, 1.0))
+    power = draw(st.floats(0.0, 5.0))
+    return center, channel, radius, power, rng
+
+
+def _solve_commuting(center, channel, radius_fraction, power_fraction):
+    total = float(np.trace(center))
+    request = CompoundCapacityRequest(
+        BwBall(SpdMatrix(center), radius_fraction * math.sqrt(total)),
+        ChannelMatrix(channel),
+        power_fraction * total,
+    )
+    result = compound_capacity(request)
+    assert result.diagnostics.solver_path == "eigen-reduction"
+    return result
+
+
+@settings(max_examples=25)
+@given(commuting_instances())
+def test_commuting_capacity_rotation_equivariance(instance):
+    center, channel, radius, power, rng = instance
+    q = _rotation(rng, center.shape[0])
+    plain = _solve_commuting(center, channel, radius, power)
+    rotated = _solve_commuting(q @ center @ q.T, q @ channel @ q.T, radius, power)
+    slack = max(plain.diagnostics.certificate_gap, rotated.diagnostics.certificate_gap)
+    assert abs(rotated.value_nats - plain.value_nats) <= slack + 1e-12 * max(1.0, plain.value_nats)
+
+
+@settings(max_examples=25)
+@given(commuting_instances(), st.floats(0.05, 1.0), st.floats(0.0, 5.0))
+def test_commuting_capacity_monotone_in_radius_and_power(instance, other_radius, other_power):
+    center, channel, radius, power, _ = instance
+    small, large = sorted((radius, other_radius))
+    inner = _solve_commuting(center, channel, small, power)
+    outer = _solve_commuting(center, channel, large, power)
+    # C*(large r) <= C*(small r) <= inner, and outer lies within its gap above C*(large r)
+    slack = 1e-12 * max(1.0, inner.value_nats)
+    assert outer.value_nats <= inner.value_nats + outer.diagnostics.certificate_gap + slack
+    low, high = sorted((power, other_power))
+    weak = _solve_commuting(center, channel, radius, low)
+    strong = _solve_commuting(center, channel, radius, high)
+    slack = 1e-12 * max(1.0, strong.value_nats)
+    assert weak.value_nats <= strong.value_nats + weak.diagnostics.certificate_gap + slack
+
+
+@settings(max_examples=25)
+@given(commuting_instances())
+def test_commuting_capacity_worst_case_in_ball(instance):
+    center, channel, radius, power, _ = instance
+    result = _solve_commuting(center, channel, radius, power)
     r = radius * math.sqrt(float(np.trace(center)))
     assert bw_distance(result.worst_case_cov, SpdMatrix(center)) <= r * (1.0 + 1e-9)
