@@ -20,18 +20,10 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from .classical import ChannelMatrix, gaussian_capacity, gaussian_rdf
-from .compound import (
-    CompoundCapacityRequest,
-    CompoundRdfRequest,
-    SolverDiagnostics,
-    SweepPoint,
-    compound_capacity,
-    compound_rdf,
-    sweep_compound,
-)
+from .compound import SolverDiagnostics, SweepPoint, sweep_compound
 from .errors import RobustShannonError, SolverNoConverge
 from .oracle import check_gelbrich, random_seeded_laws, sampler_dominance_checks
-from .psd_geometry import BwBall, SpdMatrix, _ensure_positive_definite
+from .psd_geometry import SpdMatrix, _ensure_positive_definite
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -39,7 +31,7 @@ EXIT_CONFIG = 2
 EXIT_NO_CONVERGE = 3
 EXIT_IO = 4
 
-CLASSICAL_DIAGNOSTICS = SolverDiagnostics(0, 0.0, True, "classical")
+CLASSICAL_DIAGNOSTICS = SolverDiagnostics(0, "classical")
 
 
 def _fmt(x: float) -> str:
@@ -115,10 +107,7 @@ def _resolve_center(args) -> SpdMatrix:
 
 def _resolve_channel(args, dim: int) -> ChannelMatrix:
     if getattr(args, "channel", None):
-        channel = load_channel(args.channel)
-        if channel.dim != dim:
-            raise ValueError(f"channel dimension {channel.dim} does not match center {dim}")
-        return channel
+        return load_channel(args.channel)
     return ChannelMatrix(np.eye(dim))
 
 
@@ -171,10 +160,7 @@ def _cmd_capacity(args, out) -> int:
 
 def _cmd_compound_rdf(args, out) -> int:
     center = _resolve_center(args)
-    request = CompoundRdfRequest(BwBall(center, args.radius), args.distortion)
-    result = compound_rdf(request)
-    emit([SweepPoint(args.radius, args.distortion, result.value_nats,
-                     result.worst_case_cov.trace, result.diagnostics)],
+    emit(sweep_compound("rdf", center, [(args.radius, args.distortion)]),
          args.format, args.units, out)
     return EXIT_OK
 
@@ -182,10 +168,7 @@ def _cmd_compound_rdf(args, out) -> int:
 def _cmd_compound_capacity(args, out) -> int:
     center = _resolve_center(args)
     channel = _resolve_channel(args, center.dim)
-    request = CompoundCapacityRequest(BwBall(center, args.radius), channel, args.power)
-    result = compound_capacity(request)
-    emit([SweepPoint(args.radius, args.power, result.value_nats,
-                     result.worst_case_cov.trace, result.diagnostics)],
+    emit(sweep_compound("capacity", center, [(args.radius, args.power)], channel),
          args.format, args.units, out)
     return EXIT_OK
 
@@ -193,8 +176,6 @@ def _cmd_compound_capacity(args, out) -> int:
 def _cmd_sweep(args, out) -> int:
     center = _resolve_center(args)
     radii = _parse_float_list(args.radii)
-    if any(r < 0 for r in radii):
-        raise ValueError("radii must be nonnegative")
     channel = None
     if args.kind == "rdf":
         if args.distortion is None:

@@ -88,13 +88,12 @@ class SolverDiagnostics:
     needed, and always for the RDF). ``certificate_gap`` is an upper bound,
     in nats, on how far the returned value lies from the true optimum
     (above it for capacity, below it for the RDF; at a converged point it
-    can read a few ulps below zero from rounding); it is None only in the
-    diagnostics of a ``SolverNoConverge``.
+    can read a few ulps below zero from rounding). Every returned result
+    converged: a solve that does not raises ``SolverNoConverge`` with these
+    diagnostics, the gap None.
     """
 
     iterations: int
-    final_step_norm: float
-    converged: bool
     solver_path: str
     jitter: float = 0.0
     certificate_gap: float | None = None
@@ -178,13 +177,12 @@ def _minimize(objective, gradient, x0, radius):
     Steps halve until the Armijo condition (1e-4 on the projected step)
     holds; converged once the relative value change stays below
     VALUE_STAGNATION_TOL for STAGNATION_PATIENCE consecutive iterations.
-    Returns (x, value, diagnostics).
+    Returns (x, value, diagnostics); x may be a matrix (Frobenius norm).
     """
     label = "projected-gradient"
     x = x0
     value, inner = objective(x)
     stagnant = 0
-    step_norm = 0.0
     for iteration in range(1, MAX_ITERATIONS + 1):
         grad = gradient(x, inner)
         improved = False
@@ -193,7 +191,7 @@ def _minimize(objective, gradient, x0, radius):
             candidate = _project_ball(x - alpha * grad, radius)
             if np.array_equal(candidate, x):
                 break  # step underflowed: first-order stationary
-            descent = float(grad @ (candidate - x))
+            descent = float(np.vdot(grad, candidate - x))
             if descent < 0.0:
                 cand_value, cand_inner = objective(candidate)
                 if cand_value <= value + ARMIJO * descent:
@@ -203,36 +201,34 @@ def _minimize(objective, gradient, x0, radius):
         if not improved:
             # The iterate did not move; every further iteration would repeat
             # this line search verbatim, so the stagnation rule is met.
-            return x, value, SolverDiagnostics(iteration, 0.0, True, label)
-        step_norm = float(np.linalg.norm(candidate - x))
+            return x, value, SolverDiagnostics(iteration, label)
         rel_change = abs(cand_value - value) / max(1.0, abs(value))
         x, value, inner = candidate, cand_value, cand_inner
         stagnant = stagnant + 1 if rel_change < VALUE_STAGNATION_TOL else 0
         if stagnant >= STAGNATION_PATIENCE:
-            return x, value, SolverDiagnostics(iteration, step_norm, True, label)
+            return x, value, SolverDiagnostics(iteration, label)
     raise SolverNoConverge(
         f"value did not stagnate within {MAX_ITERATIONS} iterations",
-        SolverDiagnostics(MAX_ITERATIONS, step_norm, False, label),
+        SolverDiagnostics(MAX_ITERATIONS, label),
     )
 
 
 def _increasing_root(fun, x, lo, hi, cap, what):
     """Root of an increasing function on [lo, hi] by safeguarded Newton steps.
 
-    ``fun(x)`` returns the value and the slope at x; its last call is always
-    at the x returned. Each evaluation moves the bracket end on its side. A
-    step that leaves the bracket is cut back to the bound it crosses while
-    that bound is still the initial one, and replaced by bisection once the
-    bound was evaluated. Stops when the next step is at most ROOT_STEP_TOL
-    relative to x and returns (x, steps, that step); raises SolverNoConverge
-    after ``cap`` steps.
+    ``fun(x)`` returns the value and the slope at x and a payload, whatever
+    the caller keeps of that evaluation. Each evaluation moves the bracket
+    end on its side. A step that leaves the bracket is cut back to the bound
+    it crosses while that bound is still the initial one, and replaced by
+    bisection once the bound was evaluated. Stops when the next step is at
+    most ROOT_STEP_TOL relative to x and returns (x, steps, payload at x);
+    raises SolverNoConverge after ``cap`` steps.
     """
     initial_lo = initial_hi = True
-    step = 0.0
     for k in range(1, cap + 1):
-        f, slope = fun(x)
+        f, slope, payload = fun(x)
         if f == 0.0:
-            return x, k, 0.0
+            return x, k, payload
         if f < 0.0:
             lo, initial_lo = x, False
         else:
@@ -245,13 +241,12 @@ def _increasing_root(fun, x, lo, hi, cap, what):
                 nxt = hi
             else:
                 nxt = 0.5 * (lo + hi)
-        step = abs(nxt - x)
-        if step <= ROOT_STEP_TOL * abs(x):
-            return x, k, step
+        if abs(nxt - x) <= ROOT_STEP_TOL * abs(x):
+            return x, k, payload
         x = nxt
     raise SolverNoConverge(
         f"{what} search did not converge within {cap} steps",
-        SolverDiagnostics(cap, step, False, "eigen-reduction"),
+        SolverDiagnostics(cap, "eigen-reduction"),
     )
 
 
@@ -268,7 +263,7 @@ def compound_rdf(req: CompoundRdfRequest) -> CompoundResult:
     ball, distortion = req.ball, req.distortion
     if ball.radius == 0.0:
         alloc = reverse_waterfill(ball.center, distortion)
-        diag = SolverDiagnostics(0, 0.0, True, "eigen-reduction", certificate_gap=0.0)
+        diag = SolverDiagnostics(0, "eigen-reduction", certificate_gap=0.0)
         return CompoundResult(alloc.rate_nats, ball.center, alloc, diag)
     vals, vecs = symmetric_eig(ball.center)
     s = np.sqrt(vals)
@@ -278,7 +273,7 @@ def compound_rdf(req: CompoundRdfRequest) -> CompoundResult:
         # zero everywhere, reported at the radial (largest-trace) point.
         direction = s / norm_s if norm_s > 0.0 else np.full_like(s, 1.0 / math.sqrt(s.size))
         u = s + ball.radius * direction
-        diagnostics = SolverDiagnostics(0, 0.0, True, "eigen-reduction")
+        diagnostics = SolverDiagnostics(0, "eigen-reduction")
     else:
         u, diagnostics = _RdfKkt(s, ball.radius, distortion).solve()
     lam = u * u
@@ -322,10 +317,10 @@ class _RdfKkt:
 
     def solve(self):
         top = (float(self.s[0]) + self.radius) ** 2
-        theta, steps, last = _increasing_root(
+        _, steps, u = _increasing_root(
             self._excess, top, self.distortion / self.s.size, top, MAX_ITERATIONS, "water level"
         )
-        return self.u, SolverDiagnostics(steps, last, True, "eigen-reduction")
+        return u, SolverDiagnostics(steps, "eigen-reduction")
 
     def _modes(self, theta, omega):
         """u - s at (theta, omega), its partial derivatives in omega and
@@ -347,24 +342,23 @@ class _RdfKkt:
 
     def _multiplier(self, theta, lo, hi):
         """omega in [lo, hi] with ||u - s|| = r; returns ``_modes`` there."""
-        parts = []
 
         def residual(omega):
-            parts[:] = self._modes(theta, omega)
-            delta, d_omega = parts[0], parts[1]
-            return self.r2 - float(delta @ delta), -2.0 * float(delta @ d_omega)
+            modes = self._modes(theta, omega)
+            delta, d_omega = modes[:2]
+            return self.r2 - float(delta @ delta), -2.0 * float(delta @ d_omega), modes
 
         start = self.omega + self.slope * (theta - self.theta)
         if not lo < start < hi:
             start = self.omega if lo < self.omega < hi else hi
-        self.omega, _, _ = _increasing_root(
+        self.omega, _, modes = _increasing_root(
             residual, start, lo, hi, MAX_SECULAR_NEWTON, "ball multiplier"
         )
         self.theta = theta
-        return parts
+        return modes
 
     def _excess(self, theta):
-        """sum min(u^2, theta) - D at theta, with its slope in theta."""
+        """sum min(u^2, theta) - D at theta, with its slope in theta and u."""
         s, d, zero, r2 = self.s, self.s.size, self.zero, self.r2
         above = 2.0 * theta / (s + np.sqrt(s * s + 4.0 * theta))  # u - s at omega = 0
         above[zero] = 0.0
@@ -376,22 +370,21 @@ class _RdfKkt:
             d_above = 1.0 / np.sqrt(s[~zero] ** 2 + 4.0 * theta)
             slope = (d - n_zero) - 2.0 * float(above[~zero] @ d_above)
             above[zero] = math.sqrt((r2 - rho0) / n_zero)
-            self.u = s + above
-            return (d - n_zero) * theta + r2 - rho0 - self.distortion, slope
+            return (d - n_zero) * theta + r2 - rho0 - self.distortion, slope, s + above
         if r2 < rho0:
             lo, hi = 0.0, self.omega_radial
         else:  # every mode above the water: at 1/kappa = (s_max + r) r the top one spends r
             lo, hi = 1.0 - max(theta, (float(s[0]) + self.radius) * self.radius) / theta, 0.0
         delta, d_omega, d_theta, under = self._multiplier(theta, lo, hi)
-        self.u = s + delta
+        u = s + delta
         self.slope = -float(delta @ d_theta) / float(delta @ d_omega)
-        value = float(np.minimum(self.u * self.u, theta).sum()) - self.distortion
+        value = float(np.minimum(u * u, theta).sum()) - self.distortion
         n_below = int(under.sum())
         slope = float(d - n_below)
         if n_below:
             # below the water u = s/omega, and u^2 moves with theta only through omega
             slope -= 2.0 * float(s[under] @ s[under]) / self.omega**3 * self.slope
-        return value, slope
+        return value, slope, u
 
 
 def _rdf_gap(lam, alloc, center_vals, radius, distortion):
@@ -413,21 +406,24 @@ def _rdf_gap(lam, alloc, center_vals, radius, distortion):
 def _commuting_channel_axes(center: SpdMatrix, h: np.ndarray):
     """Common eigenbasis of the center and the channel, or None.
 
-    Tries the center's eigenvectors first, then (for a symmetric channel)
-    the channel's own; the second attempt covers centers with repeated
-    eigenvalues. Returns (basis, center stddevs per axis, channel weight
-    per axis), paired axis-wise, unsorted.
+    Tries the center's eigenvectors first; where repeated eigenvalues mix
+    them, a symmetric channel gets the eigenvectors of C + t H, t a fixed
+    irrational multiple of ||C|| / ||H||, kept if both are diagonal in them
+    (an accidental tie only loses the reduction). Returns (basis, center
+    stddevs per axis, channel weight per axis), paired axis-wise, unsorted.
     """
     _, vecs = symmetric_eig(center)
     mixed = vecs.T @ h @ vecs
     if _is_diagonal(mixed):
         return vecs, np.sqrt(center._eigvals), np.diag(mixed).copy()
     if float(np.abs(h - h.T).max()) <= 1e-10 * max(1.0, float(np.abs(h).max())):
-        hvals, hvecs = np.linalg.eigh(_symmetrize(h))
-        mixed_center = hvecs.T @ center.entries @ hvecs
-        if _is_diagonal(mixed_center):
+        t = (math.sqrt(5.0) - 1.0) / 2.0 * np.linalg.norm(center.entries) / np.linalg.norm(h)
+        _, vecs = np.linalg.eigh(center.entries + t * _symmetrize(h))
+        mixed_center = vecs.T @ center.entries @ vecs
+        mixed = vecs.T @ h @ vecs
+        if _is_diagonal(mixed_center) and _is_diagonal(mixed):
             axis_vars = np.maximum(np.diag(mixed_center), 0.0)
-            return hvecs, np.sqrt(axis_vars), hvals
+            return vecs, np.sqrt(axis_vars), np.diag(mixed).copy()
     return None
 
 
@@ -463,41 +459,40 @@ class _CapacityKkt:
         with np.errstate(divide="ignore"):
             inverse = np.stack([s * s, (s + self.radius) ** 2]) / w
         (lo, hi), _, _ = waterfill_rows(inverse, self.power)
-        nu, steps, last = _increasing_root(
+        _, steps, u = _increasing_root(
             self._excess, float(hi), float(lo), float(hi), MAX_ITERATIONS, "water level"
         )
-        return self.u, SolverDiagnostics(steps, last, True, "eigen-reduction")
+        return u, SolverDiagnostics(steps, "eigen-reduction")
 
     def _excess(self, nu):
-        """sum (nu - u^2/w)+ - P at nu, with its slope in nu."""
+        """sum (nu - u^2/w)+ - P at nu, with its slope in nu and u."""
         s, w = self.s, self.w
         active = w * nu > s * s
         sa, wa = s[active], w[active]
-        self.u = s.copy()
+        u = s.copy()
         if sa.size == 0:
-            return -self.power, 0.0
+            return -self.power, 0.0, u
         c = 1.0 / (wa * nu)
         e = 1.0 - c * sa * sa
         free = np.sqrt(wa * nu) - sa  # u - s at kappa = 0
         free_norm = math.sqrt(float(free @ free))
         if free_norm <= self.radius:
-            self.u[active] = sa + free
-            return -self.power, 0.0
+            u[active] = sa + free
+            return -self.power, 0.0, u
         c2, e2, e4 = 2.0 * c, 2.0 * e, 4.0 * e
-        parts = []
 
         def residual(kappa):
             # (kappa + c) d^2 + (kappa + 2c) s d - e = 0 for d = u - s
             kc = kappa + c
             k2c = (kappa + c2) * sa
             delta = e2 / (k2c + np.sqrt(k2c * k2c + kc * e4))
-            u = sa + delta
+            ua = sa + delta
             jac = 2.0 * kc * delta + k2c  # its derivative in d
-            parts[:] = delta, u, jac
             squares = delta * delta
             norm2 = float(squares.sum())
             norm = math.sqrt(norm2)
-            return 1.0 / norm - 1.0 / self.radius, float((squares / jac) @ u) / (norm2 * norm)
+            slope = float((squares / jac) @ ua) / (norm2 * norm)
+            return 1.0 / norm - 1.0 / self.radius, slope, (delta, ua, jac)
 
         hi = sa.size / self.radius**2
         start = self.kappa + self.slope * (nu - self.nu)
@@ -508,17 +503,16 @@ class _CapacityKkt:
             u0 = sa + guess
             start = float(guess @ ((1.0 - c * u0 * u0) / u0)) / self.radius**2
             start = min(start, hi)
-        self.kappa, _, _ = _increasing_root(
+        self.kappa, _, (delta, ua, jac) = _increasing_root(
             residual, start, 0.0, hi, MAX_SECULAR_NEWTON, "ball multiplier"
         )
-        delta, u, jac = parts
-        self.u[active] = u
-        d_kappa = -delta * u / jac
-        d_nu = u * u * c / (nu * jac)
+        u[active] = ua
+        d_kappa = -delta * ua / jac
+        d_nu = ua * ua * c / (nu * jac)
         self.nu, self.slope = nu, -float(delta @ d_nu) / float(delta @ d_kappa)
-        value = nu * sa.size - float(u @ (u / wa)) - self.power
-        slope = sa.size - 2.0 * float((u / wa) @ (d_nu + d_kappa * self.slope))
-        return value, slope
+        value = nu * sa.size - float(ua @ (ua / wa)) - self.power
+        slope = sa.size - 2.0 * float((ua / wa) @ (d_nu + d_kappa * self.slope))
+        return value, slope, u
 
 
 class _TransportCoordinates:
@@ -526,58 +520,45 @@ class _TransportCoordinates:
 
     With the center eigendecomposed as V diag(lam) V^T, a symmetric S
     parametrizes the noise V (S diag(lam) S) V^T, which is PSD for free. The
-    squared ball distance to the center is the lam-weighted sum of squared
-    entries of S - I, so in the scaled upper-triangle coordinates x the
-    feasible set is exactly the Euclidean ball ||x|| <= radius, and the
-    projection is a rescale. Every ball point is reached (the optimal map of
-    any feasible noise is such an S), and every x in the ball is feasible
-    (its map is an admissible coupling, so it can only overestimate the
-    distance).
+    squared ball distance to the center is sum_ij (S - I)_ij^2 lam_j, so in
+    the symmetric coordinates Y = (S - I) * W, with W_ij = sqrt((lam_i +
+    lam_j)/2) entrywise, the feasible set is exactly the Frobenius ball
+    ||Y|| <= radius, and the projection is a rescale. Every ball point is
+    reached (the optimal map of any feasible noise is such an S), and every
+    Y in the ball is feasible (its map is an admissible coupling, so it can
+    only overestimate the distance).
     """
 
     def __init__(self, center: SpdMatrix, channel: np.ndarray, power: float):
         self.lam, self.basis = symmetric_eig(center)
-        d = self.lam.size
-        self.rows, self.cols = np.triu_indices(d)
-        diag = self.rows == self.cols
-        self.scale = np.where(
-            diag, np.sqrt(self.lam[self.rows]), np.sqrt(self.lam[self.rows] + self.lam[self.cols])
-        )
-        self.pack = np.where(diag, 1.0, 2.0)
+        self.weight = np.sqrt(0.5 * (self.lam[:, None] + self.lam[None, :]))
         self.channel = self.basis.T @ channel @ self.basis
         self.power = power
 
-    def smatrix(self, x: np.ndarray) -> np.ndarray:
-        s = np.zeros((self.lam.size, self.lam.size))
-        entries = x / self.scale
-        s[self.rows, self.cols] = entries
-        s[self.cols, self.rows] = entries
-        return s + np.eye(self.lam.size)
+    def smatrix(self, y: np.ndarray) -> np.ndarray:
+        return np.eye(self.lam.size) + y / self.weight
 
-    def noise(self, x: np.ndarray) -> SpdMatrix:
-        s = self.smatrix(x)
+    def noise(self, y: np.ndarray) -> SpdMatrix:
+        """The noise of y, in the center's eigenbasis."""
+        s = self.smatrix(y)
         return SpdMatrix(s @ (self.lam[:, None] * s))
 
-    def noise_in_original_basis(self, x: np.ndarray) -> SpdMatrix:
-        return SpdMatrix(self.basis @ self.noise(x).entries @ self.basis.T)
-
-    def objective(self, x: np.ndarray):
-        """Capacity at the noise of x, with that (jittered) noise and its inner solve."""
-        noise, _ = _ensure_positive_definite(self.noise(x))
+    def objective(self, y: np.ndarray):
+        """Capacity at the noise of y, with that (jittered) noise and its inner solve."""
+        noise, _ = _ensure_positive_definite(self.noise(y))
         result = gaussian_capacity(self.channel, noise, self.power)
         return result.rate_nats, (noise, result)
 
-    def gradient(self, x: np.ndarray, inner) -> np.ndarray:
-        """Danskin envelope gradient pulled back to the x coordinates.
+    def gradient(self, y: np.ndarray, inner) -> np.ndarray:
+        """Danskin envelope gradient pulled back to the Y coordinates.
 
         The chain rule through S diag(lam) S takes the covariance gradient G
-        to diag(lam) S G + G S diag(lam) on the symmetric slot.
+        to diag(lam) S G + G S diag(lam), and dS = dY / W.
         """
         noise, result = inner
-        s = self.smatrix(x)
         g = _noise_gradient(self.channel, noise, result.input_cov)
-        m = (self.lam[:, None] * s) @ g + g @ (s * self.lam[None, :])
-        return self.pack * m[self.rows, self.cols] / self.scale
+        m = (self.lam[:, None] * self.smatrix(y)) @ g
+        return (m + m.T) / self.weight
 
 
 def _noise_gradient(h, noise: SpdMatrix, input_cov: SpdMatrix) -> np.ndarray:
@@ -606,14 +587,14 @@ def compound_capacity(req: CompoundCapacityRequest) -> CompoundResult:
     center_pd, jitter = _ensure_positive_definite(ball.center)
     if ball.radius == 0.0:
         rate, _, alloc = gaussian_capacity(req.channel, ball.center, power)
-        diag = SolverDiagnostics(0, 0.0, True, "eigen-reduction", jitter, 0.0)
+        diag = SolverDiagnostics(0, "eigen-reduction", jitter, 0.0)
         return CompoundResult(rate, ball.center, alloc, diag)
     axes = _commuting_channel_axes(center_pd, h)
     if axes is not None:
         basis, s, hvals = axes
         w = hvals * hvals
         if power == 0.0 or not np.any(w):
-            u, diagnostics = s, SolverDiagnostics(0, 0.0, True, "eigen-reduction")
+            u, diagnostics = s, SolverDiagnostics(0, "eigen-reduction")
         else:
             u, diagnostics = _CapacityKkt(s, w, ball.radius, power).solve()
         noise = u * u
@@ -623,10 +604,10 @@ def compound_capacity(req: CompoundCapacityRequest) -> CompoundResult:
         gap = _axis_frank_wolfe_gap(noise, w, s * s, alloc.per_mode, ball.radius)
     else:
         coords = _TransportCoordinates(center_pd, h, power)
-        x, _, diagnostics = _minimize(
-            coords.objective, coords.gradient, np.zeros(coords.rows.size), ball.radius
+        y, _, diagnostics = _minimize(
+            coords.objective, coords.gradient, np.zeros(h.shape), ball.radius
         )
-        worst = coords.noise_in_original_basis(x)
+        worst = SpdMatrix(coords.basis @ coords.noise(y).entries @ coords.basis.T)
         rate, input_cov, alloc = gaussian_capacity(req.channel, worst, power)
         gap = _frank_wolfe_gap(h, center_pd, worst, input_cov, ball.radius)
     diagnostics = replace(diagnostics, jitter=jitter, certificate_gap=gap)

@@ -142,9 +142,9 @@ def bw_distance(a: SpdMatrix, b: SpdMatrix) -> float:
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    s = _sqrt_entries(a)
-    cross = np.linalg.eigvalsh(_symmetrize(s @ b.entries @ s))
-    fidelity = np.sqrt(np.maximum(cross, 0.0)).sum()
+    # tr((a^{1/2} b a^{1/2})^{1/2}) as the nuclear norm of a^{1/2} b^{1/2}: its singular
+    # values carry round-off of order eps, square roots of near-zero eigenvalues sqrt(eps)
+    fidelity = np.linalg.svd(_sqrt_entries(a) @ _sqrt_entries(b), compute_uv=False).sum()
     radicand = a.trace + b.trace - 2.0 * fidelity
     band = BW_RADICAND_TOL * (a.trace + b.trace)
     if radicand < -band:

@@ -98,9 +98,24 @@ def test_json_output_has_diagnostics(capsys):
     payload = json.loads(out)
     assert len(payload) == 1
     entry = payload[0]
-    assert entry["diagnostics"]["converged"] is True
     assert entry["diagnostics"]["solver_path"] == "eigen-reduction"
     assert entry["value_nats"] == pytest.approx(0.5 * math.log1p(2 / 2.25), abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compound-rdf", "--sigma0-scalar", "1", "--radius", "0.5", "--distortion", "0.3"),
+        ("compound-capacity", "--sigma0-scalar", "1", "--radius", "0.5", "--power", "2"),
+        ("sweep", "--kind", "capacity", "--sigma0-scalar", "1", "--radii", "0,1", "--power", "2"),
+        ("capacity", "--sigma0-scalar", "1", "--power", "2"),
+    ],
+)
+def test_json_diagnostics_keys(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    for entry in json.loads(out):
+        assert list(entry["diagnostics"]) == ["iterations", "solver_path", "jitter", "certificate_gap"]
 
 
 def test_bits_units_column(capsys):

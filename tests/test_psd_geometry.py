@@ -135,6 +135,31 @@ def test_bw_distance_symmetric_and_triangle():
         assert bw_distance(a, c) <= bw_distance(a, b) + bw_distance(b, c) + 1e-8
 
 
+def _rotation(rng, d):
+    q, r = np.linalg.qr(rng.standard_normal((d, d)))
+    return q * np.sign(np.diag(r))
+
+
+def test_bw_distance_zero_at_rotated_singular_matrix():
+    q = _rotation(np.random.default_rng(1), 3)
+    a = SpdMatrix((q * [0.0, 1.0, 2.0]) @ q.T)
+    assert bw_distance(a, a) <= 1e-7
+
+
+def test_bw_distance_commuting_pairs_at_rotated_singular_centers():
+    # the pair shares its eigenbasis, so the distance is that of the paired
+    # square roots of the eigenvalues; both share the center's null space
+    rng = np.random.default_rng(12)
+    for _ in range(100):
+        d = int(rng.integers(2, 7))
+        q = _rotation(rng, d)
+        sa = np.sqrt(rng.uniform(0.1, 4.0, d))
+        sa[rng.permutation(d)[: int(rng.integers(1, d))]] = 0.0
+        sb = np.where(sa > 0.0, sa + rng.uniform(0.0, 0.2, d), 0.0)
+        a, b = SpdMatrix((q * sa**2) @ q.T), SpdMatrix((q * sb**2) @ q.T)
+        assert bw_distance(a, b) == pytest.approx(np.linalg.norm(sb - sa), abs=1e-6)
+
+
 def test_bw_diagonal_reduction_aligned_sorted():
     rng = np.random.default_rng(4)
     for _ in range(20):
