@@ -90,14 +90,15 @@ def _check_power(power) -> float:
     return p
 
 
-def reverse_waterfill_rows(spectra, distortion: float):
-    """Exact reverse waterfilling of one distortion budget on each row of eigenvalues.
+def reverse_waterfill_rows(spectra, distortion):
+    """Exact reverse waterfilling of a distortion budget on each row of eigenvalues.
 
     Sort-and-prefix-sum scan: with a row sorted ascending and its j smallest
     modes saturated, the candidate level is (D - their sum) / (d - j). The
     candidates that overshoot their next eigenvalue form a prefix, and the
     first one that does not is the solution (its lower bracket holds by
-    induction). Returns (level, per_mode, rate_nats) with shapes (m,),
+    induction). ``distortion`` is one budget for every row or a column of
+    one per row. Returns (level, per_mode, rate_nats) with shapes (m,),
     (m, d), (m,). Rows whose total variance does not exceed the budget get
     zero rate and report their largest eigenvalue as the level.
     """
@@ -114,15 +115,16 @@ def reverse_waterfill_rows(spectra, distortion: float):
     return np.minimum(level[:, 0], ordered[:, -1]), per_mode, rate
 
 
-def waterfill_rows(inverse_gains, power: float):
-    """Exact waterfilling of one power budget on each row of inverse gains.
+def waterfill_rows(inverse_gains, power):
+    """Exact waterfilling of a power budget on each row of inverse gains.
 
     Sort-and-prefix-sum scan: with the k lowest inverse gains of a row
     active, the candidate level is (P + their sum) / k. The candidates that
     overshoot the next inverse gain form a prefix, and the first one that
     does not is the solution. Dead modes carry an infinite inverse gain; a
-    row of only dead modes gets level 0. Returns (level, per_mode,
-    rate_nats) with shapes (m,), (m, d), (m,).
+    row of only dead modes gets level 0. ``power`` is one budget for every
+    row or a column of one per row. Returns (level, per_mode, rate_nats)
+    with shapes (m,), (m, d), (m,).
     """
     inv = np.asarray(inverse_gains, dtype=float)
     m, d = inv.shape
@@ -235,12 +237,17 @@ def gaussian_capacity(channel, noise_cov: SpdMatrix, power: float) -> GaussianCa
     h = np.asarray(channel.entries if isinstance(channel, ChannelMatrix) else channel, dtype=float)
     if h.shape != (noise_cov.dim, noise_cov.dim):
         raise ValueError("channel shape does not match noise covariance")
-    noise, _ = _ensure_positive_definite(noise_cov)
-    w, v = symmetric_eig(noise)
-    inv_half = (v / np.sqrt(w)) @ v.T
-    whitened = inv_half @ h
-    _, svals, vt = np.linalg.svd(whitened)
-    gains = svals**2
+    gains, vt = _whitened_gains(h, noise_cov)
     alloc = capacity_from_gains(gains, power)
     input_cov = SpdMatrix((vt.T * alloc.per_mode) @ vt)
     return GaussianCapacity(alloc.rate_nats, input_cov, alloc)
+
+
+def _whitened_gains(h: np.ndarray, noise_cov: SpdMatrix):
+    """Squared singular values and right singular vectors (rows) of the
+    channel whitened by the inverse square root of the (jittered) noise."""
+    noise, _ = _ensure_positive_definite(noise_cov)
+    w, v = symmetric_eig(noise)
+    inv_half = (v / np.sqrt(w)) @ v.T
+    _, svals, vt = np.linalg.svd(inv_half @ h)
+    return svals**2, vt

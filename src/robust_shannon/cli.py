@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 verification suite failed, 2 config/domain error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -211,6 +212,7 @@ def _cmd_verify(args, out) -> int:
     return EXIT_OK if failures == 0 else EXIT_VERIFY_FAILED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="robust-shannon",

@@ -19,7 +19,9 @@ closed form, so the solve is a scalar root find for the water level (its
 equation is monotone) around one for the multiplier (the norm of u - s
 decreases in it), each by Newton steps kept inside a shrinking bracket.
 Both problems are convex in suitable coordinates, so the KKT point is the
-optimum.
+optimum. The solves work on rows, one per (radius, budget) around a shared
+center, stepped in lock step with the converged rows masked out: a
+single-shot call is one row, a sweep one batch.
 
 A channel that shares no eigenbasis with the center leaves the capacity a
 convex problem (capacity is convex in the noise covariance and the ball is
@@ -55,9 +57,9 @@ from .classical import (
     WaterfillAllocation,
     _check_distortion,
     _check_power,
-    capacity_from_gains,
+    _whitened_gains,
     gaussian_capacity,
-    reverse_waterfill,
+    reverse_waterfill_rows,
     waterfill_rows,
 )
 from .errors import RobustShannonError, SolverNoConverge
@@ -213,36 +215,51 @@ def _minimize(objective, gradient, x0, radius):
     )
 
 
-def _increasing_root(fun, x, lo, hi, cap, what):
-    """Root of an increasing function on [lo, hi] by safeguarded Newton steps.
+def _rowdot(a, b):
+    return np.einsum("ij,ij->i", a, b)
 
-    ``fun(x)`` returns the value and the slope at x and a payload, whatever
-    the caller keeps of that evaluation. Each evaluation moves the bracket
-    end on its side. A step that leaves the bracket is cut back to the bound
-    it crosses while that bound is still the initial one, and replaced by
-    bisection once the bound was evaluated. Stops when the next step is at
-    most ROOT_STEP_TOL relative to x and returns (x, steps, payload at x);
+
+def _increasing_root(fun, x, lo, hi, rows, cap, what):
+    """Roots of increasing functions, one per row of ``rows``, on [lo, hi] by
+    safeguarded Newton steps taken in lock step.
+
+    ``fun(x, rows)`` returns the values and slopes at x of the given rows and
+    a payload, a tuple of per-row arrays of whatever the caller keeps. Each
+    evaluation moves a row's bracket end on its side. A step that leaves the
+    bracket is cut back to the bound it crosses while that bound is still
+    the initial one, and replaced by bisection once the bound was evaluated.
+    A row stops, and is masked out, when its next step is at most
+    ROOT_STEP_TOL relative to x. Returns (x, steps, payload at x) per row;
     raises SolverNoConverge after ``cap`` steps.
     """
-    initial_lo = initial_hi = True
-    for k in range(1, cap + 1):
-        f, slope, payload = fun(x)
-        if f == 0.0:
-            return x, k, payload
-        if f < 0.0:
-            lo, initial_lo = x, False
-        else:
-            hi, initial_hi = x, False
-        nxt = x - f / slope if slope > 0.0 else math.nan
-        if not abs(nxt - x) <= ROOT_STEP_TOL * abs(x) and not lo < nxt < hi:
-            if initial_lo and nxt <= lo:
-                nxt = lo
-            elif initial_hi and nxt >= hi:
-                nxt = hi
-            else:
-                nxt = 0.5 * (lo + hi)
-        if abs(nxt - x) <= ROOT_STEP_TOL * abs(x):
-            return x, k, payload
+    n = x.size
+    steps, found, payload = np.zeros(n, dtype=int), np.empty(n), None
+    live, initial_lo, initial_hi = np.arange(n), np.ones(n, dtype=bool), np.ones(n, dtype=bool)
+    for k in range(1, cap + 1):  # x, lo, hi and the flags hold the live rows only
+        f, slope, part = fun(x, rows[live])
+        if payload is None:
+            payload = tuple(np.empty((n,) + p.shape[1:], p.dtype) for p in part)
+        below, above = f < 0.0, f > 0.0
+        lo, hi = np.where(below, x, lo), np.where(above, x, hi)
+        initial_lo, initial_hi = initial_lo & ~below, initial_hi & ~above
+        nxt = x - np.divide(f, slope, out=np.full(x.size, math.nan), where=slope > 0.0)
+        tol, step = ROOT_STEP_TOL * np.abs(x), np.abs(nxt - x)
+        out = ~(step <= tol) & ~((lo < nxt) & (nxt < hi))
+        if out.any():
+            cut_lo = out & initial_lo & (nxt <= lo)
+            cut_hi = out & initial_hi & (nxt >= hi)
+            nxt = np.where(cut_lo, lo, np.where(cut_hi, hi, np.where(out, 0.5 * (lo + hi), nxt)))
+            step = np.abs(nxt - x)
+        done = (f == 0.0) | (step <= tol)
+        if done.any():
+            found[live[done]], steps[live[done]] = x[done], k
+            for store, p in zip(payload, part):
+                store[live[done]] = p[done]
+            keep = ~done
+            live, nxt, lo, hi = live[keep], nxt[keep], lo[keep], hi[keep]
+            initial_lo, initial_hi = initial_lo[keep], initial_hi[keep]
+            if live.size == 0:
+                return found, steps, payload
         x = nxt
     raise SolverNoConverge(
         f"{what} search did not converge within {cap} steps",
@@ -255,36 +272,56 @@ def compound_rdf(req: CompoundRdfRequest) -> CompoundResult:
 
     Eigenvalue-space reduction: with s the square roots of the center's
     descending eigenvalues, maximizes the reverse-waterfilled rate over
-    u >= 0 with ||u - s|| <= radius by solving its KKT conditions
-    (``_RdfKkt``). The worst-case covariance is assembled in the center's
-    eigenbasis, and ``diagnostics.certificate_gap`` bounds its distance to
-    the optimum (``_rdf_gap``).
+    u >= 0 with ||u - s|| <= radius, as one row of ``_rdf_rows``. The worst
+    case is assembled in the center's eigenbasis (the center at r = 0).
     """
     ball, distortion = req.ball, req.distortion
-    if ball.radius == 0.0:
-        alloc = reverse_waterfill(ball.center, distortion)
-        diag = SolverDiagnostics(0, "eigen-reduction", certificate_gap=0.0)
-        return CompoundResult(alloc.rate_nats, ball.center, alloc, diag)
     vals, vecs = symmetric_eig(ball.center)
+    lam, (level, per_mode, rate), steps, gap = _rdf_rows(
+        vals, np.array([ball.radius]), np.array([distortion])
+    )
+    worst = ball.center if ball.radius == 0.0 else SpdMatrix((vecs * lam[0]) @ vecs.T)
+    alloc = WaterfillAllocation(float(level[0]), per_mode[0], float(rate[0]))
+    diagnostics = SolverDiagnostics(int(steps[0]), "eigen-reduction", certificate_gap=float(gap[0]))
+    return CompoundResult(alloc.rate_nats, worst, alloc, diagnostics)
+
+
+def _rdf_rows(vals, radius, distortion):
+    """The RDF reduction around the center spectrum ``vals`` (descending), one
+    row per (radius, distortion): worst-case spectra, their reverse waterfill
+    (level, per_mode, rate), water-level steps and certificate gaps.
+
+    ``_rdf_gap`` at the center, with S bounded by Cauchy-Schwarz, caps the
+    radius' effect at d (2 ||s|| r + r^2)/(2D); rows where that is below the
+    float resolution, r = 0 among them, keep the center with it as their
+    gap. Rows whose budget covers every spectrum in the ball keep the radial
+    (largest-trace) point at zero rate; ``_RdfKkt`` solves the rest.
+    """
+    d = vals.size
     s = np.sqrt(vals)
     norm_s = float(np.linalg.norm(s))
-    if distortion >= (norm_s + ball.radius) ** 2:
-        # Every spectrum in the ball sums to at most the budget: the rate is
-        # zero everywhere, reported at the radial (largest-trace) point.
-        direction = s / norm_s if norm_s > 0.0 else np.full_like(s, 1.0 / math.sqrt(s.size))
-        u = s + ball.radius * direction
-        diagnostics = SolverDiagnostics(0, "eigen-reduction")
-    else:
-        u, diagnostics = _RdfKkt(s, ball.radius, distortion).solve()
-    lam = u * u
-    worst = SpdMatrix((vecs * lam) @ vecs.T)
-    alloc = reverse_waterfill(worst, distortion)
-    gap = _rdf_gap(lam, alloc, vals, ball.radius, distortion)
-    return CompoundResult(alloc.rate_nats, worst, alloc, replace(diagnostics, certificate_gap=gap))
+    effect = d * radius * (2.0 * norm_s + radius) / (2.0 * distortion)
+    center = effect <= np.finfo(float).eps
+    moved = ~center & (distortion < (norm_s + radius) ** 2)
+    direction = s / norm_s if norm_s > 0.0 else np.full_like(s, 1.0 / math.sqrt(d))
+    lam = (s + radius[:, None] * direction) ** 2
+    lam[center] = vals
+    steps = np.zeros(radius.size, dtype=int)
+    if moved.any():
+        u, steps[moved] = _RdfKkt(s, radius[moved], distortion[moved]).solve()
+        lam[moved] = u * u
+    level, per_mode, rate = reverse_waterfill_rows(lam, distortion[:, None])
+    gap = np.where(center, effect, 0.0)
+    certify = ~center & (rate > 0.0)
+    if certify.any():
+        at = (lam[certify], level[certify], vals, radius[certify], distortion[certify])
+        gap[certify] = _rdf_gap(*at)
+    return lam, (level, per_mode, rate), steps, gap
 
 
 class _RdfKkt:
-    """KKT solve of the RDF reduction: max rate(u^2) over ||u - s|| <= r.
+    """KKT solve of the RDF reduction max rate(u^2) over ||u - s|| <= r, one
+    row per (radius, distortion) around the shared s, the rows in lock step.
 
     With water level theta and ball multiplier kappa, each mode's
     stationary point is in closed form. Above the water (u^2 >= theta)
@@ -310,97 +347,114 @@ class _RdfKkt:
         self.r2 = radius * radius
         self.zero = s == 0.0
         norm_s = float(np.linalg.norm(s))
-        self.omega_radial = norm_s / (norm_s + radius)  # every mode below the water
-        # the last solve's theta, omega and d omega/d theta: the next multiplier
+        # every mode below the water; kept below 1 (kappa finite) when r/||s|| rounds away
+        self.omega_radial = np.minimum(norm_s / (norm_s + radius), np.nextafter(1.0, 0.0))
+        # each row's last theta, omega and d omega/d theta: its next multiplier
         # search starts on that tangent
-        self.theta, self.omega, self.slope = 0.0, self.omega_radial, 0.0
+        self.theta = np.zeros(radius.size)
+        self.omega = self.omega_radial.copy()
+        self.slope = np.zeros(radius.size)
 
     def solve(self):
-        top = (float(self.s[0]) + self.radius) ** 2
-        _, steps, u = _increasing_root(
-            self._excess, top, self.distortion / self.s.size, top, MAX_ITERATIONS, "water level"
+        """Worst-case u and the water-level steps, one row each."""
+        top = (self.s[0] + self.radius) ** 2
+        lo, rows = self.distortion / self.s.size, np.arange(top.size)
+        _, steps, (u,) = _increasing_root(
+            self._excess, top, lo, top, rows, MAX_ITERATIONS, "water level"
         )
-        return u, SolverDiagnostics(steps, "eigen-reduction")
+        return u, steps
 
     def _modes(self, theta, omega):
-        """u - s at (theta, omega), its partial derivatives in omega and
-        theta, and the mask of the modes below the water."""
+        """u - s at each row's (theta, omega), its partial derivatives in
+        omega and theta, and the mask of the modes below the water."""
         s = self.s
-        x = theta * (1.0 - omega)  # 1/kappa
+        x = (theta * (1.0 - omega))[:, None]  # 1/kappa
         root = np.sqrt(s * s + 4.0 * x)
         delta = 2.0 * x / (s + root)
-        d_omega = -theta / root
-        d_theta = (1.0 - omega) / root
-        if omega <= 0.0:
-            return delta, d_omega, d_theta, np.zeros(s.size, dtype=bool)
-        below = s * ((1.0 - omega) / omega)
-        under = below < delta
+        d_omega = -theta[:, None] / root
+        d_theta = (1.0 - omega)[:, None] / root
+        lifted = omega > 0.0  # omega <= 0 puts every mode above the water
+        safe = np.where(lifted, omega, 1.0)[:, None]
+        below = s * ((1.0 - safe) / safe)
+        under = lifted[:, None] & (below < delta)
         delta = np.where(under, below, delta)
-        d_omega = np.where(under, -s / (omega * omega), d_omega)
+        d_omega = np.where(under, -s / (safe * safe), d_omega)
         d_theta = np.where(under, 0.0, d_theta)
         return delta, d_omega, d_theta, under
 
-    def _multiplier(self, theta, lo, hi):
-        """omega in [lo, hi] with ||u - s|| = r; returns ``_modes`` there."""
-
-        def residual(omega):
-            modes = self._modes(theta, omega)
-            delta, d_omega = modes[:2]
-            return self.r2 - float(delta @ delta), -2.0 * float(delta @ d_omega), modes
-
-        start = self.omega + self.slope * (theta - self.theta)
-        if not lo < start < hi:
-            start = self.omega if lo < self.omega < hi else hi
-        self.omega, _, modes = _increasing_root(
-            residual, start, lo, hi, MAX_SECULAR_NEWTON, "ball multiplier"
+    def _multiplier(self, theta, lo, hi, rows):
+        """omega in [lo, hi] with ||u - s|| = r per row; returns ``_modes`` there."""
+        omega = self.omega[rows]
+        start = omega + self.slope[rows] * (theta - self.theta[rows])
+        fallback = np.where((lo < omega) & (omega < hi), omega, hi)
+        start = np.where((lo < start) & (start < hi), start, fallback)
+        self.theta[rows] = theta
+        self.omega[rows], _, modes = _increasing_root(
+            self._residual, start, lo, hi, rows, MAX_SECULAR_NEWTON, "ball multiplier"
         )
-        self.theta = theta
         return modes
 
-    def _excess(self, theta):
-        """sum min(u^2, theta) - D at theta, with its slope in theta and u."""
-        s, d, zero, r2 = self.s, self.s.size, self.zero, self.r2
-        above = 2.0 * theta / (s + np.sqrt(s * s + 4.0 * theta))  # u - s at omega = 0
-        above[zero] = 0.0
-        rho0 = float(above @ above)
+    def _residual(self, omega, rows):
+        modes = self._modes(self.theta[rows], omega)
+        delta, d_omega = modes[:2]
+        return self.r2[rows] - _rowdot(delta, delta), -2.0 * _rowdot(delta, d_omega), modes
+
+    def _excess(self, theta, rows):
+        """sum min(u^2, theta) - D at each row's theta, with its slope in theta and u."""
+        s, d, zero = self.s, self.s.size, self.zero
+        r2, distortion = self.r2[rows], self.distortion[rows]
+        level = theta[:, None]
+        above = 2.0 * level / (s + np.sqrt(s * s + 4.0 * level))  # u - s at omega = 0
+        above[:, zero] = 0.0
+        rho0 = _rowdot(above, above)
         n_zero = int(zero.sum())
-        if rho0 <= r2 < rho0 + n_zero * theta:
-            # hard case: kappa theta = 1 and the s = 0 modes share the rest
-            self.theta, self.omega, self.slope = theta, 0.0, 0.0
-            d_above = 1.0 / np.sqrt(s[~zero] ** 2 + 4.0 * theta)
-            slope = (d - n_zero) - 2.0 * float(above[~zero] @ d_above)
-            above[zero] = math.sqrt((r2 - rho0) / n_zero)
-            return (d - n_zero) * theta + r2 - rho0 - self.distortion, slope, s + above
-        if r2 < rho0:
-            lo, hi = 0.0, self.omega_radial
-        else:  # every mode above the water: at 1/kappa = (s_max + r) r the top one spends r
-            lo, hi = 1.0 - max(theta, (float(s[0]) + self.radius) * self.radius) / theta, 0.0
-        delta, d_omega, d_theta, under = self._multiplier(theta, lo, hi)
-        u = s + delta
-        self.slope = -float(delta @ d_theta) / float(delta @ d_omega)
-        value = float(np.minimum(u * u, theta).sum()) - self.distortion
-        n_below = int(under.sum())
-        slope = float(d - n_below)
-        if n_below:
+        value, slope, u = np.empty(rows.size), np.empty(rows.size), np.empty((rows.size, d))
+        # hard case: kappa theta = 1 and the s = 0 modes share the rest
+        hard = (rho0 <= r2) & (r2 < rho0 + n_zero * theta)
+        if hard.any():
+            at = rows[hard]
+            self.theta[at], self.omega[at], self.slope[at] = theta[hard], 0.0, 0.0
+            d_above = 1.0 / np.sqrt(s * s + 4.0 * theta[hard, None])
+            slope[hard] = (d - n_zero) - 2.0 * _rowdot(above[hard], d_above)
+            spare = r2[hard] - rho0[hard]
+            value[hard] = (d - n_zero) * theta[hard] + spare - distortion[hard]
+            share = above[hard]
+            share[:, zero] = np.sqrt(spare / n_zero)[:, None]
+            u[hard] = s + share
+        soft = ~hard
+        if soft.any():
+            at, level, radius = rows[soft], theta[soft], self.radius[rows[soft]]
+            inside = r2[soft] < rho0[soft]
+            # every mode above the water: at 1/kappa = (s_max + r) r the top one spends r
+            lo = np.where(inside, 0.0, 1.0 - np.maximum(level, (s[0] + radius) * radius) / level)
+            hi = np.where(inside, self.omega_radial[at], 0.0)
+            delta, d_omega, d_theta, under = self._multiplier(level, lo, hi, at)
+            tangent = -_rowdot(delta, d_theta) / _rowdot(delta, d_omega)
+            self.slope[at] = tangent
+            u[soft] = s + delta
+            value[soft] = np.minimum(u[soft] ** 2, level[:, None]).sum(axis=1) - distortion[soft]
             # below the water u = s/omega, and u^2 moves with theta only through omega
-            slope -= 2.0 * float(s[under] @ s[under]) / self.omega**3 * self.slope
-        return value, slope, u
+            n_below = under.sum(axis=1)
+            curvature = np.divide(
+                (under * (s * s)).sum(axis=1), self.omega[at] ** 3,
+                out=np.zeros(at.size), where=n_below > 0,
+            )
+            slope[soft] = (d - n_below) - 2.0 * curvature * tangent
+        return value, slope, (u,)
 
 
-def _rdf_gap(lam, alloc, center_vals, radius, distortion):
-    """Duality gap of the RDF reduction at the spectrum ``lam``, in nats.
+def _rdf_gap(lam, level, center_vals, radius, distortion):
+    """Duality gap of the RDF reduction at each row's spectrum ``lam``, in nats.
 
     With theta the water level of lam and c = min(1, theta/lam), the rate at
     any ball point is at most R(lam) + eta (S - D), where S = max sum c_i
     lambda_i over the ball (bounded by ``_ball_support``) and eta is that
     point's 1/(2 theta), at most d/(2D) as every level is at least D/d. So
-    d (S - D)/(2D) bounds the distance to the optimum; 0 at zero rate.
+    d (S - D)/(2D) bounds the distance to the optimum.
     """
-    if alloc.rate_nats == 0.0:
-        return 0.0
-    c = alloc.level / np.maximum(lam, alloc.level)
+    c = level[:, None] / np.maximum(lam, level[:, None])
     support = _ball_support(c, center_vals, radius)
-    return lam.size * (support - distortion) / (2.0 * distortion)
+    return lam.shape[1] * (support - distortion) / (2.0 * distortion)
 
 
 def _commuting_channel_axes(center: SpdMatrix, h: np.ndarray):
@@ -433,7 +487,8 @@ def _is_diagonal(m):
 
 
 class _CapacityKkt:
-    """KKT solve of the commuting-channel capacity: min capacity over ||u - s|| <= r.
+    """KKT solve of the commuting-channel capacity, min capacity over
+    ||u - s|| <= r, one row per (radius, power), the rows in lock step.
 
     u are the noise stddevs per axis, s the (jittered) center's and w = h^2
     the squared channel weights. With water level nu and ball multiplier
@@ -445,74 +500,113 @@ class _CapacityKkt:
     The water level solves sum (nu - u^2/w)+ = P, increasing in nu between
     the classical levels at the noise stddevs s and s + r; the search starts
     at the latter, which is the answer at d = 1. The problem is jointly
-    convex in (u^2, 1/nu), so this KKT point is the optimum.
+    convex in (u^2, 1/nu), so this KKT point is the optimum. Every row has
+    some power and some live mode.
     """
 
     def __init__(self, s, w, radius, power):
         self.s, self.w, self.radius, self.power = s, w, radius, power
-        # the last solve's nu, kappa and d kappa/d nu: the next multiplier
+        m = radius.size
+        # each row's last nu, kappa and d kappa/d nu: its next multiplier
         # search starts on that tangent
-        self.nu, self.kappa, self.slope = 0.0, 0.0, 0.0
+        self.nu, self.kappa, self.slope = np.zeros(m), np.zeros(m), np.zeros(m)
+        # each row's 1/(w nu) and 1 - s^2/(w nu) at the nu being evaluated,
+        # 1 and 0 off its active modes, so that those keep u = s
+        self.c, self.e = np.ones((m, s.size)), np.zeros((m, s.size))
 
     def solve(self):
-        s, w = self.s, self.w
+        """Worst-case u and the water-level steps, one row each."""
+        s, w, m = self.s, self.w, self.radius.size
         with np.errstate(divide="ignore"):
-            inverse = np.stack([s * s, (s + self.radius) ** 2]) / w
-        (lo, hi), _, _ = waterfill_rows(inverse, self.power)
-        _, steps, u = _increasing_root(
-            self._excess, float(hi), float(lo), float(hi), MAX_ITERATIONS, "water level"
+            inverse = np.vstack([np.tile(s * s, (m, 1)), (s + self.radius[:, None]) ** 2]) / w
+        levels, _, _ = waterfill_rows(inverse, np.tile(self.power, 2)[:, None])
+        lo, hi = levels[:m], levels[m:]
+        _, steps, (u,) = _increasing_root(
+            self._excess, hi, lo, hi, np.arange(m), MAX_ITERATIONS, "water level"
         )
-        return u, SolverDiagnostics(steps, "eigen-reduction")
+        return u, steps
 
-    def _excess(self, nu):
-        """sum (nu - u^2/w)+ - P at nu, with its slope in nu and u."""
+    def _excess(self, nu, rows):
+        """sum (nu - u^2/w)+ - P at each row's nu, with its slope in nu and u."""
         s, w = self.s, self.w
-        active = w * nu > s * s
-        sa, wa = s[active], w[active]
-        u = s.copy()
-        if sa.size == 0:
-            return -self.power, 0.0, u
-        c = 1.0 / (wa * nu)
-        e = 1.0 - c * sa * sa
-        free = np.sqrt(wa * nu) - sa  # u - s at kappa = 0
-        free_norm = math.sqrt(float(free @ free))
-        if free_norm <= self.radius:
-            u[active] = sa + free
-            return -self.power, 0.0, u
-        c2, e2, e4 = 2.0 * c, 2.0 * e, 4.0 * e
-
-        def residual(kappa):
-            # (kappa + c) d^2 + (kappa + 2c) s d - e = 0 for d = u - s
-            kc = kappa + c
-            k2c = (kappa + c2) * sa
-            delta = e2 / (k2c + np.sqrt(k2c * k2c + kc * e4))
-            ua = sa + delta
-            jac = 2.0 * kc * delta + k2c  # its derivative in d
-            squares = delta * delta
-            norm2 = float(squares.sum())
-            norm = math.sqrt(norm2)
-            slope = float((squares / jac) @ ua) / (norm2 * norm)
-            return 1.0 / norm - 1.0 / self.radius, slope, (delta, ua, jac)
-
-        hi = sa.size / self.radius**2
-        start = self.kappa + self.slope * (nu - self.nu)
-        if not 0.0 < start < hi:
-            # the kappa = 0 step pulled onto the sphere, with each mode's
-            # kappa from its quadratic there, weighted by its share of r^2
-            guess = free * (self.radius / free_norm)
-            u0 = sa + guess
-            start = float(guess @ ((1.0 - c * u0 * u0) / u0)) / self.radius**2
-            start = min(start, hi)
-        self.kappa, _, (delta, ua, jac) = _increasing_root(
-            residual, start, 0.0, hi, MAX_SECULAR_NEWTON, "ball multiplier"
+        wnu = w * nu[:, None]
+        active = wnu > s * s
+        c = 1.0 / np.where(active, wnu, 1.0)
+        e = np.where(active, 1.0 - c * s * s, 0.0)
+        free = np.where(active, np.sqrt(wnu) - s, 0.0)  # u - s at kappa = 0
+        free_norm = np.sqrt(_rowdot(free, free))
+        value, slope, u = -self.power[rows], np.zeros(rows.size), s + free
+        tight = free_norm > self.radius[rows]  # the rows where the ball binds
+        if not tight.any():
+            return value, slope, (u,)
+        at, level, active = rows[tight], nu[tight], active[tight]
+        c, radius = c[tight], self.radius[at]
+        self.c[at], self.e[at] = c, e[tight]
+        hi = active.sum(axis=1) / radius**2
+        start = self.kappa[at] + self.slope[at] * (level - self.nu[at])
+        # the kappa = 0 step pulled onto the sphere, with each mode's
+        # kappa from its quadratic there, weighted by its share of r^2
+        guess = free[tight] * (radius / free_norm[tight])[:, None]
+        u0 = s + guess
+        pulled = np.minimum(_rowdot(guess, (1.0 - c * u0 * u0) / u0) / radius**2, hi)
+        start = np.where((0.0 < start) & (start < hi), start, pulled)
+        self.kappa[at], _, (delta, ua, jac) = _increasing_root(
+            self._residual, start, np.zeros(at.size), hi, at, MAX_SECULAR_NEWTON, "ball multiplier"
         )
-        u[active] = ua
         d_kappa = -delta * ua / jac
-        d_nu = ua * ua * c / (nu * jac)
-        self.nu, self.slope = nu, -float(delta @ d_nu) / float(delta @ d_kappa)
-        value = nu * sa.size - float(ua @ (ua / wa)) - self.power
-        slope = sa.size - 2.0 * float((ua / wa) @ (d_nu + d_kappa * self.slope))
-        return value, slope, u
+        d_nu = ua * ua * c / (level[:, None] * jac)
+        tangent = -_rowdot(delta, d_nu) / _rowdot(delta, d_kappa)
+        self.nu[at], self.slope[at] = level, tangent
+        weighted = np.where(active, ua / np.where(active, w, 1.0), 0.0)  # u/w on the active modes
+        value[tight] = level * active.sum(axis=1) - _rowdot(weighted, ua) - self.power[at]
+        d_total = d_nu + d_kappa * tangent[:, None]
+        slope[tight] = active.sum(axis=1) - 2.0 * _rowdot(weighted, d_total)
+        u[tight] = ua
+        return value, slope, (u,)
+
+    def _residual(self, kappa, rows):
+        # (kappa + c) d^2 + (kappa + 2c) s d - e = 0 for d = u - s
+        s, c, e = self.s, self.c[rows], self.e[rows]
+        kc = kappa[:, None] + c
+        k2c = (kappa[:, None] + 2.0 * c) * s
+        delta = 2.0 * e / (k2c + np.sqrt(k2c * k2c + kc * (4.0 * e)))
+        ua = s + delta
+        jac = 2.0 * kc * delta + k2c  # its derivative in d
+        squares = delta * delta
+        norm2 = squares.sum(axis=1)
+        norm = np.sqrt(norm2)
+        slope = _rowdot(squares / jac, ua) / (norm2 * norm)
+        return 1.0 / norm - 1.0 / self.radius[rows], slope, (delta, ua, jac)
+
+
+def _capacity_rows(s, w, radius, power):
+    """The commuting-channel capacity reduction around the (jittered) center
+    stddevs ``s`` with squared channel weights ``w``, one row per (radius,
+    power): worst-case noise variances, their waterfill (level, per_mode,
+    rate), water-level steps and Frank-Wolfe gaps.
+
+    Capacity is convex in the noise variances n, |dC/dn_i| <= w P /
+    (2 s^2 (s^2 + w P)) at the center, and the ball moves n_i by at most
+    2 s_i r + r^2; rows where that bound is below the float resolution, r = 0
+    and power 0 among them, keep the center with it as their gap.
+    ``_CapacityKkt`` solves the rest together.
+    """
+    wp = w * power[:, None]
+    slack = 0.5 * wp / (s * s * (s * s + wp))
+    effect = radius * _rowdot(slack, 2.0 * s + radius[:, None])
+    moved = effect > np.finfo(float).eps
+    noise = np.tile(s * s, (radius.size, 1))
+    steps = np.zeros(radius.size, dtype=int)
+    if moved.any():
+        u, steps[moved] = _CapacityKkt(s, w, radius[moved], power[moved]).solve()
+        noise[moved] = u * u
+    with np.errstate(divide="ignore"):
+        level, per_mode, rate = waterfill_rows(noise / w, power[:, None])
+    gap = effect
+    if moved.any():
+        at = (noise[moved], w, s * s, per_mode[moved], radius[moved])
+        gap[moved] = _axis_frank_wolfe_gap(*at)
+    return noise, (level, per_mode, rate), steps, gap
 
 
 class _TransportCoordinates:
@@ -572,15 +666,16 @@ def _noise_gradient(h, noise: SpdMatrix, input_cov: SpdMatrix) -> np.ndarray:
 def compound_capacity(req: CompoundCapacityRequest) -> CompoundResult:
     """Worst-case capacity over the noise ambiguity ball, in nats.
 
-    Uses the eigenvalue-space reduction, solved from its KKT conditions
-    (``_CapacityKkt``), when the channel shares an eigenbasis with the
-    center; otherwise projected gradient descent in transport coordinates,
-    started once at the center. Either way ``diagnostics.certificate_gap``
-    is the Frank-Wolfe duality gap at the returned noise. The worst-case
-    noise covariance is returned alongside the inner waterfilling at that
-    noise (per axis of the shared eigenbasis on the reduction, per singular
-    direction of the whitened channel otherwise); ``diagnostics.jitter`` is
-    the diagonal shift that made a singular center positive definite.
+    Uses the eigenvalue-space reduction, solved from its KKT conditions as
+    the one row of ``_capacity_rows``, when the channel shares an eigenbasis
+    with the center; otherwise projected gradient descent in transport
+    coordinates, started once at the center. Either way
+    ``diagnostics.certificate_gap`` is the Frank-Wolfe duality gap at the
+    returned noise. The worst-case noise covariance is returned alongside
+    the inner waterfilling at that noise (per axis of the shared eigenbasis
+    on the reduction, per singular direction of the whitened channel
+    otherwise); ``diagnostics.jitter`` is the diagonal shift that made a
+    singular center positive definite.
     """
     ball, power = req.ball, req.power
     h = req.channel.entries
@@ -592,24 +687,18 @@ def compound_capacity(req: CompoundCapacityRequest) -> CompoundResult:
     axes = _commuting_channel_axes(center_pd, h)
     if axes is not None:
         basis, s, hvals = axes
-        w = hvals * hvals
-        if power == 0.0 or not np.any(w):
-            u, diagnostics = s, SolverDiagnostics(0, "eigen-reduction")
-        else:
-            u, diagnostics = _CapacityKkt(s, w, ball.radius, power).solve()
-        noise = u * u
-        worst = SpdMatrix((basis * noise) @ basis.T)
-        alloc = capacity_from_gains(w / noise, power)  # per axis of the shared basis
-        rate = alloc.rate_nats
-        gap = _axis_frank_wolfe_gap(noise, w, s * s, alloc.per_mode, ball.radius)
-    else:
-        coords = _TransportCoordinates(center_pd, h, power)
-        y, _, diagnostics = _minimize(
-            coords.objective, coords.gradient, np.zeros(h.shape), ball.radius
+        noise, (level, per_mode, rate), steps, gap = _capacity_rows(
+            s, hvals * hvals, np.array([ball.radius]), np.array([power])
         )
-        worst = SpdMatrix(coords.basis @ coords.noise(y).entries @ coords.basis.T)
-        rate, input_cov, alloc = gaussian_capacity(req.channel, worst, power)
-        gap = _frank_wolfe_gap(h, center_pd, worst, input_cov, ball.radius)
+        worst = SpdMatrix((basis * noise[0]) @ basis.T)
+        alloc = WaterfillAllocation(float(level[0]), per_mode[0], float(rate[0]))
+        diagnostics = SolverDiagnostics(int(steps[0]), "eigen-reduction", jitter, float(gap[0]))
+        return CompoundResult(alloc.rate_nats, worst, alloc, diagnostics)
+    coords = _TransportCoordinates(center_pd, h, power)
+    y, _, diagnostics = _minimize(coords.objective, coords.gradient, np.zeros(h.shape), ball.radius)
+    worst = SpdMatrix(coords.basis @ coords.noise(y).entries @ coords.basis.T)
+    rate, input_cov, alloc = gaussian_capacity(req.channel, worst, power)
+    gap = _frank_wolfe_gap(h, center_pd, worst, input_cov, ball.radius)
     diagnostics = replace(diagnostics, jitter=jitter, certificate_gap=gap)
     return CompoundResult(rate, worst, alloc, diagnostics)
 
@@ -627,11 +716,13 @@ def _frank_wolfe_gap(h, center: SpdMatrix, noise: SpdMatrix, input_cov: SpdMatri
     g = _noise_gradient(h, noise, input_cov)
     a, q = np.linalg.eigh(-g)
     b = np.maximum(np.einsum("ij,ij->j", q, center.entries @ q), 0.0)
-    return float(np.sum(g * noise.entries)) + _ball_support(a, b, radius)
+    support = _ball_support(a[None], b, np.array([radius]))
+    return float(np.sum(g * noise.entries)) + float(support[0])
 
 
 def _axis_frank_wolfe_gap(noise, w, center_vars, p, radius):
-    """``_frank_wolfe_gap`` in a basis shared by noise, center and channel.
+    """``_frank_wolfe_gap`` in a basis shared by noise, center and channel,
+    for rows of noise variances, powers and radii.
 
     There the Danskin gradient is diagonal, G_i = -w p / (2 n (n + w p))
     per axis with noise variance n, squared channel weight w and the
@@ -640,11 +731,11 @@ def _axis_frank_wolfe_gap(noise, w, center_vars, p, radius):
     variances near 1e-13.
     """
     g = -0.5 * w * p / (noise * (noise + w * p))
-    return float(g @ noise) + _ball_support(-g, center_vars, radius)
+    return _rowdot(g, noise) + _ball_support(-g, center_vars, radius)
 
 
 def _support_dual(a, b, radius, gamma):
-    """U(gamma) = gamma r^2 + gamma sum_i b_i a_i / (gamma - a_i).
+    """U(gamma) = gamma r^2 + gamma sum_i b_i a_i / (gamma - a_i), per row.
 
     For a PSD A = Q diag(a) Q^T and b_i = q_i^T C q_i, every gamma > max(a)
     (and > 0) bounds max tr(A N) over the ball of ``radius`` around C: U is
@@ -652,11 +743,12 @@ def _support_dual(a, b, radius, gamma):
     x^T A x - gamma ||x - y||^2 maximized pointwise over x, so weak duality
     makes it an upper bound.
     """
-    return gamma * (radius * radius + float(np.sum(b * a / (gamma - a))))
+    return gamma * (radius * radius + np.sum(b * a / (gamma[:, None] - a), axis=1))
 
 
 def _ball_support(a, b, radius):
-    """Upper bound on max tr(A N) over the ball: U minimized over gamma.
+    """Upper bound on max tr(A N) over the ball, U minimized over gamma, for
+    rows of ``a`` and ``radius`` (``b`` one row or one per row).
 
     U is convex with stationary point sum_i b_i a_i^2 / (gamma - a_i)^2 =
     r^2, a trust-region secular equation. Newton on f^{-1/2} = 1/r, which
@@ -664,24 +756,28 @@ def _ball_support(a, b, radius):
     alone already reaches r^2) climbs monotonically onto it, so every
     iterate stays a valid gamma. In the hard case, b about 0 on the top
     eigenvector, there is no root and U increases from max(a); the search
-    then stops at once just above max(a).
+    then stops at once just above max(a). Rows step in lock step.
     """
-    top = float(a.max())
-    if top <= 0.0:
-        return 0.0  # A is negative semidefinite and N is PSD
+    top = a.max(axis=1)
+    support = np.zeros(top.size)  # 0 where A is negative semidefinite, as N is PSD
+    rows = np.flatnonzero(top > 0.0)
+    a, b, radius, top = a[rows], np.broadcast_to(b, a.shape)[rows], radius[rows], top[rows]
     root = np.sqrt(b) * np.abs(a)
-    r2 = radius * radius
-    gamma = max(float(np.max(a + root / radius)), top * (1.0 + 1e-12))
+    gamma = np.maximum(np.max(a + root / radius[:, None], axis=1), top * (1.0 + 1e-12))
+    live = np.arange(rows.size)
     for _ in range(MAX_SECULAR_NEWTON):
-        terms = (root / (gamma - a)) ** 2
-        f = float(terms.sum())
-        if f <= r2:
-            break  # at the root, or past it in the hard case
-        step = f * (math.sqrt(f) / radius - 1.0) / float(np.sum(terms / (gamma - a)))
-        gamma += step
-        if step <= 1e-15 * gamma:
+        shift = gamma[live, None] - a[live]
+        terms = (root[live] / shift) ** 2
+        f = terms.sum(axis=1)
+        climb = f > radius[live] ** 2  # else at the root, or past it in the hard case
+        live, f, terms, shift = live[climb], f[climb], terms[climb], shift[climb]
+        step = f * (np.sqrt(f) / radius[live] - 1.0) / np.sum(terms / shift, axis=1)
+        gamma[live] += step
+        live = live[step > 1e-15 * gamma[live]]
+        if live.size == 0:
             break
-    return _support_dual(a, b, radius, gamma)
+    support[rows] = _support_dual(a, b, radius, gamma)
+    return support
 
 
 def sweep_compound(
@@ -693,10 +789,13 @@ def sweep_compound(
     """Evaluate a compound problem around ``center`` over (radius, budget) pairs.
 
     Capacity sweeps use ``channel`` (the identity when None); RDF sweeps take
-    none. Pointwise identical to the single-shot solvers, in input order,
-    each point with its diagnostics. A per-point failure, a bad budget or
-    radius included, is re-raised as the same exception, diagnostics
-    included, with the grid index prefixed to its message.
+    none. Every grid point is validated first; then the points are solved in
+    lock step as one batch (``_sweep_rows``), or one by one for a channel
+    that shares no eigenbasis with the center. Pointwise equal to the
+    single-shot solvers, in input order, each point with its diagnostics. A
+    failure, a bad budget or radius included, is re-raised as the same
+    exception, diagnostics included, with the lowest failing grid index
+    prefixed to its message.
     """
     if kind not in ("rdf", "capacity"):
         raise ValueError(f"kind must be 'rdf' or 'capacity', got {kind!r}")
@@ -707,19 +806,62 @@ def sweep_compound(
         raise ValueError("grid must be non-empty")
     if kind == "capacity" and channel is None:
         channel = ChannelMatrix(np.eye(center.dim))
-    out = []
-    for index, (r, budget) in enumerate(points):
-        try:
+    index, requests = 0, []
+    try:
+        for index, (r, budget) in enumerate(points):
+            ball = BwBall(center, r)
             if kind == "rdf":
-                res = compound_rdf(CompoundRdfRequest(BwBall(center, r), budget))
+                requests.append(CompoundRdfRequest(ball, budget))
             else:
-                res = compound_capacity(CompoundCapacityRequest(BwBall(center, r), channel, budget))
-        except (ValueError, RobustShannonError) as exc:
-            exc.args = (f"grid point {index} (r={r}, budget={budget}): {exc}",)
-            raise
-        out.append(
-            SweepPoint(
-                float(r), float(budget), res.value_nats, res.worst_case_cov.trace, res.diagnostics
-            )
-        )
-    return out
+                requests.append(CompoundCapacityRequest(ball, channel, budget))
+        index = 0  # a failure of the work shared by every point is reported at the first
+        radius = np.array([req.ball.radius for req in requests])
+        budgets = [req.distortion if kind == "rdf" else req.power for req in requests]
+        try:
+            swept = _sweep_rows(kind, center, channel, radius, np.array(budgets))
+        except SolverNoConverge:
+            swept = None  # rows do not interact: one by one, the first to fail is the lowest
+        if swept is not None:
+            return swept
+        solve, swept = compound_rdf if kind == "rdf" else compound_capacity, []
+        for index, req in enumerate(requests):
+            res = solve(req)
+            point = (req.ball.radius, budgets[index], res.value_nats, res.worst_case_cov.trace)
+            swept.append(SweepPoint(*point, res.diagnostics))
+        return swept
+    except (ValueError, RobustShannonError) as exc:
+        r, budget = points[index]
+        exc.args = (f"grid point {index} (r={r}, budget={budget}): {exc}",)
+        raise
+
+
+def _sweep_rows(kind, center, channel, radius, budget):
+    """Every sweep point as a row of ``_rdf_rows`` or ``_capacity_rows``, the
+    row solvers of the single-shot calls, with the center's eigensystem,
+    jitter and shared axes computed once; None when the channel shares no
+    eigenbasis with the center. Capacity at r = 0 is the classical limit,
+    computed as ``gaussian_capacity`` does. No covariance is built.
+    """
+    if kind == "rdf":
+        lam, (_, _, value), steps, gap = _rdf_rows(symmetric_eig(center)[0], radius, budget)
+        jitter, trace = 0.0, lam.sum(axis=1)
+    else:
+        center_pd, jitter = _ensure_positive_definite(center)
+        axes = _commuting_channel_axes(center_pd, channel.entries)
+        if axes is None:
+            return None
+        _, s, hvals = axes
+        noise, (_, _, value), steps, gap = _capacity_rows(s, hvals * hvals, radius, budget)
+        trace = noise.sum(axis=1)
+        zero = radius == 0.0
+        if zero.any():
+            gains, _ = _whitened_gains(channel.entries, center)
+            with np.errstate(divide="ignore"):
+                inverse = np.tile(1.0 / gains, (int(zero.sum()), 1))
+            value[zero] = waterfill_rows(inverse, budget[zero, None])[2]
+    trace[radius == 0.0] = center.trace
+    columns = (a.tolist() for a in (radius, budget, value, trace, steps, gap))
+    return [
+        SweepPoint(r, b, v, t, SolverDiagnostics(k, "eigen-reduction", jitter, g))
+        for r, b, v, t, k, g in zip(*columns)
+    ]

@@ -96,7 +96,8 @@ def empirical_w2(a: SampleCloud, b: SampleCloud) -> float:
 
     Solves the assignment problem on the squared-Euclidean cost matrix; the
     exact solution avoids the regularization bias of entropic approximations,
-    which matters because the closed-form comparison is one-sided.
+    which matters because the closed-form comparison is one-sided. In one
+    dimension the monotone pairing of the sorted clouds is that solution.
     """
     if a.size != b.size:
         raise ValueError(f"cloud sizes differ: {a.size} vs {b.size}")
@@ -106,6 +107,9 @@ def empirical_w2(a: SampleCloud, b: SampleCloud) -> float:
         raise TooLargeForExact(
             f"{a.size} points exceed the exact-assignment bound {MAX_EXACT_ASSIGNMENT}"
         )
+    if a.dim == 1:
+        gaps = np.sort(a.points[:, 0]) - np.sort(b.points[:, 0])
+        return math.sqrt(float(np.mean(gaps * gaps)))
     diff = a.points[:, None, :] - b.points[None, :, :]
     cost = np.einsum("ijk,ijk->ij", diff, diff)
     rows, cols = linear_sum_assignment(cost)

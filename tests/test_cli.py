@@ -338,3 +338,18 @@ def test_json_reports_jitter_and_certificate(tmp_path, capsys):
         "--format", "json",
     )
     assert json.loads(out)[0]["diagnostics"]["jitter"] == diag["jitter"]
+
+
+@pytest.mark.parametrize("radius", ["1e-155", "1e-160", "1e-200"])
+def test_tiny_radius_reports_center_value(capsys, radius):
+    for command, budget in (("compound-rdf", "--distortion"), ("compound-capacity", "--power")):
+        code, at_center, _ = run_cli(
+            capsys, command, "--sigma0-scalar", "1", "--radius", "0", budget, "0.5"
+        )
+        code, out, err = run_cli(
+            capsys, command, "--sigma0-scalar", "1", "--radius", radius, budget, "0.5"
+        )
+        assert code == 0, err
+        value = float(out.strip().split("\n")[1].split(",")[2])
+        expected = float(at_center.strip().split("\n")[1].split(",")[2])
+        assert abs(value - expected) <= 1e-12 * max(1.0, abs(expected))

@@ -390,6 +390,15 @@ class TestSweep:
             sweep_compound("rdf", center, [(0.5, 1.0)])
         assert info.value.diagnostics.iterations == 2
 
+    def test_batch_failure_names_lowest_failing_point(self, monkeypatch):
+        monkeypatch.setattr(compound, "MAX_ITERATIONS", 2)
+        center = SpdMatrix([[1.0, 0.3], [0.3, 4.0]])
+        grid = [(0.0, 1.0), (0.5, 2.0), (0.5, 1.0), (0.0, 2.0)]
+        for kind in ("rdf", "capacity"):
+            with pytest.raises(SolverNoConverge, match="grid point 1") as info:
+                sweep_compound(kind, center, grid)
+            assert info.value.diagnostics.iterations == 2
+
     def test_rejects_empty_grid_and_bad_kind(self):
         center = SpdMatrix.identity(1)
         with pytest.raises(ValueError):
@@ -401,6 +410,40 @@ class TestSweep:
         center = SpdMatrix.identity(1)
         with pytest.raises(ValueError, match="no channel"):
             sweep_compound("rdf", center, [(0.1, 1.0)], ChannelMatrix(np.eye(1)))
+
+
+class TestTinyRadius:
+    """Radii whose square underflows leave the center's value, with a valid gap."""
+
+    RADII = (1e-155, 1e-160, 1e-200)
+
+    @staticmethod
+    def _check(result, at_center):
+        v = at_center.value_nats
+        gap = result.diagnostics.certificate_gap
+        assert abs(result.value_nats - v) <= 1e-12 * max(1.0, abs(v))
+        assert -1e-12 <= gap <= 1e-8 * max(1.0, abs(v))
+
+    def test_capacity(self):
+        center, channel = SpdMatrix.identity(3), ChannelMatrix(np.eye(3))
+        at_center = compound_capacity(CompoundCapacityRequest(BwBall(center, 0.0), channel, 2.0))
+        for r in self.RADII:
+            self._check(
+                compound_capacity(CompoundCapacityRequest(BwBall(center, r), channel, 2.0)), at_center
+            )
+
+    def test_rdf(self):
+        for center in (SpdMatrix.identity(3), SpdMatrix.from_diag([2.0, 1.0, 0.0])):
+            at_center = compound_rdf(CompoundRdfRequest(BwBall(center, 0.0), 0.5))
+            for r in self.RADII:
+                self._check(compound_rdf(CompoundRdfRequest(BwBall(center, r), 0.5)), at_center)
+
+    def test_sweep(self):
+        center = SpdMatrix([[2.0, 0.3], [0.3, 1.0]])
+        grid = [(r, 0.5) for r in (0.0,) + self.RADII]
+        for kind in ("rdf", "capacity"):
+            values = [p.value_nats for p in sweep_compound(kind, center, grid)]
+            assert max(values) - min(values) <= 1e-12 * max(1.0, abs(values[0]))
 
 
 def _rotation(rng, d):
@@ -455,7 +498,9 @@ class TestCertificate:
             returned = compound_rdf(CompoundRdfRequest(BwBall(center, radius), distortion))
             vals, _ = symmetric_eig(center)
             at_center = rdf_from_spectrum(vals, distortion)
-            gap = compound._rdf_gap(vals, at_center, vals, radius, distortion)
+            gap = compound._rdf_gap(
+                vals[None], np.array([at_center.level]), vals, np.array([radius]), np.array([distortion])
+            )[0]
             assert math.isfinite(gap)
             assert gap >= returned.value_nats - at_center.rate_nats - 1e-12
 
@@ -469,20 +514,22 @@ class TestCertificate:
             b = np.einsum("ij,ij->j", q, center.entries @ q)
             top = float(a.max())
             for gamma in (1.01 * top, 2.0 * top, top + 10.0):
-                bound = compound._support_dual(a, b, ball.radius, gamma)
-                assert bound >= compound._ball_support(a, b, ball.radius) - 1e-12
+                radius = np.array([ball.radius])
+                bound = compound._support_dual(a[None], b, radius, np.array([gamma]))[0]
+                assert bound >= compound._ball_support(a[None], b, radius)[0] - 1e-12
                 for seed in range(100):
                     draw = random_psd_in_ball(ball, seed).entries
                     assert bound >= float(np.sum((q * a) @ q.T * draw)) - 1e-12
 
     def test_support_is_exact_in_closed_forms(self):
         # scalar ball around sigma^2: max a N = a (sigma + r)^2
-        support = compound._ball_support(np.array([3.0]), np.array([4.0]), 0.5)
+        support = compound._ball_support(np.array([[3.0]]), np.array([4.0]), np.array([0.5]))[0]
         assert support == pytest.approx(3.0 * 2.5**2, rel=1e-12)
         # hard case, b = 0 on the top eigenvector: around diag(0, 1) with
         # r = 2, max 2 N11 + N22 is 10, at N = diag(3, 4)
         for b_top in (0.0, 1e-30, 1e-20):
-            support = compound._ball_support(np.array([2.0, 1.0]), np.array([b_top, 1.0]), 2.0)
+            a, b = np.array([[2.0, 1.0]]), np.array([b_top, 1.0])
+            support = compound._ball_support(a, b, np.array([2.0]))[0]
             assert support == pytest.approx(10.0, rel=1e-9)
 
     def test_gap_matches_scalar_closed_form(self):

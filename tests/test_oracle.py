@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from robust_shannon import (
     GaussianLaw,
@@ -97,6 +98,20 @@ class TestEmpiricalW2:
         big = SampleCloud(np.zeros((513, 1)), 0)
         with pytest.raises(TooLargeForExact):
             empirical_w2(big, big)
+
+    @pytest.mark.parametrize("n", [1, 2, 511, 512])
+    def test_one_dimension_sorting_matches_assignment(self, n):
+        rng = np.random.default_rng(42 + n)
+        for ties in (False, True):
+            a, b = rng.standard_normal((2, n, 1))
+            if ties:  # repeated values inside each cloud and shared between them
+                a = np.round(a, 1)
+                b = np.concatenate([a[: n // 2], np.round(b[n // 2 :], 1)])
+            cost = (a - b.T) ** 2
+            rows, cols = linear_sum_assignment(cost)
+            expected = math.sqrt(float(cost[rows, cols].mean()))
+            got = empirical_w2(SampleCloud(a, 0), SampleCloud(b, 0))
+            assert abs(got - expected) <= 1e-12 * max(expected, 1e-300)
 
 
 class TestCheckGelbrich:

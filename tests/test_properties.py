@@ -1,7 +1,11 @@
 """Property tests of the compound solvers: general-channel capacity (single
 start, certified) and the two eigenvalue-space reductions (the RDF, and
-capacity with a channel that commutes with the center)."""
+capacity with a channel that commutes with the center); sweeps against
+single-shot solves, the classical limits at r = 0, and the CLI's units."""
 
+import contextlib
+import io
+import json
 import math
 
 import numpy as np
@@ -17,7 +21,11 @@ from robust_shannon import (
     bw_distance,
     compound_capacity,
     compound_rdf,
+    gaussian_capacity,
+    gaussian_rdf,
+    sweep_compound,
 )
+from robust_shannon.cli import main
 
 
 def _rotation(rng, d):
@@ -206,3 +214,109 @@ def test_commuting_capacity_worst_case_in_ball(instance):
     result = _solve_commuting(center, channel, radius, power)
     r = radius * math.sqrt(float(np.trace(center)))
     assert bw_distance(result.worst_case_cov, SpdMatrix(center)) <= r * (1.0 + 1e-9)
+
+
+@st.composite
+def sweep_instances(draw):
+    """(kind, center, channel or None, grid) at d = 1..5: singular centers,
+    commuting channels with dead modes, r = 0 rows, zero-rate RDF budgets,
+    power 0 and a duplicated point."""
+    d = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = _rotation(rng, d)
+    lam = np.exp(rng.uniform(math.log(0.2), math.log(5.0), d))
+    if d > 1 and draw(st.booleans()):
+        lam[rng.choice(d, size=int(rng.integers(1, d)), replace=False)] = 0.0
+    center = SpdMatrix((q * lam) @ q.T)
+    kind = draw(st.sampled_from(["rdf", "capacity"]))
+    channel = None
+    if kind == "capacity" and draw(st.booleans()):
+        weights = rng.uniform(-2.0, 2.0, d)
+        if d > 1 and draw(st.booleans()):
+            weights[rng.integers(d)] = 0.0  # a dead mode
+        channel = ChannelMatrix((q * weights) @ q.T)
+    fractions = st.sampled_from([0.0, 0.05, 0.5, 2.0]) | st.floats(0.0, 2.0)
+    radii = draw(st.lists(fractions, min_size=1, max_size=3))
+    if kind == "rdf":  # 10 tr C exceeds every trace in a ball of radius 2 sqrt(tr C)
+        budget = st.sampled_from([0.01, 0.3, 10.0]) | st.floats(0.01, 3.0)
+    else:
+        budget = st.sampled_from([0.0, 0.3, 5.0]) | st.floats(0.0, 5.0)
+    budgets = draw(st.lists(budget, min_size=1, max_size=3))
+    total = center.trace
+    grid = [(r * math.sqrt(total), b * total) for r in radii for b in budgets]
+    return kind, center, channel, grid + grid[:1]
+
+
+def _single(kind, center, channel, r, budget):
+    if kind == "rdf":
+        return compound_rdf(CompoundRdfRequest(BwBall(center, r), budget))
+    channel = channel or ChannelMatrix(np.eye(center.dim))
+    return compound_capacity(CompoundCapacityRequest(BwBall(center, r), channel, budget))
+
+
+@settings(max_examples=40)
+@given(sweep_instances())
+def test_sweep_rows_equal_single_shot(instance):
+    kind, center, channel, grid = instance
+    points = sweep_compound(kind, center, grid, channel)
+    assert [(p.r, p.budget) for p in points] == grid
+    for point, (r, budget) in zip(points, grid):
+        single = _single(kind, center, channel, r, budget)
+        value, trace = single.value_nats, single.worst_case_cov.trace
+        assert abs(point.value_nats - value) <= 1e-12 * max(1.0, abs(value))
+        assert abs(point.worst_case_trace - trace) <= 1e-12 * max(1.0, abs(trace))
+        assert point.diagnostics.iterations == single.diagnostics.iterations
+        assert point.diagnostics.solver_path == single.diagnostics.solver_path
+
+
+@settings(max_examples=25)
+@given(sweep_instances(), st.booleans())
+def test_zero_radius_is_classical(instance, general_channel):
+    kind, center, channel, grid = instance
+    if kind == "capacity" and general_channel:
+        rng = np.random.default_rng(center.dim)
+        channel = ChannelMatrix(rng.standard_normal((center.dim, center.dim)))
+    budgets = [budget for _, budget in grid]
+    points = sweep_compound(kind, center, [(0.0, budget) for budget in budgets], channel)
+    for point, budget in zip(points, budgets):
+        single = _single(kind, center, channel, 0.0, budget).value_nats
+        if kind == "rdf":
+            expected = gaussian_rdf(center, budget)
+        else:
+            expected = gaussian_capacity(channel or np.eye(center.dim), center, budget).rate_nats
+        assert single == expected
+        assert abs(point.value_nats - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+def _cli_rows(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+@settings(max_examples=25)
+@given(
+    st.sampled_from(["rdf", "capacity"]),
+    st.floats(0.1, 5.0),
+    st.lists(st.floats(0.0, 2.0), min_size=1, max_size=3),
+    st.floats(0.01, 5.0),
+    st.sampled_from(["csv", "json"]),
+)
+def test_cli_bits_are_nats_over_ln2(kind, sigma0, radii, budget, fmt):
+    flag = "--distortion" if kind == "rdf" else "--power"
+    argv = [
+        "sweep", "--kind", kind, "--sigma0-scalar", repr(sigma0),
+        "--radii", ",".join(repr(r) for r in radii), flag, repr(budget),
+        "--units", "bits", "--format", fmt,
+    ]
+    text = _cli_rows(argv)
+    if fmt == "json":
+        pairs = [(row["value_nats"], row["value_bits"]) for row in json.loads(text)]
+    else:
+        lines = text.strip().split("\n")
+        assert lines[0] == "r,budget,value_nats,value_bits,worst_case_trace"
+        pairs = [tuple(float(x) for x in line.split(",")[2:4]) for line in lines[1:]]
+    assert len(pairs) == len(radii)
+    for nats, bits in pairs:
+        assert bits == nats / math.log(2)
