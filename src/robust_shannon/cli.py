@@ -1,9 +1,12 @@
 """Command-line front end.
 
-Loads covariance/channel matrices from JSON, runs the classical and compound
-computations, sweeps grids, runs the verification oracles, and emits CSV or
-JSON. Output is byte-stable for a fixed command line and seed: numbers are
-serialized with full round-trip precision and rows in deterministic order.
+Loads covariance/channel matrices from JSON, evaluates (radius, budget)
+points through ``sweep_compound`` and emits them as CSV or JSON rows, or runs
+the verification oracles. ``rdf`` and ``capacity`` are the radius-0 points
+of ``compound-rdf`` and ``compound-capacity`` (the classical limits, labelled
+"classical" in the diagnostics), and ``sweep`` evaluates a grid. Output is
+byte-stable for a fixed command line and seed: numbers are serialized with
+full round-trip precision and rows in deterministic order.
 
 Exit codes: 0 success, 1 verification suite failed, 2 config/domain error,
 3 solver did not converge, 4 output I/O failure.
@@ -16,23 +19,21 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import numpy as np
 
-from .classical import ChannelMatrix, gaussian_capacity, gaussian_rdf
-from .compound import SolverDiagnostics, SweepPoint, sweep_compound
+from .classical import ChannelMatrix
+from .compound import sweep_compound
 from .errors import RobustShannonError, SolverNoConverge
 from .oracle import check_gelbrich, random_seeded_laws, sampler_dominance_checks
-from .psd_geometry import SpdMatrix, _ensure_positive_definite
+from .psd_geometry import SpdMatrix
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NO_CONVERGE = 3
 EXIT_IO = 4
-
-CLASSICAL_DIAGNOSTICS = SolverDiagnostics(0, "classical")
 
 
 def _fmt(x: float) -> str:
@@ -107,7 +108,7 @@ def _resolve_center(args) -> SpdMatrix:
 
 
 def _resolve_channel(args, dim: int) -> ChannelMatrix:
-    if getattr(args, "channel", None):
+    if args.channel:
         return load_channel(args.channel)
     return ChannelMatrix(np.eye(dim))
 
@@ -140,37 +141,14 @@ def emit(rows, fmt: str, units: str, stream) -> None:
     stream.flush()
 
 
-def _cmd_rdf(args, out) -> int:
+def _cmd_point(args, out) -> int:
+    """One (radius, budget) point; the classical subcommands fix the radius at 0."""
     center = _resolve_center(args)
-    value = gaussian_rdf(center, args.distortion)
-    emit([SweepPoint(0.0, args.distortion, value, center.trace, CLASSICAL_DIAGNOSTICS)],
-         args.format, args.units, out)
-    return EXIT_OK
-
-
-def _cmd_capacity(args, out) -> int:
-    center = _resolve_center(args)
-    channel = _resolve_channel(args, center.dim)
-    rate, _, _ = gaussian_capacity(channel, center, args.power)
-    _, jitter = _ensure_positive_definite(center)
-    diagnostics = replace(CLASSICAL_DIAGNOSTICS, jitter=jitter)
-    emit([SweepPoint(0.0, args.power, rate, center.trace, diagnostics)],
-         args.format, args.units, out)
-    return EXIT_OK
-
-
-def _cmd_compound_rdf(args, out) -> int:
-    center = _resolve_center(args)
-    emit(sweep_compound("rdf", center, [(args.radius, args.distortion)]),
-         args.format, args.units, out)
-    return EXIT_OK
-
-
-def _cmd_compound_capacity(args, out) -> int:
-    center = _resolve_center(args)
-    channel = _resolve_channel(args, center.dim)
-    emit(sweep_compound("capacity", center, [(args.radius, args.power)], channel),
-         args.format, args.units, out)
+    if args.kind == "rdf":
+        point, channel = (args.radius, args.distortion), None
+    else:
+        point, channel = (args.radius, args.power), _resolve_channel(args, center.dim)
+    emit(sweep_compound(args.kind, center, [point], channel), args.format, args.units, out)
     return EXIT_OK
 
 
@@ -238,21 +216,21 @@ def build_parser() -> argparse.ArgumentParser:
     add_center(p)
     p.add_argument("--distortion", type=float, required=True)
     add_common(p)
-    p.set_defaults(handler=_cmd_rdf)
+    p.set_defaults(handler=_cmd_point, kind="rdf", radius=0.0)
 
     p = sub.add_parser("capacity", help="classical Gaussian channel capacity")
     add_center(p)
     p.add_argument("--channel", help="channel matrix JSON file (default identity)")
     p.add_argument("--power", type=float, required=True)
     add_common(p)
-    p.set_defaults(handler=_cmd_capacity)
+    p.set_defaults(handler=_cmd_point, kind="capacity", radius=0.0)
 
     p = sub.add_parser("compound-rdf", help="worst-case rate-distortion over a ball")
     add_center(p)
     p.add_argument("--radius", type=float, required=True)
     p.add_argument("--distortion", type=float, required=True)
     add_common(p)
-    p.set_defaults(handler=_cmd_compound_rdf)
+    p.set_defaults(handler=_cmd_point, kind="rdf")
 
     p = sub.add_parser("compound-capacity", help="worst-case capacity over a ball")
     add_center(p)
@@ -260,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=float, required=True)
     p.add_argument("--power", type=float, required=True)
     add_common(p)
-    p.set_defaults(handler=_cmd_compound_capacity)
+    p.set_defaults(handler=_cmd_point, kind="capacity")
 
     p = sub.add_parser("sweep", help="evaluate a (radius, budget) grid")
     p.add_argument("--kind", choices=("rdf", "capacity"), required=True)

@@ -84,15 +84,17 @@ ROOT_STEP_TOL = 1e-14
 class SolverDiagnostics:
     """How a compound value was obtained.
 
-    ``iterations`` counts water-level steps on the eigen-reduction paths
-    and projected-gradient iterations otherwise. ``jitter`` is the diagonal
-    shift added to a singular center before solving (0.0 when none was
-    needed, and always for the RDF). ``certificate_gap`` is an upper bound,
-    in nats, on how far the returned value lies from the true optimum
-    (above it for capacity, below it for the RDF; at a converged point it
-    can read a few ulps below zero from rounding). Every returned result
-    converged: a solve that does not raises ``SolverNoConverge`` with these
-    diagnostics, the gap None.
+    ``solver_path`` is "classical" at radius 0 (the classical limit at the
+    center: nothing solved, 0 iterations, gap 0.0), "eigen-reduction" for
+    the RDF and a channel sharing the center's eigenbasis, and
+    "projected-gradient" otherwise; ``iterations`` counts water-level steps
+    or projected-gradient iterations. ``jitter`` is the diagonal shift
+    added to a singular center before solving (0.0 when none was needed,
+    and always for the RDF). ``certificate_gap`` is an upper bound, in
+    nats, on how far the returned value lies from the true optimum (above
+    it for capacity, below it for the RDF; at a converged point it can read
+    a few ulps below zero from rounding). It is None only in the
+    diagnostics of a ``SolverNoConverge``: every returned result converged.
     """
 
     iterations: int
@@ -282,7 +284,8 @@ def compound_rdf(req: CompoundRdfRequest) -> CompoundResult:
     )
     worst = ball.center if ball.radius == 0.0 else SpdMatrix((vecs * lam[0]) @ vecs.T)
     alloc = WaterfillAllocation(float(level[0]), per_mode[0], float(rate[0]))
-    diagnostics = SolverDiagnostics(int(steps[0]), "eigen-reduction", certificate_gap=float(gap[0]))
+    path = "classical" if ball.radius == 0.0 else "eigen-reduction"
+    diagnostics = SolverDiagnostics(int(steps[0]), path, certificate_gap=float(gap[0]))
     return CompoundResult(alloc.rate_nats, worst, alloc, diagnostics)
 
 
@@ -682,7 +685,7 @@ def compound_capacity(req: CompoundCapacityRequest) -> CompoundResult:
     center_pd, jitter = _ensure_positive_definite(ball.center)
     if ball.radius == 0.0:
         rate, _, alloc = gaussian_capacity(req.channel, ball.center, power)
-        diag = SolverDiagnostics(0, "eigen-reduction", jitter, 0.0)
+        diag = SolverDiagnostics(0, "classical", jitter, 0.0)
         return CompoundResult(rate, ball.center, alloc, diag)
     axes = _commuting_channel_axes(center_pd, h)
     if axes is not None:
@@ -842,6 +845,7 @@ def _sweep_rows(kind, center, channel, radius, budget):
     eigenbasis with the center. Capacity at r = 0 is the classical limit,
     computed as ``gaussian_capacity`` does. No covariance is built.
     """
+    zero = radius == 0.0
     if kind == "rdf":
         lam, (_, _, value), steps, gap = _rdf_rows(symmetric_eig(center)[0], radius, budget)
         jitter, trace = 0.0, lam.sum(axis=1)
@@ -853,15 +857,15 @@ def _sweep_rows(kind, center, channel, radius, budget):
         _, s, hvals = axes
         noise, (_, _, value), steps, gap = _capacity_rows(s, hvals * hvals, radius, budget)
         trace = noise.sum(axis=1)
-        zero = radius == 0.0
         if zero.any():
             gains, _ = _whitened_gains(channel.entries, center)
             with np.errstate(divide="ignore"):
                 inverse = np.tile(1.0 / gains, (int(zero.sum()), 1))
             value[zero] = waterfill_rows(inverse, budget[zero, None])[2]
-    trace[radius == 0.0] = center.trace
-    columns = (a.tolist() for a in (radius, budget, value, trace, steps, gap))
+    trace[zero], gap[zero] = center.trace, 0.0  # nothing is solved at r = 0
+    path = np.where(zero, "classical", "eigen-reduction")
+    columns = (a.tolist() for a in (radius, budget, value, trace, steps, gap, path))
     return [
-        SweepPoint(r, b, v, t, SolverDiagnostics(k, "eigen-reduction", jitter, g))
-        for r, b, v, t, k, g in zip(*columns)
+        SweepPoint(r, b, v, t, SolverDiagnostics(k, p, jitter, g))
+        for r, b, v, t, k, g, p in zip(*columns)
     ]

@@ -134,12 +134,12 @@ def check_gelbrich(p: GaussianLaw, q: GaussianLaw, n: int, seed: int) -> Gelbric
     return GelbrichReport(empirical, closed_form, ok)
 
 
-def random_seeded_laws(seed: int, pairs: int, max_dim: int = 3):
-    """Deterministic stream of random Gaussian law pairs for verification runs."""
+def random_seeded_laws(seed: int, pairs: int):
+    """Deterministic stream of random Gaussian law pairs, d = 1..3, for verification runs."""
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(pairs):
-        d = int(rng.integers(1, max_dim + 1))
+        d = int(rng.integers(1, 4))
         laws = []
         for _ in range(2):
             g = rng.standard_normal((d, d))

@@ -15,6 +15,7 @@ from robust_shannon import (
     rdf_realization,
     reverse_waterfill,
 )
+from robust_shannon import classical
 from robust_shannon.classical import reverse_waterfill_rows, waterfill_rows
 
 HALF_LOG4 = 0.6931471805599453
@@ -329,3 +330,18 @@ class TestGaussianCapacity:
             ChannelMatrix(np.eye(1)), SpdMatrix.from_diag([1.0]), 3.0
         )
         assert rate == pytest.approx(HALF_LOG4, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: classical.TestChannel(np.eye(3), SpdMatrix.identity(2)), "gain shape"),
+        (lambda: ChannelMatrix(np.zeros((2, 3))), "nonempty square"),
+        (lambda: ChannelMatrix([[1.0, math.inf], [0.0, 1.0]]), "entries must be finite"),
+        (lambda: gaussian_capacity(np.eye(3), SpdMatrix.identity(2), 1.0), "channel shape"),
+    ],
+    ids=["test_channel_gain_shape", "channel_not_square", "channel_not_finite", "capacity_shape"],
+)
+def test_rejects_malformed_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

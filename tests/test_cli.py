@@ -1,9 +1,14 @@
+import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import robust_shannon
 from robust_shannon import (
     BwBall,
     ChannelMatrix,
@@ -19,7 +24,7 @@ from robust_shannon import (
     gaussian_rdf,
     sweep_compound,
 )
-from robust_shannon.cli import main
+from robust_shannon.cli import emit, main
 
 
 def run_cli(capsys, *argv):
@@ -183,6 +188,72 @@ def test_bad_flags_exit_code(capsys):
     )[0] == 2
 
 
+SWEEP_RDF = ("sweep", "--kind", "rdf", "--sigma0-scalar", "1", "--radii", "0")
+SWEEP_CAPACITY = ("sweep", "--kind", "capacity", "--sigma0-scalar", "1", "--radii", "0")
+
+
+@pytest.mark.parametrize(
+    "center_text, argv, message",
+    [
+        ("{not json", ("rdf", "--center", "FILE", "--distortion", "1"), "cannot parse"),
+        ('{"rows": [[1.0]]}', ("rdf", "--center", "FILE", "--distortion", "1"),
+         'expected an object with "dim" and "rows"'),
+        ('{"dim": 3, "rows": [[1.0, 0.0], [0.0, 1.0]]}',
+         ("rdf", "--center", "FILE", "--distortion", "1"), "rows must form a 3x3 matrix"),
+        (None, SWEEP_CAPACITY + ("--power", "0:1"), "grid spec must be start:stop:count"),
+        (None, SWEEP_CAPACITY + ("--power", "0:1:0"), "grid count must be at least 1"),
+        (None, ("rdf", "--sigma0-scalar=-1", "--distortion", "1"), "--sigma0-scalar must be positive"),
+        (None, SWEEP_RDF, "sweep --kind rdf requires --distortion"),
+        (None, SWEEP_CAPACITY, "sweep --kind capacity requires --power"),
+    ],
+    ids=["malformed_json", "no_dim_or_rows", "rows_dim_mismatch", "grid_two_fields",
+         "grid_count_zero", "negative_sigma0", "sweep_no_distortion", "sweep_no_power"],
+)
+def test_rejected_input_exit_code(tmp_path, capsys, center_text, argv, message):
+    path = tmp_path / "center.json"
+    if center_text is not None:
+        path.write_text(center_text)
+    code, out, err = run_cli(capsys, *(str(path) if arg == "FILE" else arg for arg in argv))
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_emit_rejects_empty_rows():
+    for fmt in ("csv", "json"):
+        stream = io.StringIO()
+        with pytest.raises(ValueError, match="nothing to emit"):
+            emit([], fmt, "nats", stream)
+        assert stream.getvalue() == ""
+
+
+class _FailingStream:
+    def write(self, text):
+        raise OSError("device full")
+
+    def flush(self):
+        pass
+
+
+def test_output_failure_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _FailingStream())
+    code = main(["rdf", "--sigma0-scalar", "1", "--distortion", "0.5"])
+    assert code == 4
+    assert "error: output failed: device full" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("module", ["robust_shannon", "robust_shannon.cli"])
+def test_module_entry_point_exit_code(module):
+    src = os.path.dirname(os.path.dirname(robust_shannon.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", module, "rdf", "--sigma0-scalar", "1", "--distortion", "-1"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 2
+    assert "distortion must be positive" in done.stderr
+
+
 def test_missing_center_is_config_error(capsys):
     code, _, err = run_cli(capsys, "rdf", "--distortion", "1")
     assert code == 2
@@ -221,6 +292,19 @@ def test_sweep_no_convergence_reports_iterations(capsys, monkeypatch, tmp_path):
     assert code == 3
     assert "after 2 iterations" in err
     assert "grid point 0" in err
+
+
+def test_general_channel_no_convergence_reports_iterations(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(compound, "MAX_ITERATIONS", 2)
+    center = write_matrix(tmp_path / "center.json", [[1.0, 0.3], [0.3, 4.0]])
+    channel = write_matrix(tmp_path / "h.json", [[1.0, 0.4], [-0.3, 0.8]])
+    code, out, err = run_cli(
+        capsys, "compound-capacity", "--center", center, "--channel", channel,
+        "--radius", "0.5", "--power", "1",
+    )
+    assert code == 3
+    assert out == ""
+    assert "after 2 iterations" in err
 
 
 BALL = BwBall(SpdMatrix([[1.0, 0.3], [0.3, 4.0]]), 0.5)
@@ -313,8 +397,8 @@ def test_sweep_json_carries_diagnostics(capsys):
     rows = json.loads(out)
     assert [row["diagnostics"]["iterations"] for row in rows][0] == 0
     assert rows[1]["diagnostics"]["iterations"] > 0
+    assert [row["diagnostics"]["solver_path"] for row in rows] == ["classical", "eigen-reduction"]
     for row in rows:
-        assert row["diagnostics"]["solver_path"] == "eigen-reduction"
         assert row["diagnostics"]["jitter"] == 0.0
         assert isinstance(row["diagnostics"]["certificate_gap"], float)
 

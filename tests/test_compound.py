@@ -208,6 +208,17 @@ class TestCompoundCapacity:
         reeval = gaussian_capacity(h, result.worst_case_cov, 2.0).rate_nats
         assert reeval == pytest.approx(result.value_nats, abs=1e-8)
 
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_general_channel_no_convergence_keeps_diagnostics(self, monkeypatch, d):
+        monkeypatch.setattr(compound, "MAX_ITERATIONS", 2)
+        rng = np.random.default_rng(36)
+        center = random_spd(rng, d)
+        h = ChannelMatrix(rng.standard_normal((d, d)))
+        with pytest.raises(SolverNoConverge, match="within 2 iterations") as info:
+            compound_capacity(CompoundCapacityRequest(BwBall(center, 0.5), h, 2.0))
+        assert info.value.diagnostics.iterations == 2
+        assert info.value.diagnostics.solver_path == "projected-gradient"
+
     def test_solver_paths_agree_on_commuting_instance(self, monkeypatch):
         # identity channel commutes, so both routes must find the same optimum
         center = SpdMatrix.from_diag([1.0, 3.0])

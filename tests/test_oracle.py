@@ -18,6 +18,7 @@ from robust_shannon import (
     gaussian_w2,
     sample_gaussian,
 )
+from robust_shannon import oracle
 from robust_shannon.classical import reverse_waterfill_rows, waterfill_rows
 
 HALF_LOG_225 = 0.4054651081081644
@@ -208,3 +209,25 @@ class TestGridEvaluators:
             for row, rate in zip(spectra, batch):
                 expected = gaussian_capacity(np.eye(3), SpdMatrix.from_diag(row), power).rate_nats
                 assert rate == pytest.approx(expected, abs=1e-12)
+
+
+def _no_sampling(*args):
+    raise AssertionError("sampled before the size check")
+
+
+UNIT_LAW = GaussianLaw([0.0], SpdMatrix.identity(1))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: SampleCloud(np.zeros((0, 2)), 0), ValueError, "nonempty"),
+        (lambda: SampleCloud([[0.0, math.nan]], 0), ValueError, "points must be finite"),
+        (lambda: check_gelbrich(UNIT_LAW, UNIT_LAW, 513, 0), TooLargeForExact, "513 points"),
+    ],
+    ids=["empty_cloud", "non_finite_cloud", "gelbrich_too_large"],
+)
+def test_rejects_malformed_input(monkeypatch, call, error, message):
+    monkeypatch.setattr(oracle, "sample_gaussian", _no_sampling)
+    with pytest.raises(error, match=message):
+        call()

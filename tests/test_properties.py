@@ -279,7 +279,11 @@ def test_zero_radius_is_classical(instance, general_channel):
     budgets = [budget for _, budget in grid]
     points = sweep_compound(kind, center, [(0.0, budget) for budget in budgets], channel)
     for point, budget in zip(points, budgets):
-        single = _single(kind, center, channel, 0.0, budget).value_nats
+        result = _single(kind, center, channel, 0.0, budget)
+        for diagnostics in (point.diagnostics, result.diagnostics):
+            assert (diagnostics.solver_path, diagnostics.iterations) == ("classical", 0)
+            assert diagnostics.certificate_gap == 0.0
+        single = result.value_nats
         if kind == "rdf":
             expected = gaussian_rdf(center, budget)
         else:

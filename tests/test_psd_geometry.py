@@ -17,6 +17,7 @@ from robust_shannon import (
     symmetric_eig,
     transport_map,
 )
+from robust_shannon import psd_geometry
 
 SQRT2 = 1.4142135623730951
 SQRT3 = 1.7320508075688772
@@ -321,3 +322,31 @@ def test_sampler_covers_interior_and_boundary():
 def test_gaussian_law_dimension_check():
     with pytest.raises(ValueError):
         GaussianLaw([0.0, 1.0], SpdMatrix.identity(3))
+
+
+def _no_distance(*args):
+    raise AssertionError("distance computed before the dimension check")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: GaussianLaw([math.nan], SpdMatrix.identity(1)), "mean must be finite"),
+        (
+            lambda: gaussian_w2(
+                GaussianLaw([0.0], SpdMatrix.identity(1)),
+                GaussianLaw([0.0, 0.0], SpdMatrix.identity(2)),
+            ),
+            "dimension mismatch: 1 vs 2",
+        ),
+        (
+            lambda: transport_map(SpdMatrix.identity(1), SpdMatrix.identity(2)),
+            "dimension mismatch: 1 vs 2",
+        ),
+    ],
+    ids=["law_mean_not_finite", "gaussian_w2_dims", "transport_map_dims"],
+)
+def test_rejects_malformed_input(monkeypatch, call, message):
+    monkeypatch.setattr(psd_geometry, "bw_distance", _no_distance)
+    with pytest.raises(ValueError, match=message):
+        call()
