@@ -167,8 +167,7 @@ def capacity_from_gains(gains, power: float) -> WaterfillAllocation:
 
 def reverse_waterfill(cov: SpdMatrix, distortion: float) -> WaterfillAllocation:
     """Reverse-waterfilled distortion allocation for a Gaussian source covariance."""
-    vals, _ = symmetric_eig(cov)
-    return rdf_from_spectrum(vals, distortion)
+    return rdf_from_spectrum(cov._eigvals, distortion)
 
 
 def gaussian_rdf(cov: SpdMatrix, distortion: float) -> float:
@@ -237,17 +236,25 @@ def gaussian_capacity(channel, noise_cov: SpdMatrix, power: float) -> GaussianCa
     h = np.asarray(channel.entries if isinstance(channel, ChannelMatrix) else channel, dtype=float)
     if h.shape != (noise_cov.dim, noise_cov.dim):
         raise ValueError("channel shape does not match noise covariance")
-    gains, vt = _whitened_gains(h, noise_cov)
+    gains, vt = _whitened_gains(h, _ensure_positive_definite(noise_cov)[0].entries)
     alloc = capacity_from_gains(gains, power)
     input_cov = SpdMatrix((vt.T * alloc.per_mode) @ vt)
     return GaussianCapacity(alloc.rate_nats, input_cov, alloc)
 
 
-def _whitened_gains(h: np.ndarray, noise_cov: SpdMatrix):
+def _whitened_gains(h: np.ndarray, noise: np.ndarray):
     """Squared singular values and right singular vectors (rows) of the
-    channel whitened by the inverse square root of the (jittered) noise."""
-    noise, _ = _ensure_positive_definite(noise_cov)
-    w, v = symmetric_eig(noise)
-    inv_half = (v / np.sqrt(w)) @ v.T
-    _, svals, vt = np.linalg.svd(inv_half @ h)
-    return svals**2, vt
+    channel whitened by the positive definite noise W.
+
+    Whitens by the Cholesky factor, W = L L^T: W^{-1/2} = O L^{-1} with O
+    orthogonal, so L^{-1} H has the singular values and right singular
+    vectors of W^{-1/2} H. A gain that is not finite (a subnormal noise
+    variance) raises ValueError.
+    """
+    whitened = np.linalg.solve(np.linalg.cholesky(noise), h)
+    svals, vt = np.linalg.svd(whitened)[1:]
+    with np.errstate(over="ignore"):
+        gains = svals * svals
+    if not np.all(np.isfinite(gains)):
+        raise ValueError("whitened channel gain is not finite: noise too small for the channel")
+    return gains, vt

@@ -28,9 +28,13 @@ convex problem (capacity is convex in the noise covariance and the ball is
 convex) without a closed-form reduction. It is solved by projected gradient
 in optimal-transport-map coordinates, where the ball is an exact Euclidean
 ball and PSD-ness is automatic, from one start, the center, using the
-Danskin envelope gradient; each objective hands its inner waterfill to the
-gradient, so an accepted point is solved once, and convergence is declared
-on value stagnation because the waterfilling objective carries kinks.
+Danskin envelope gradient; each objective evaluation forms that gradient
+along with its inner waterfill, so an accepted point is solved once. Each
+line search starts from the Barzilai-Borwein step (and from 1 again if that
+finds no descent), and the solve stops on its certificate: once a step
+leaves the value unchanged to VALUE_STAGNATION_TOL (relative) and the
+Frank-Wolfe gap below is at most VALUE_STAGNATION_TOL max(1, |value|). An
+iterate that no step moves is returned only if its gap meets that bound.
 
 Every compound result carries a duality gap
 (``SolverDiagnostics.certificate_gap``), an upper bound in nats on the
@@ -58,6 +62,7 @@ from .classical import (
     _check_distortion,
     _check_power,
     _whitened_gains,
+    capacity_from_gains,
     gaussian_capacity,
     reverse_waterfill_rows,
     waterfill_rows,
@@ -72,7 +77,6 @@ from .psd_geometry import (
 )
 
 VALUE_STAGNATION_TOL = 1e-10
-STAGNATION_PATIENCE = 10
 MAX_ITERATIONS = 10_000
 ARMIJO = 1e-4
 MAX_HALVINGS = 60
@@ -92,9 +96,12 @@ class SolverDiagnostics:
     added to a singular center before solving (0.0 when none was needed,
     and always for the RDF). ``certificate_gap`` is an upper bound, in
     nats, on how far the returned value lies from the true optimum (above
-    it for capacity, below it for the RDF; at a converged point it can read
-    a few ulps below zero from rounding). It is None only in the
-    diagnostics of a ``SolverNoConverge``: every returned result converged.
+    it for capacity, below it for the RDF). The projected-gradient gap is
+    never below zero; an eigen-reduction's can read a few ulps below zero
+    from rounding at a converged point. A projected-gradient
+    ``SolverNoConverge`` carries the gap at its last iterate; the gap is
+    None only in the diagnostics of an eigen-reduction's
+    ``SolverNoConverge``.
     """
 
     iterations: int
@@ -172,49 +179,81 @@ def _project_ball(x, radius):
     return x
 
 
-def _minimize(objective, gradient, x0, radius):
+def _minimize(objective, gradient, gap, x0, radius):
     """Projected gradient descent on the ball ||x|| <= radius, from x0 in it.
 
     ``objective(x)`` returns the value at x together with the inner solve
-    behind it, and ``gradient(x, inner)`` takes that inner solve, so the
-    accepted point of one iteration is never solved again for the next.
-    Steps halve until the Armijo condition (1e-4 on the projected step)
-    holds; converged once the relative value change stays below
-    VALUE_STAGNATION_TOL for STAGNATION_PATIENCE consecutive iterations.
-    Returns (x, value, diagnostics); x may be a matrix (Frobenius norm).
+    behind it; ``gradient(x, inner)`` and ``gap(inner, radius)``, a duality
+    gap over the ball, take that inner solve, so the accepted point of one
+    iteration is never solved again. Each line search starts from the
+    Barzilai-Borwein step <s, s>/<s, y>, with s the last move and y the
+    change in gradient (from 1 on the first iteration and when <s, y> <= 0),
+    and halves until the Armijo condition (1e-4 on the projected step)
+    holds; a search from a Barzilai-Borwein step that finds no such step is
+    run again from 1. Converged once an accepted step changes the value by
+    less than VALUE_STAGNATION_TOL relative and the gap at the new iterate
+    is at most VALUE_STAGNATION_TOL max(1, |value|), or once the line
+    search from 1 cannot move an iterate whose gap meets that bound; if the
+    gap there does not, ``SolverNoConverge``. Returns (x, value, inner,
+    diagnostics), the diagnostics with the gap at x; x may be a matrix
+    (Frobenius norm and inner product). ``SolverNoConverge`` carries the
+    gap at the last iterate.
     """
     label = "projected-gradient"
     x = x0
     value, inner = objective(x)
-    stagnant = 0
+    grad = None
     for iteration in range(1, MAX_ITERATIONS + 1):
-        grad = gradient(x, inner)
-        improved = False
-        alpha = 1.0
-        for _ in range(MAX_HALVINGS):
-            candidate = _project_ball(x - alpha * grad, radius)
-            if np.array_equal(candidate, x):
-                break  # step underflowed: first-order stationary
-            descent = float(np.vdot(grad, candidate - x))
-            if descent < 0.0:
-                cand_value, cand_inner = objective(candidate)
-                if cand_value <= value + ARMIJO * descent:
-                    improved = True
-                    break
-            alpha *= 0.5
-        if not improved:
+        new_grad = gradient(x, inner)
+        alpha = 1.0 if grad is None else _barzilai_borwein(move, new_grad - grad)
+        grad = new_grad
+        step = _line_search(objective, x, value, grad, radius, alpha)
+        if step is None and alpha != 1.0:
+            step = _line_search(objective, x, value, grad, radius, 1.0)
+        if step is None:
             # The iterate did not move; every further iteration would repeat
-            # this line search verbatim, so the stagnation rule is met.
-            return x, value, SolverDiagnostics(iteration, label)
-        rel_change = abs(cand_value - value) / max(1.0, abs(value))
-        x, value, inner = candidate, cand_value, cand_inner
-        stagnant = stagnant + 1 if rel_change < VALUE_STAGNATION_TOL else 0
-        if stagnant >= STAGNATION_PATIENCE:
-            return x, value, SolverDiagnostics(iteration, label)
+            # this line search verbatim.
+            diagnostics = SolverDiagnostics(iteration, label, certificate_gap=gap(inner, radius))
+            if diagnostics.certificate_gap <= VALUE_STAGNATION_TOL * max(1.0, abs(value)):
+                return x, value, inner, diagnostics
+            raise SolverNoConverge("line search cannot move an iterate whose gap is above tolerance", diagnostics)
+        candidate, cand_value, cand_inner = step
+        stagnant = abs(cand_value - value) < VALUE_STAGNATION_TOL * max(1.0, abs(value))
+        move, x, value, inner = candidate - x, candidate, cand_value, cand_inner
+        if stagnant:
+            certificate = gap(inner, radius)
+            if certificate <= VALUE_STAGNATION_TOL * max(1.0, abs(value)):
+                diagnostics = SolverDiagnostics(iteration, label, certificate_gap=certificate)
+                return x, value, inner, diagnostics
     raise SolverNoConverge(
         f"value did not stagnate within {MAX_ITERATIONS} iterations",
-        SolverDiagnostics(MAX_ITERATIONS, label),
+        SolverDiagnostics(MAX_ITERATIONS, label, certificate_gap=gap(inner, radius)),
     )
+
+
+def _barzilai_borwein(move, grad_change):
+    """The Barzilai-Borwein step <s, s>/<s, y> for the move s and the change
+    y in gradient along it; 1 when <s, y> <= 0."""
+    curvature = float(np.vdot(move, grad_change))
+    return float(np.vdot(move, move)) / curvature if curvature > 0.0 else 1.0
+
+
+def _line_search(objective, x, value, grad, radius, alpha):
+    """The first projected step from x, starting at alpha and halving at
+    most MAX_HALVINGS times, that meets the Armijo condition, as (candidate,
+    its value, its inner solve); None if the step underflows first (the
+    projected step no longer moves x) or the halvings run out."""
+    for _ in range(MAX_HALVINGS):
+        candidate = _project_ball(x - alpha * grad, radius)
+        if np.array_equal(candidate, x):
+            return None
+        descent = float(np.vdot(grad, candidate - x))
+        if descent < 0.0:
+            cand_value, cand_inner = objective(candidate)
+            if cand_value <= value + ARMIJO * descent:
+                return candidate, cand_value, cand_inner
+        alpha *= 0.5
+    return None
 
 
 def _rowdot(a, b):
@@ -641,10 +680,14 @@ class _TransportCoordinates:
         return SpdMatrix(s @ (self.lam[:, None] * s))
 
     def objective(self, y: np.ndarray):
-        """Capacity at the noise of y, with that (jittered) noise and its inner solve."""
+        """Capacity at the noise of y, with the inner solve behind it: that
+        (jittered) noise, the Danskin gradient there and the waterfill over
+        the whitened channel's gains."""
         noise, _ = _ensure_positive_definite(self.noise(y))
-        result = gaussian_capacity(self.channel, noise, self.power)
-        return result.rate_nats, (noise, result)
+        gains, vt = _whitened_gains(self.channel, noise.entries)
+        alloc = capacity_from_gains(gains, self.power)
+        g = _noise_gradient(self.channel, noise.entries, (vt.T * alloc.per_mode) @ vt)
+        return alloc.rate_nats, (noise.entries, g, alloc)
 
     def gradient(self, y: np.ndarray, inner) -> np.ndarray:
         """Danskin envelope gradient pulled back to the Y coordinates.
@@ -652,17 +695,20 @@ class _TransportCoordinates:
         The chain rule through S diag(lam) S takes the covariance gradient G
         to diag(lam) S G + G S diag(lam), and dS = dY / W.
         """
-        noise, result = inner
-        g = _noise_gradient(self.channel, noise, result.input_cov)
-        m = (self.lam[:, None] * self.smatrix(y)) @ g
+        m = (self.lam[:, None] * self.smatrix(y)) @ inner[1]
         return (m + m.T) / self.weight
 
+    def gap(self, inner, radius) -> float:
+        """``_gradient_gap`` at the noise of an inner solve."""
+        noise, g, _ = inner
+        return _gradient_gap(g, noise, self.lam, radius)
 
-def _noise_gradient(h, noise: SpdMatrix, input_cov: SpdMatrix) -> np.ndarray:
+
+def _noise_gradient(h, noise, input_cov):
     """Danskin gradient of the capacity in the (positive definite) noise W:
     0.5 ((W + H Q* H^T)^{-1} - W^{-1}) at the inner-optimal input Q*."""
-    output_cov = noise.entries + h @ input_cov.entries @ h.T
-    g = 0.5 * (np.linalg.inv(_symmetrize(output_cov)) - np.linalg.inv(noise.entries))
+    output_cov = noise + h @ input_cov @ h.T
+    g = 0.5 * (np.linalg.inv(_symmetrize(output_cov)) - np.linalg.inv(noise))
     return _symmetrize(g)
 
 
@@ -698,29 +744,38 @@ def compound_capacity(req: CompoundCapacityRequest) -> CompoundResult:
         diagnostics = SolverDiagnostics(int(steps[0]), "eigen-reduction", jitter, float(gap[0]))
         return CompoundResult(alloc.rate_nats, worst, alloc, diagnostics)
     coords = _TransportCoordinates(center_pd, h, power)
-    y, _, diagnostics = _minimize(coords.objective, coords.gradient, np.zeros(h.shape), ball.radius)
+    y, rate, inner, diagnostics = _minimize(
+        coords.objective, coords.gradient, coords.gap, np.zeros(h.shape), ball.radius
+    )
     worst = SpdMatrix(coords.basis @ coords.noise(y).entries @ coords.basis.T)
-    rate, input_cov, alloc = gaussian_capacity(req.channel, worst, power)
-    gap = _frank_wolfe_gap(h, center_pd, worst, input_cov, ball.radius)
-    diagnostics = replace(diagnostics, jitter=jitter, certificate_gap=gap)
-    return CompoundResult(rate, worst, alloc, diagnostics)
+    return CompoundResult(rate, worst, inner[2], replace(diagnostics, jitter=jitter))
 
 
 def _frank_wolfe_gap(h, center: SpdMatrix, noise: SpdMatrix, input_cov: SpdMatrix, radius):
-    """Frank-Wolfe duality gap of the capacity at ``noise``, in nats.
+    """Frank-Wolfe duality gap of the capacity at ``noise``, in nats: the
+    Danskin gradient there, taken into the center's eigenbasis, handed to
+    ``_gradient_gap``."""
+    noise, _ = _ensure_positive_definite(noise)
+    g = _noise_gradient(h, noise.entries, input_cov.entries)
+    lam, basis = symmetric_eig(center)
+    return _gradient_gap(basis.T @ g @ basis, basis.T @ noise.entries @ basis, lam, radius)
+
+
+def _gradient_gap(g, noise, center_vals, radius):
+    """Frank-Wolfe duality gap of the capacity at the noise W, in nats, from
+    the Danskin gradient G there, both in the center's eigenbasis.
 
     The capacity is convex in the noise covariance and the ball is convex,
-    so with G the Danskin gradient at the (jittered) noise W and Q* its
-    optimal input, the optimum is at least C(W) - tr(G W) - max over the
-    ball of tr(-G N). The maximum is bounded from above by
-    ``_ball_support``, so the gap bounds C(W) - C* from above.
+    so the optimum is at least C(W) - tr(G W) - max over the ball of
+    tr(-G N). The maximum is bounded from above by ``_ball_support``, so the
+    gap bounds C(W) - C* from above, and so does its positive part, which is
+    returned: a reading below zero is rounding at a converged point. The
+    center is diag(center_vals) in this basis, so with -G = Q diag(a) Q^T,
+    b_i = sum_k Q_ki^2 center_vals_k.
     """
-    noise, _ = _ensure_positive_definite(noise)
-    g = _noise_gradient(h, noise, input_cov)
     a, q = np.linalg.eigh(-g)
-    b = np.maximum(np.einsum("ij,ij->j", q, center.entries @ q), 0.0)
-    support = _ball_support(a[None], b, np.array([radius]))
-    return float(np.sum(g * noise.entries)) + float(support[0])
+    support = _ball_support(a[None], (q * q).T @ center_vals, np.array([radius]))
+    return max(0.0, float(np.sum(g * noise)) + float(support[0]))
 
 
 def _axis_frank_wolfe_gap(noise, w, center_vars, p, radius):
@@ -843,7 +898,9 @@ def _sweep_rows(kind, center, channel, radius, budget):
     row solvers of the single-shot calls, with the center's eigensystem,
     jitter and shared axes computed once; None when the channel shares no
     eigenbasis with the center. Capacity at r = 0 is the classical limit,
-    computed as ``gaussian_capacity`` does. No covariance is built.
+    computed as ``gaussian_capacity`` does; a center whose whitened channel
+    gains are not finite is rejected at every radius, before the rows
+    (ValueError). No covariance is built.
     """
     zero = radius == 0.0
     if kind == "rdf":
@@ -854,11 +911,11 @@ def _sweep_rows(kind, center, channel, radius, budget):
         axes = _commuting_channel_axes(center_pd, channel.entries)
         if axes is None:
             return None
+        gains, _ = _whitened_gains(channel.entries, center_pd.entries)  # rejects a subnormal center
         _, s, hvals = axes
         noise, (_, _, value), steps, gap = _capacity_rows(s, hvals * hvals, radius, budget)
         trace = noise.sum(axis=1)
         if zero.any():
-            gains, _ = _whitened_gains(channel.entries, center)
             with np.errstate(divide="ignore"):
                 inverse = np.tile(1.0 / gains, (int(zero.sum()), 1))
             value[zero] = waterfill_rows(inverse, budget[zero, None])[2]

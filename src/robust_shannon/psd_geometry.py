@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,6 +29,12 @@ def _symmetrize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
+def _check_psd(w):
+    """Reject ascending eigenvalues ``w`` below -PSD_TOL * max(1, largest)."""
+    if w[0] < -PSD_TOL * max(1.0, float(w[-1])):
+        raise ValueError(f"matrix is not positive semidefinite (min eigenvalue {w[0]:.3e})")
+
+
 @dataclass(frozen=True, eq=False)
 class SpdMatrix:
     """Dense symmetric positive semidefinite matrix.
@@ -35,7 +42,9 @@ class SpdMatrix:
     Entries are symmetrized exactly on construction. Eigenvalues below
     ``-PSD_TOL * max(1, largest eigenvalue)`` are rejected; smaller negative
     round-off is clamped to zero and the entries rebuilt. The descending
-    eigendecomposition is computed once and kept with the instance.
+    eigenvalues and the trace are computed at construction and kept with the
+    instance; the eigenvectors are computed on first use and cached, so a
+    matrix whose eigenvectors nobody reads never pays for or holds them.
     """
 
     entries: np.ndarray
@@ -47,21 +56,28 @@ class SpdMatrix:
         if not np.all(np.isfinite(a)):
             raise ValueError("entries must be finite")
         a = _symmetrize(a)
-        w, v = np.linalg.eigh(a)
-        if w[0] < -PSD_TOL * max(1.0, float(w[-1])):
-            raise ValueError(
-                f"matrix is not positive semidefinite (min eigenvalue {w[0]:.3e})"
-            )
+        w = np.linalg.eigvalsh(a)
+        _check_psd(w)
         if w[0] < 0.0:
+            w, v = np.linalg.eigh(a)
             w = np.maximum(w, 0.0)
             a = _symmetrize(v @ np.diag(w) @ v.T)
-        vals = np.maximum(w[::-1], 0.0).copy()
-        vecs = v[:, ::-1].copy()
-        for arr in (a, vals, vecs):
+            vecs = v[:, ::-1].copy()
+            vecs.setflags(write=False)
+            object.__setattr__(self, "_eigvecs", vecs)
+        vals = np.maximum(w[::-1], 0.0)
+        for arr in (a, vals):
             arr.setflags(write=False)
         object.__setattr__(self, "entries", a)
         object.__setattr__(self, "_eigvals", vals)
-        object.__setattr__(self, "_eigvecs", vecs)
+        object.__setattr__(self, "_trace", float(np.trace(a)))
+
+    @cached_property
+    def _eigvecs(self) -> np.ndarray:
+        """Orthonormal eigenvectors as columns, paired with ``_eigvals``."""
+        vecs = np.linalg.eigh(self.entries)[1][:, ::-1].copy()
+        vecs.setflags(write=False)
+        return vecs
 
     @property
     def dim(self) -> int:
@@ -69,7 +85,7 @@ class SpdMatrix:
 
     @property
     def trace(self) -> float:
-        return float(np.trace(self.entries))
+        return self._trace
 
     @classmethod
     def identity(cls, dim: int) -> "SpdMatrix":
@@ -194,8 +210,10 @@ def transport_map(source: SpdMatrix, target: SpdMatrix) -> np.ndarray:
     w, v = src._eigvals, src._eigvecs
     half = (v * np.sqrt(w)) @ v.T
     inv_half = (v / np.sqrt(w)) @ v.T
-    inner = SpdMatrix(half @ target.entries @ half)
-    return _symmetrize(inv_half @ _sqrt_entries(inner) @ inv_half)
+    iw, iv = np.linalg.eigh(_symmetrize(half @ target.entries @ half))
+    _check_psd(iw)
+    inner_root = (iv * np.sqrt(np.maximum(iw, 0.0))) @ iv.T
+    return _symmetrize(inv_half @ inner_root @ inv_half)
 
 
 def bw_geodesic_point(center: SpdMatrix, target: SpdMatrix, t: float) -> SpdMatrix:

@@ -325,6 +325,43 @@ class TestGaussianCapacity:
             if power > 0 and alloc.per_mode.sum() > 0:
                 assert alloc.per_mode.sum() == pytest.approx(power, rel=1e-9)
 
+    def test_cholesky_whitening_matches_eigen_whitening(self):
+        # L^{-1} H and W^{-1/2} H differ by an orthogonal factor on the left.
+        # The singular noises keep exact null axes carrying only the jitter,
+        # which the reference whitens apart from the rest (along a rotated
+        # null direction both factorizations read the jitter only to
+        # eps ||W||, about 1e-4 relative). Below the jittered gains the SVD
+        # resolves the others only to eps times the largest singular value,
+        # so those noises are held to that normwise bound.
+        rng = np.random.default_rng(27)
+        for d in range(1, 7):
+            for n_null in sorted({0, d // 2}):
+                g = rng.standard_normal((d, d))
+                noise = g @ g.T + 0.1 * np.eye(d)
+                null, live = np.split(rng.permutation(d), [n_null])
+                noise[null, :], noise[:, null] = 0.0, 0.0
+                if n_null:  # the jitter _ensure_positive_definite adds
+                    noise += 1e-12 * np.trace(noise) / d * np.eye(d)
+                inv_half = np.zeros((d, d))
+                vals, vecs = np.linalg.eigh(noise[np.ix_(live, live)])
+                inv_half[np.ix_(live, live)] = (vecs / np.sqrt(vals)) @ vecs.T
+                inv_half[null, null] = 1.0 / np.sqrt(noise[null, null])
+                h = rng.standard_normal((d, d))
+                reference = np.linalg.svd(inv_half @ h, compute_uv=False) ** 2
+                gains, _ = classical._whitened_gains(h, noise)
+                if n_null == 0:
+                    assert np.allclose(gains, reference, rtol=1e-12, atol=0.0)
+                else:
+                    top = math.sqrt(reference[0])
+                    assert np.allclose(np.sqrt(gains), np.sqrt(reference), rtol=0.0, atol=1e-12 * top)
+
+    def test_subnormal_noise(self):
+        # the whitened gain 1/variance overflows below about 1e-308
+        assert gaussian_capacity(np.eye(1), SpdMatrix([[1e-300]]), 1.0).rate_nats == 345.38776394910684
+        assert gaussian_capacity(np.eye(1), SpdMatrix([[1e-308]]), 1.0).rate_nats == 354.59810432108304
+        with pytest.raises(ValueError, match="gain is not finite"):
+            gaussian_capacity(np.eye(1), SpdMatrix([[1e-310]]), 1.0)
+
     def test_accepts_channel_matrix_wrapper(self):
         rate, _, _ = gaussian_capacity(
             ChannelMatrix(np.eye(1)), SpdMatrix.from_diag([1.0]), 3.0

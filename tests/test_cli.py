@@ -205,9 +205,11 @@ SWEEP_CAPACITY = ("sweep", "--kind", "capacity", "--sigma0-scalar", "1", "--radi
         (None, ("rdf", "--sigma0-scalar=-1", "--distortion", "1"), "--sigma0-scalar must be positive"),
         (None, SWEEP_RDF, "sweep --kind rdf requires --distortion"),
         (None, SWEEP_CAPACITY, "sweep --kind capacity requires --power"),
+        (None, ("capacity", "--sigma0-scalar", "1e-155", "--power", "1"), "gain is not finite"),
     ],
     ids=["malformed_json", "no_dim_or_rows", "rows_dim_mismatch", "grid_two_fields",
-         "grid_count_zero", "negative_sigma0", "sweep_no_distortion", "sweep_no_power"],
+         "grid_count_zero", "negative_sigma0", "sweep_no_distortion", "sweep_no_power",
+         "subnormal_noise"],
 )
 def test_rejected_input_exit_code(tmp_path, capsys, center_text, argv, message):
     path = tmp_path / "center.json"
@@ -414,6 +416,7 @@ def test_json_reports_jitter_and_certificate(tmp_path, capsys):
     assert diag["solver_path"] == "projected-gradient"
     assert diag["jitter"] == pytest.approx(0.5e-12, rel=1e-12)
     assert 0.0 <= diag["certificate_gap"] < 1e-3
+    assert diag["certificate_gap"] <= 1e-10 * max(1.0, json.loads(out)[0]["value_nats"])
     code, csv_out, _ = run_cli(capsys, *argv)
     assert csv_out.split("\n")[0] == "r,budget,value_nats,worst_case_trace"
     assert len(csv_out.strip().split("\n")[1].split(",")) == 4

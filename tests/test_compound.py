@@ -218,6 +218,56 @@ class TestCompoundCapacity:
             compound_capacity(CompoundCapacityRequest(BwBall(center, 0.5), h, 2.0))
         assert info.value.diagnostics.iterations == 2
         assert info.value.diagnostics.solver_path == "projected-gradient"
+        gap = info.value.diagnostics.certificate_gap  # at the last iterate
+        assert math.isfinite(gap) and gap >= -1e-12
+
+    def test_general_channel_worst_case_holds_no_eigenvectors(self):
+        # the solve never reads the worst case's eigenvectors, so the result
+        # does not hold them until asked
+        rng = np.random.default_rng(38)
+        center = random_spd(rng, 8)
+        h = ChannelMatrix(rng.standard_normal((8, 8)))
+        worst = compound_capacity(CompoundCapacityRequest(BwBall(center, 0.5), h, 2.0)).worst_case_cov
+        assert "_eigvecs" not in vars(worst)
+        vals, vecs = symmetric_eig(worst)
+        assert np.allclose((vecs * vals) @ vecs.T, worst.entries, rtol=0.0, atol=1e-12 * worst.trace)
+
+    @pytest.mark.parametrize("step", [1e-300, 1e100])
+    def test_general_channel_survives_a_bad_barzilai_borwein_step(self, monkeypatch, step):
+        # a step too short to move the iterate, or too long for the halvings
+        # to bring back, is searched again from 1, not taken for convergence
+        rng = np.random.default_rng(37)
+        center = random_spd(rng, 4)
+        h = ChannelMatrix(rng.standard_normal((4, 4)))
+        request = CompoundCapacityRequest(BwBall(center, 2.0), h, 2.0)
+        expected = compound_capacity(request)
+        monkeypatch.setattr(compound, "_barzilai_borwein", lambda move, grad_change: step)
+        result = compound_capacity(request)
+        gap = result.diagnostics.certificate_gap
+        assert gap <= compound.VALUE_STAGNATION_TOL * max(1.0, abs(result.value_nats))
+        both = gap + expected.diagnostics.certificate_gap + 1e-12
+        assert result.value_nats == pytest.approx(expected.value_nats, rel=0.0, abs=both)
+
+    @pytest.mark.parametrize("certificate", [0.0, 1.0])
+    def test_stuck_line_search_returns_only_a_certified_iterate(self, certificate):
+        # a gradient pointing uphill leaves no Armijo step from any start, so
+        # the search from 1 cannot move x0; the gap decides what that means
+        def minimize():
+            return compound._minimize(
+                lambda x: (float(x.sum()), None),
+                lambda x, inner: -np.ones_like(x),
+                lambda inner, radius: certificate,
+                np.zeros(2),
+                1.0,
+            )
+
+        if certificate == 0.0:
+            x, value, _, diagnostics = minimize()
+            assert value == 0.0 and diagnostics.iterations == 1
+        else:
+            with pytest.raises(SolverNoConverge, match="cannot move") as info:
+                minimize()
+            assert info.value.diagnostics.certificate_gap == 1.0
 
     def test_solver_paths_agree_on_commuting_instance(self, monkeypatch):
         # identity channel commutes, so both routes must find the same optimum
@@ -560,6 +610,29 @@ class TestCertificate:
             gap = result.diagnostics.certificate_gap
             assert result.diagnostics.solver_path == "projected-gradient"
             assert -1e-12 <= gap <= 1e-8 * max(1.0, abs(result.value_nats))
+            assert result.diagnostics.iterations <= 12
+
+    def test_pd_battery_certified(self, monkeypatch):
+        # off the benchmark's regime: d = 2..4, radii up to 2 sqrt(tr C),
+        # powers over three decades; at most 2 of the 30 may exhaust the
+        # iterations, and every value returned carries a tight gap
+        monkeypatch.setattr(compound, "MAX_ITERATIONS", 3000)
+        rng = np.random.default_rng(2024)
+        raised = 0
+        for i in range(30):
+            d = 2 + i % 3
+            g = rng.standard_normal((d, d))
+            center = SpdMatrix(g @ g.T + 0.05 * np.eye(d))
+            h = ChannelMatrix(rng.standard_normal((d, d)))
+            radius = float(rng.uniform(0.05, 2.0)) * math.sqrt(center.trace)
+            power = math.exp(rng.uniform(math.log(0.01), math.log(20.0))) * center.trace
+            try:
+                result = compound_capacity(CompoundCapacityRequest(BwBall(center, radius), h, power))
+            except SolverNoConverge:
+                raised += 1
+                continue
+            assert result.diagnostics.certificate_gap <= 1e-8 * max(1.0, abs(result.value_nats))
+        assert raised <= 2
 
     def test_singular_center_hard_case_gap(self):
         # A's top direction is e1, where the jittered center diag(0, 1) has

@@ -68,6 +68,28 @@ def test_symmetric_eig_2x2_hand_solved():
     assert np.allclose((vecs * vals) @ vecs.T, m.entries, atol=1e-10)
 
 
+def test_symmetric_eig_computes_eigenvectors_on_first_use():
+    rng = np.random.default_rng(1)
+    for d in (1, 2, 5, 16):
+        m = random_spd(rng, d)
+        assert "_eigvecs" not in vars(m)  # construction computes the eigenvalues only
+        vals, vecs = symmetric_eig(m)
+        assert vars(m)["_eigvecs"] is m._eigvecs  # cached for the next caller
+        assert np.all(np.diff(vals) <= 0.0)
+        assert np.allclose(vecs.T @ vecs, np.eye(d), rtol=0.0, atol=1e-12)
+        err = np.abs((vecs * vals) @ vecs.T - m.entries).max()
+        assert err <= 1e-12 * max(1.0, np.linalg.norm(m.entries))
+
+
+def test_trace_is_the_trace_of_the_entries():
+    rng = np.random.default_rng(2)
+    for d in (1, 3, 8):
+        m = random_spd(rng, d)
+        assert m.trace == float(np.trace(m.entries))
+    clamped = SpdMatrix([[1.0, 0.0], [0.0, -1e-12]])  # entries rebuilt at construction
+    assert clamped.trace == float(np.trace(clamped.entries))
+
+
 def test_symmetric_eig_reconstructs_random():
     rng = np.random.default_rng(0)
     for _ in range(20):
