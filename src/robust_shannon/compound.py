@@ -20,8 +20,9 @@ equation is monotone) around one for the multiplier (the norm of u - s
 decreases in it), each by Newton steps kept inside a shrinking bracket.
 Both problems are convex in suitable coordinates, so the KKT point is the
 optimum. The solves work on rows, one per (radius, budget) around a shared
-center, stepped in lock step with the converged rows masked out: a
-single-shot call is one row, a sweep one batch.
+center, stepped in lock step with the converged rows masked out. Single-shot
+calls and sweeps share one solve path, ``_solve``, which does each set-up
+step once per call: a single-shot call is one row, a sweep one batch.
 
 A channel that shares no eigenbasis with the center leaves the capacity a
 convex problem (capacity is convex in the noise covariance and the ball is
@@ -51,7 +52,7 @@ definite by a small diagonal jitter, reported as
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -63,7 +64,6 @@ from .classical import (
     _check_power,
     _whitened_gains,
     capacity_from_gains,
-    gaussian_capacity,
     reverse_waterfill_rows,
     waterfill_rows,
 )
@@ -313,19 +313,10 @@ def compound_rdf(req: CompoundRdfRequest) -> CompoundResult:
 
     Eigenvalue-space reduction: with s the square roots of the center's
     descending eigenvalues, maximizes the reverse-waterfilled rate over
-    u >= 0 with ||u - s|| <= radius, as one row of ``_rdf_rows``. The worst
+    u >= 0 with ||u - s|| <= radius, as one row of ``_solve``. The worst
     case is assembled in the center's eigenbasis (the center at r = 0).
     """
-    ball, distortion = req.ball, req.distortion
-    vals, vecs = symmetric_eig(ball.center)
-    lam, (level, per_mode, rate), steps, gap = _rdf_rows(
-        vals, np.array([ball.radius]), np.array([distortion])
-    )
-    worst = ball.center if ball.radius == 0.0 else SpdMatrix((vecs * lam[0]) @ vecs.T)
-    alloc = WaterfillAllocation(float(level[0]), per_mode[0], float(rate[0]))
-    path = "classical" if ball.radius == 0.0 else "eigen-reduction"
-    diagnostics = SolverDiagnostics(int(steps[0]), path, certificate_gap=float(gap[0]))
-    return CompoundResult(alloc.rate_nats, worst, alloc, diagnostics)
+    return _single("rdf", req.ball, None, req.distortion)
 
 
 def _rdf_rows(vals, radius, distortion):
@@ -715,50 +706,79 @@ def _noise_gradient(h, noise, input_cov):
 def compound_capacity(req: CompoundCapacityRequest) -> CompoundResult:
     """Worst-case capacity over the noise ambiguity ball, in nats.
 
-    Uses the eigenvalue-space reduction, solved from its KKT conditions as
-    the one row of ``_capacity_rows``, when the channel shares an eigenbasis
-    with the center; otherwise projected gradient descent in transport
-    coordinates, started once at the center. Either way
-    ``diagnostics.certificate_gap`` is the Frank-Wolfe duality gap at the
-    returned noise. The worst-case noise covariance is returned alongside
-    the inner waterfilling at that noise (per axis of the shared eigenbasis
-    on the reduction, per singular direction of the whitened channel
-    otherwise); ``diagnostics.jitter`` is the diagonal shift that made a
-    singular center positive definite.
+    The one row of ``_solve``: the eigenvalue-space reduction, solved from
+    its KKT conditions, when the channel shares an eigenbasis with the
+    center, else projected gradient in transport coordinates from the
+    center. The inner waterfill at the worst-case noise is per shared axis
+    or per singular direction of the whitened channel;
+    ``diagnostics.certificate_gap`` is the Frank-Wolfe duality gap there
+    and ``diagnostics.jitter`` the diagonal shift that made a singular
+    center positive definite.
     """
-    ball, power = req.ball, req.power
-    h = req.channel.entries
-    center_pd, jitter = _ensure_positive_definite(ball.center)
-    if ball.radius == 0.0:
-        rate, _, alloc = gaussian_capacity(req.channel, ball.center, power)
-        diag = SolverDiagnostics(0, "classical", jitter, 0.0)
-        return CompoundResult(rate, ball.center, alloc, diag)
-    axes = _commuting_channel_axes(center_pd, h)
-    if axes is not None:
-        basis, s, hvals = axes
-        noise, (level, per_mode, rate), steps, gap = _capacity_rows(
-            s, hvals * hvals, np.array([ball.radius]), np.array([power])
-        )
-        worst = SpdMatrix((basis * noise[0]) @ basis.T)
-        alloc = WaterfillAllocation(float(level[0]), per_mode[0], float(rate[0]))
-        diagnostics = SolverDiagnostics(int(steps[0]), "eigen-reduction", jitter, float(gap[0]))
-        return CompoundResult(alloc.rate_nats, worst, alloc, diagnostics)
-    coords = _TransportCoordinates(center_pd, h, power)
-    y, rate, inner, diagnostics = _minimize(
-        coords.objective, coords.gradient, coords.gap, np.zeros(h.shape), ball.radius
-    )
-    worst = SpdMatrix(coords.basis @ coords.noise(y).entries @ coords.basis.T)
-    return CompoundResult(rate, worst, inner[2], replace(diagnostics, jitter=jitter))
+    return _single("capacity", req.ball, req.channel, req.power)
 
 
-def _frank_wolfe_gap(h, center: SpdMatrix, noise: SpdMatrix, input_cov: SpdMatrix, radius):
-    """Frank-Wolfe duality gap of the capacity at ``noise``, in nats: the
-    Danskin gradient there, taken into the center's eigenbasis, handed to
-    ``_gradient_gap``."""
-    noise, _ = _ensure_positive_definite(noise)
-    g = _noise_gradient(h, noise.entries, input_cov.entries)
-    lam, basis = symmetric_eig(center)
-    return _gradient_gap(basis.T @ g @ basis, basis.T @ noise.entries @ basis, lam, radius)
+def _single(kind, ball, channel, budget):
+    """The one row of ``_solve`` for a ball and budget, as a CompoundResult."""
+    radius, budget = np.array([ball.radius]), np.array([budget])
+    _, (level, per_mode, rate), diags, worst = _solve(kind, ball.center, channel, radius, budget)
+    alloc = WaterfillAllocation(float(level[0]), per_mode[0], float(rate[0]))
+    return CompoundResult(alloc.rate_nats, worst(0), alloc, diags[0])
+
+
+def _solve(kind, center, channel, radius, budget):
+    """A compound problem around ``center``, one row per (radius, budget):
+    the worst-case traces, the inner waterfills (level, per_mode, rate; the
+    rate is the value), the diagnostics, and ``worst(i)``, which builds row
+    i's worst-case covariance. Set-up runs once for all rows: a capacity
+    center is jittered, its axes shared with the channel found and, where
+    they exist or a row has r = 0, its whitened gains formed, which rejects
+    a center whose gains are not finite (ValueError). The rows are solved in
+    lock step by ``_rdf_rows`` or ``_capacity_rows``, or for any other
+    channel by ``_minimize`` one by one, whose first evaluation whitens the
+    center. A row at r = 0 is the classical limit at the center.
+    """
+    m, zero, jitter, covs = radius.size, radius == 0.0, 0.0, None
+    if kind == "rdf":
+        basis = center._eigvecs
+        spectra, alloc, steps, gap = _rdf_rows(center._eigvals, radius, budget)
+    else:
+        h = channel.entries
+        center_pd, jitter = _ensure_positive_definite(center)
+        axes = _commuting_channel_axes(center_pd, h)
+        if axes is not None or zero.any():
+            gains, _ = _whitened_gains(h, center_pd.entries)
+        if axes is not None:
+            basis, s, hvals = axes
+            spectra, alloc, steps, gap = _capacity_rows(s, hvals * hvals, radius, budget)
+        else:
+            covs, steps, gap = [center] * m, np.zeros(m, dtype=int), np.zeros(m)
+            alloc = (np.zeros(m), np.zeros((m, center.dim)), np.zeros(m))
+            for i in np.flatnonzero(~zero):
+                coords = _TransportCoordinates(center_pd, h, budget[i])
+                y, _, (_, _, found), diag = _minimize(
+                    coords.objective, coords.gradient, coords.gap, np.zeros(h.shape), radius[i]
+                )
+                covs[i] = SpdMatrix(coords.basis @ coords.noise(y).entries @ coords.basis.T)
+                alloc[0][i], alloc[1][i], alloc[2][i] = found.level, found.per_mode, found.rate_nats
+                steps[i], gap[i] = diag.iterations, diag.certificate_gap
+        if zero.any():
+            with np.errstate(divide="ignore"):
+                inverse = np.tile(1.0 / gains, (int(zero.sum()), 1))
+            for column, classical in zip(alloc, waterfill_rows(inverse, budget[zero, None])):
+                column[zero] = classical
+    trace = spectra.sum(axis=1) if covs is None else np.array([c.trace for c in covs])
+    trace[zero], steps[zero], gap[zero] = center.trace, 0, 0.0
+    path = "eigen-reduction" if covs is None else "projected-gradient"
+    columns = (a.tolist() for a in (steps, np.where(zero, "classical", path), gap))
+    diagnostics = [SolverDiagnostics(k, p, jitter, g) for k, p, g in zip(*columns)]
+
+    def worst(i):
+        if covs is not None:
+            return covs[i]
+        return center if zero[i] else SpdMatrix((basis * spectra[i]) @ basis.T)
+
+    return trace, alloc, diagnostics, worst
 
 
 def _gradient_gap(g, noise, center_vals, radius):
@@ -779,8 +799,8 @@ def _gradient_gap(g, noise, center_vals, radius):
 
 
 def _axis_frank_wolfe_gap(noise, w, center_vars, p, radius):
-    """``_frank_wolfe_gap`` in a basis shared by noise, center and channel,
-    for rows of noise variances, powers and radii.
+    """The Frank-Wolfe gap of ``_gradient_gap`` in a basis shared by noise,
+    center and channel, for rows of noise variances, powers and radii.
 
     There the Danskin gradient is diagonal, G_i = -w p / (2 n (n + w p))
     per axis with noise variance n, squared channel weight w and the
@@ -847,13 +867,12 @@ def sweep_compound(
     """Evaluate a compound problem around ``center`` over (radius, budget) pairs.
 
     Capacity sweeps use ``channel`` (the identity when None); RDF sweeps take
-    none. Every grid point is validated first; then the points are solved in
-    lock step as one batch (``_sweep_rows``), or one by one for a channel
-    that shares no eigenbasis with the center. Pointwise equal to the
-    single-shot solvers, in input order, each point with its diagnostics. A
-    failure, a bad budget or radius included, is re-raised as the same
-    exception, diagnostics included, with the lowest failing grid index
-    prefixed to its message.
+    none. Every grid point is validated first; then the points are the rows
+    of one ``_solve``, which finds the jitter and the shared axes once per
+    sweep. Pointwise equal to the single-shot solvers, in input order, each
+    point with its diagnostics. A failure, a bad budget or radius included,
+    is re-raised as the same exception, diagnostics included, with the
+    lowest failing grid index prefixed to its message.
     """
     if kind not in ("rdf", "capacity"):
         raise ValueError(f"kind must be 'rdf' or 'capacity', got {kind!r}")
@@ -864,65 +883,26 @@ def sweep_compound(
         raise ValueError("grid must be non-empty")
     if kind == "capacity" and channel is None:
         channel = ChannelMatrix(np.eye(center.dim))
-    index, requests = 0, []
+    index, rows = 0, []
     try:
         for index, (r, budget) in enumerate(points):
             ball = BwBall(center, r)
             if kind == "rdf":
-                requests.append(CompoundRdfRequest(ball, budget))
+                rows.append((ball.radius, CompoundRdfRequest(ball, budget).distortion))
             else:
-                requests.append(CompoundCapacityRequest(ball, channel, budget))
+                rows.append((ball.radius, CompoundCapacityRequest(ball, channel, budget).power))
         index = 0  # a failure of the work shared by every point is reported at the first
-        radius = np.array([req.ball.radius for req in requests])
-        budgets = [req.distortion if kind == "rdf" else req.power for req in requests]
+        radius, budgets = np.array(rows).T
         try:
-            swept = _sweep_rows(kind, center, channel, radius, np.array(budgets))
+            trace, (_, _, value), diagnostics, _ = _solve(kind, center, channel, radius, budgets)
         except SolverNoConverge:
-            swept = None  # rows do not interact: one by one, the first to fail is the lowest
-        if swept is not None:
-            return swept
-        solve, swept = compound_rdf if kind == "rdf" else compound_capacity, []
-        for index, req in enumerate(requests):
-            res = solve(req)
-            point = (req.ball.radius, budgets[index], res.value_nats, res.worst_case_cov.trace)
-            swept.append(SweepPoint(*point, res.diagnostics))
-        return swept
+            # rows do not interact: solved one by one, the first to fail is the lowest
+            for index in range(radius.size):
+                _solve(kind, center, channel, radius[index : index + 1], budgets[index : index + 1])
+            raise
+        columns = (a.tolist() for a in (radius, budgets, value, trace))
+        return [SweepPoint(r, b, v, t, diag) for r, b, v, t, diag in zip(*columns, diagnostics)]
     except (ValueError, RobustShannonError) as exc:
         r, budget = points[index]
         exc.args = (f"grid point {index} (r={r}, budget={budget}): {exc}",)
         raise
-
-
-def _sweep_rows(kind, center, channel, radius, budget):
-    """Every sweep point as a row of ``_rdf_rows`` or ``_capacity_rows``, the
-    row solvers of the single-shot calls, with the center's eigensystem,
-    jitter and shared axes computed once; None when the channel shares no
-    eigenbasis with the center. Capacity at r = 0 is the classical limit,
-    computed as ``gaussian_capacity`` does; a center whose whitened channel
-    gains are not finite is rejected at every radius, before the rows
-    (ValueError). No covariance is built.
-    """
-    zero = radius == 0.0
-    if kind == "rdf":
-        lam, (_, _, value), steps, gap = _rdf_rows(symmetric_eig(center)[0], radius, budget)
-        jitter, trace = 0.0, lam.sum(axis=1)
-    else:
-        center_pd, jitter = _ensure_positive_definite(center)
-        axes = _commuting_channel_axes(center_pd, channel.entries)
-        if axes is None:
-            return None
-        gains, _ = _whitened_gains(channel.entries, center_pd.entries)  # rejects a subnormal center
-        _, s, hvals = axes
-        noise, (_, _, value), steps, gap = _capacity_rows(s, hvals * hvals, radius, budget)
-        trace = noise.sum(axis=1)
-        if zero.any():
-            with np.errstate(divide="ignore"):
-                inverse = np.tile(1.0 / gains, (int(zero.sum()), 1))
-            value[zero] = waterfill_rows(inverse, budget[zero, None])[2]
-    trace[zero], gap[zero] = center.trace, 0.0  # nothing is solved at r = 0
-    path = np.where(zero, "classical", "eigen-reduction")
-    columns = (a.tolist() for a in (radius, budget, value, trace, steps, gap, path))
-    return [
-        SweepPoint(r, b, v, t, SolverDiagnostics(k, p, jitter, g))
-        for r, b, v, t, k, g, p in zip(*columns)
-    ]

@@ -183,16 +183,17 @@ def gaussian_w2(p: GaussianLaw, q: GaussianLaw) -> float:
 def _ensure_positive_definite(m: SpdMatrix):
     """Return (matrix, jitter) with the matrix strictly PD.
 
-    When the smallest eigenvalue falls below ``1e-12 * tr(m)/d``, jitter of
-    that size is added to the diagonal. A matrix with zero trace cannot be
+    When the smallest eigenvalue falls below half of t = ``1e-12 * tr(m)/d``,
+    t is added to the diagonal. The smallest eigenvalue of the result is then
+    about t, above half its own t, so a matrix this function returned comes
+    back unchanged, with jitter 0.0. A matrix with zero trace cannot be
     repaired and raises SingularCenter. The jitter perturbs distances by
     O(sqrt(jitter)).
     """
     if m.trace <= 0.0:
         raise SingularCenter("matrix has zero trace; cannot regularize")
     threshold = 1e-12 * m.trace / m.dim
-    smallest = float(m._eigvals[-1])
-    if smallest >= threshold:
+    if float(m._eigvals[-1]) >= 0.5 * threshold:
         return m, 0.0
     return SpdMatrix(m.entries + threshold * np.eye(m.dim)), threshold
 

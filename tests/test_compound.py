@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -380,6 +381,38 @@ class TestCompoundCapacity:
         assert np.allclose(result.worst_case_cov.entries, center.entries, rtol=0.0, atol=1e-15)
         assert result.diagnostics.certificate_gap == 0.0
 
+    @pytest.mark.parametrize("r", [0.1, 1e-160])
+    def test_subnormal_center_rejected_as_in_a_sweep(self, r):
+        # the whitened gain 1/1e-310 overflows: rejected before any solve,
+        # so without a RuntimeWarning, and with the message a sweep gives
+        center, channel = SpdMatrix([[1e-310]]), ChannelMatrix(np.eye(1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="whitened channel gain is not finite") as single:
+                compound_capacity(CompoundCapacityRequest(BwBall(center, r), channel, 1.0))
+            with pytest.raises(ValueError, match="grid point 0") as swept:
+                sweep_compound("capacity", center, [(r, 1.0)], channel)
+        assert str(swept.value).endswith(f": {single.value}")
+
+    def test_jitter_is_applied_once(self, monkeypatch):
+        # a jittered matrix comes back unchanged, so the start noise of a
+        # general-channel solve carries exactly the jitter it reports
+        center = SpdMatrix.from_diag([0.0, 1.0])
+        jittered, jitter = compound._ensure_positive_definite(center)
+        assert jitter > 0.0
+        assert compound._ensure_positive_definite(jittered) == (jittered, 0.0)
+        noises = []
+        whiten = compound._whitened_gains
+        monkeypatch.setattr(
+            compound, "_whitened_gains", lambda h, noise: noises.append(noise) or whiten(h, noise)
+        )
+        c, s = math.cos(0.4), math.sin(0.4)
+        h = ChannelMatrix(np.diag([2.0, 0.5]) @ np.array([[c, -s], [s, c]]))
+        result = compound_capacity(CompoundCapacityRequest(BwBall(center, 0.5), h, 1.0))
+        assert result.diagnostics.solver_path == "projected-gradient"
+        assert result.diagnostics.jitter == jitter
+        assert np.diag(noises[0]).min() == jitter  # the start, in the center's eigenbasis
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             CompoundCapacityRequest(
@@ -512,6 +545,16 @@ def _rotation(rng, d):
     return q * np.sign(np.diag(r))
 
 
+def _frank_wolfe_gap(h, center, noise, input_cov, radius):
+    """Frank-Wolfe duality gap of the capacity at ``noise``, in nats: the
+    Danskin gradient there, taken into the center's eigenbasis, handed to
+    ``compound._gradient_gap``."""
+    noise, _ = compound._ensure_positive_definite(noise)
+    g = compound._noise_gradient(h, noise.entries, input_cov.entries)
+    lam, basis = symmetric_eig(center)
+    return compound._gradient_gap(basis.T @ g @ basis, basis.T @ noise.entries @ basis, lam, radius)
+
+
 def _benchmark_like(rng, d):
     """Noise center with spectrum in [0.5, 2], non-commuting channel, r = 0.2 sqrt(tr C), P = tr C."""
     q = _rotation(rng, d)
@@ -541,7 +584,7 @@ class TestCertificate:
             returned = compound_capacity(request).value_nats
             center_pd, _ = compound._ensure_positive_definite(center)
             at_center = gaussian_capacity(h, center_pd, power)
-            gap = compound._frank_wolfe_gap(h, center_pd, center_pd, at_center.input_cov, radius)
+            gap = _frank_wolfe_gap(h, center_pd, center_pd, at_center.input_cov, radius)
             assert math.isfinite(gap)
             assert gap >= at_center.rate_nats - returned - 1e-12
 
@@ -599,7 +642,7 @@ class TestCertificate:
         sigma, r, h, power = 1.5, 0.4, 0.8, 2.0
         noise = SpdMatrix.from_diag([sigma**2])
         inner = gaussian_capacity(np.array([[h]]), noise, power)
-        gap = compound._frank_wolfe_gap(np.array([[h]]), noise, noise, inner.input_cov, r)
+        gap = _frank_wolfe_gap(np.array([[h]]), noise, noise, inner.input_cov, r)
         grad = 0.5 * (1.0 / (sigma**2 + h * h * power) - 1.0 / sigma**2)
         assert gap == pytest.approx(grad * (sigma**2 - (sigma + r) ** 2), rel=1e-12)
 
@@ -643,7 +686,7 @@ class TestCertificate:
         c, s = math.cos(0.4), math.sin(0.4)
         h = np.diag([2.0, 0.5]) @ np.array([[c, -s], [s, c]])
         inner = gaussian_capacity(h, noise, 1.0)
-        gap = compound._frank_wolfe_gap(h, center, noise, inner.input_cov, 1.5)
+        gap = _frank_wolfe_gap(h, center, noise, inner.input_cov, 1.5)
         assert math.isfinite(gap) and gap >= 0.0
         ball = BwBall(SpdMatrix.from_diag([0.0, 1.0]), 1.5)
         request = CompoundCapacityRequest(ball, ChannelMatrix(h), 1.0)
