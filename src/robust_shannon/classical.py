@@ -231,14 +231,17 @@ def gaussian_capacity(channel, noise_cov: SpdMatrix, power: float) -> GaussianCa
     Whitens the channel by the inverse noise square root, waterfills the
     budget over the squared singular values, and returns the rate together
     with an input covariance realizing it. The noise covariance must be
-    strictly positive definite (jittered if nearly singular).
+    strictly positive definite (jittered if nearly singular). The input
+    covariance is built from the waterfilled spectrum, which is already
+    nonnegative and descending with the gains, in the right singular vectors,
+    so it is not decomposed again.
     """
     h = np.asarray(channel.entries if isinstance(channel, ChannelMatrix) else channel, dtype=float)
     if h.shape != (noise_cov.dim, noise_cov.dim):
         raise ValueError("channel shape does not match noise covariance")
     gains, vt = _whitened_gains(h, _ensure_positive_definite(noise_cov)[0].entries)
     alloc = capacity_from_gains(gains, power)
-    input_cov = SpdMatrix((vt.T * alloc.per_mode) @ vt)
+    input_cov = SpdMatrix._from_spectrum(vt.T, alloc.per_mode)
     return GaussianCapacity(alloc.rate_nats, input_cov, alloc)
 
 

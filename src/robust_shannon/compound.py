@@ -52,6 +52,7 @@ definite by a small diagonal jitter, reported as
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -271,7 +272,8 @@ def _increasing_root(fun, x, lo, hi, rows, cap, what):
     the initial one, and replaced by bisection once the bound was evaluated.
     A row stops, and is masked out, when its next step is at most
     ROOT_STEP_TOL relative to x. Returns (x, steps, payload at x) per row;
-    raises SolverNoConverge after ``cap`` steps.
+    raises SolverNoConverge after ``cap`` steps, its ``_row`` the lowest entry
+    of ``rows`` still live.
     """
     n = x.size
     steps, found, payload = np.zeros(n, dtype=int), np.empty(n), None
@@ -302,10 +304,23 @@ def _increasing_root(fun, x, lo, hi, rows, cap, what):
             if live.size == 0:
                 return found, steps, payload
         x = nxt
-    raise SolverNoConverge(
+    failure = SolverNoConverge(
         f"{what} search did not converge within {cap} steps",
         SolverDiagnostics(cap, "eigen-reduction"),
     )
+    failure._row = int(rows[live].min())
+    raise failure
+
+
+@contextmanager
+def _rows_of(selected):
+    """Renumbers the ``_row`` of a SolverNoConverge raised inside from the
+    rows the mask ``selected`` picks to all rows."""
+    try:
+        yield
+    except SolverNoConverge as exc:
+        exc._row = int(np.flatnonzero(selected)[exc._row])
+        raise
 
 
 def compound_rdf(req: CompoundRdfRequest) -> CompoundResult:
@@ -341,7 +356,8 @@ def _rdf_rows(vals, radius, distortion):
     lam[center] = vals
     steps = np.zeros(radius.size, dtype=int)
     if moved.any():
-        u, steps[moved] = _RdfKkt(s, radius[moved], distortion[moved]).solve()
+        with _rows_of(moved):
+            u, steps[moved] = _RdfKkt(s, radius[moved], distortion[moved]).solve()
         lam[moved] = u * u
     level, per_mode, rate = reverse_waterfill_rows(lam, distortion[:, None])
     gap = np.where(center, effect, 0.0)
@@ -631,7 +647,8 @@ def _capacity_rows(s, w, radius, power):
     noise = np.tile(s * s, (radius.size, 1))
     steps = np.zeros(radius.size, dtype=int)
     if moved.any():
-        u, steps[moved] = _CapacityKkt(s, w, radius[moved], power[moved]).solve()
+        with _rows_of(moved):
+            u, steps[moved] = _CapacityKkt(s, w, radius[moved], power[moved]).solve()
         noise[moved] = u * u
     with np.errstate(divide="ignore"):
         level, per_mode, rate = waterfill_rows(noise / w, power[:, None])
@@ -736,7 +753,10 @@ def _solve(kind, center, channel, radius, budget):
     a center whose gains are not finite (ValueError). The rows are solved in
     lock step by ``_rdf_rows`` or ``_capacity_rows``, or for any other
     channel by ``_minimize`` one by one, whose first evaluation whitens the
-    center. A row at r = 0 is the classical limit at the center.
+    center. A row at r = 0 is the classical limit at the center. A
+    ``SolverNoConverge`` carries in ``_row`` the lowest row that failed: the
+    first in order on the general path, the lowest still unconverged when a
+    lock-step search ran out of steps.
     """
     m, zero, jitter, covs = radius.size, radius == 0.0, 0.0, None
     if kind == "rdf":
@@ -756,9 +776,13 @@ def _solve(kind, center, channel, radius, budget):
             alloc = (np.zeros(m), np.zeros((m, center.dim)), np.zeros(m))
             for i in np.flatnonzero(~zero):
                 coords = _TransportCoordinates(center_pd, h, budget[i])
-                y, _, (_, _, found), diag = _minimize(
-                    coords.objective, coords.gradient, coords.gap, np.zeros(h.shape), radius[i]
-                )
+                try:
+                    y, _, (_, _, found), diag = _minimize(
+                        coords.objective, coords.gradient, coords.gap, np.zeros(h.shape), radius[i]
+                    )
+                except SolverNoConverge as exc:
+                    exc._row = int(i)
+                    raise
                 covs[i] = SpdMatrix(coords.basis @ coords.noise(y).entries @ coords.basis.T)
                 alloc[0][i], alloc[1][i], alloc[2][i] = found.level, found.per_mode, found.rate_nats
                 steps[i], gap[i] = diag.iterations, diag.certificate_gap
@@ -871,8 +895,10 @@ def sweep_compound(
     of one ``_solve``, which finds the jitter and the shared axes once per
     sweep. Pointwise equal to the single-shot solvers, in input order, each
     point with its diagnostics. A failure, a bad budget or radius included,
-    is re-raised as the same exception, diagnostics included, with the
-    lowest failing grid index prefixed to its message.
+    is re-raised as the same exception, diagnostics included, with a grid
+    index prefixed to its message: the first bad point, the lowest failing
+    row that ``_solve`` names, or 0 for the set-up every point shares. No
+    row is solved twice.
     """
     if kind not in ("rdf", "capacity"):
         raise ValueError(f"kind must be 'rdf' or 'capacity', got {kind!r}")
@@ -895,10 +921,8 @@ def sweep_compound(
         radius, budgets = np.array(rows).T
         try:
             trace, (_, _, value), diagnostics, _ = _solve(kind, center, channel, radius, budgets)
-        except SolverNoConverge:
-            # rows do not interact: solved one by one, the first to fail is the lowest
-            for index in range(radius.size):
-                _solve(kind, center, channel, radius[index : index + 1], budgets[index : index + 1])
+        except SolverNoConverge as exc:
+            index = exc._row
             raise
         columns = (a.tolist() for a in (radius, budgets, value, trace))
         return [SweepPoint(r, b, v, t, diag) for r, b, v, t, diag in zip(*columns, diagnostics)]

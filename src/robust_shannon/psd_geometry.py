@@ -88,6 +88,25 @@ class SpdMatrix:
         return self._trace
 
     @classmethod
+    def _from_spectrum(cls, vecs: np.ndarray, vals: np.ndarray) -> "SpdMatrix":
+        """The matrix vecs diag(vals) vecs^T, built without an eigendecomposition.
+
+        The caller vouches that the columns of ``vecs`` are orthonormal and
+        that ``vals`` is finite, nonnegative and descending; these become the
+        eigenvalues as given, and nothing is checked. The eigenvectors stay
+        lazy, as for any instance.
+        """
+        m = object.__new__(cls)
+        a = _symmetrize((vecs * vals) @ vecs.T)
+        vals = np.array(vals, dtype=float)
+        for arr in (a, vals):
+            arr.setflags(write=False)
+        object.__setattr__(m, "entries", a)
+        object.__setattr__(m, "_eigvals", vals)
+        object.__setattr__(m, "_trace", float(np.trace(a)))
+        return m
+
+    @classmethod
     def identity(cls, dim: int) -> "SpdMatrix":
         return cls(np.eye(dim))
 
@@ -198,30 +217,86 @@ def _ensure_positive_definite(m: SpdMatrix):
     return SpdMatrix(m.entries + threshold * np.eye(m.dim)), threshold
 
 
-def transport_map(source: SpdMatrix, target: SpdMatrix) -> np.ndarray:
-    """Optimal Gaussian transport map T with T source T^T == target.
+def _transport(source: SpdMatrix, target_entries: np.ndarray):
+    """Optimal Gaussian transport map from ``source`` to the PSD matrix
+    ``target_entries`` of the same shape, and the fidelity of the pair, from
+    one eigendecomposition.
 
-    ``T = source^{-1/2} (source^{1/2} target source^{1/2})^{1/2} source^{-1/2}``,
-    symmetric PSD. The source is jittered if needed; a source that stays
-    singular raises SingularCenter.
+    With the (jittered if needed) source C and the target N, the inner
+    matrix C^{1/2} N C^{1/2} is decomposed once as Q diag(mu) Q^T; its
+    eigenvalues below the PSD tolerance are rejected and the rest clamped at
+    zero. The map is C^{-1/2} Q diag(sqrt(mu)) Q^T C^{-1/2} and the fidelity
+    tr((C^{1/2} N C^{1/2})^{1/2}) = sum sqrt(mu), so that
+    BW^2 = tr C + tr N - 2 fidelity. A source that stays singular raises
+    SingularCenter.
     """
-    if source.dim != target.dim:
-        raise ValueError(f"dimension mismatch: {source.dim} vs {target.dim}")
     src, _ = _ensure_positive_definite(source)
     w, v = src._eigvals, src._eigvecs
     half = (v * np.sqrt(w)) @ v.T
     inv_half = (v / np.sqrt(w)) @ v.T
-    iw, iv = np.linalg.eigh(_symmetrize(half @ target.entries @ half))
+    iw, iv = np.linalg.eigh(_symmetrize(half @ target_entries @ half))
     _check_psd(iw)
-    inner_root = (iv * np.sqrt(np.maximum(iw, 0.0))) @ iv.T
-    return _symmetrize(inv_half @ inner_root @ inv_half)
+    root = np.sqrt(np.maximum(iw, 0.0))
+    tmap = _symmetrize(inv_half @ ((iv * root) @ iv.T) @ inv_half)
+    return tmap, float(root.sum())
+
+
+def _geodesic_ends(center: SpdMatrix, target_entries: np.ndarray):
+    """Square-root factors X0, X1 of the ends of the geodesic from ``center``
+    to the PSD ``target_entries``, with their fidelity and the target's trace.
+
+    X0 X0^T is the center, X1 X1^T the target and X0^T X1 is PSD, so
+    X_t = (1 - t) X0 + t X1 is an optimal coupling of the ends and X_t X_t^T
+    the geodesic point at t, at distance t BW from the center, with
+    BW^2 = tr C + tr N - 2 fidelity. Around a center that is positive
+    definite as given, X0 = C^{1/2} and X1 = T C^{1/2}, with T the transport
+    map of ``_transport``. A singular center has no map to jitter without
+    moving the curve off the center, so there X0 = C^{1/2} and X1 = N^{1/2}
+    R, with R = B A^T from the SVD C^{1/2} N^{1/2} = A diag(sigma) B^T, which
+    makes X0^T X1 = A diag(sigma) A^T; the fidelity is sum sigma, as in
+    ``bw_distance``.
+    """
+    x0, trace = _sqrt_entries(center), float(np.trace(target_entries))
+    if _ensure_positive_definite(center)[1] == 0.0:
+        tmap, fidelity = _transport(center, target_entries)
+        return x0, tmap @ x0, fidelity, trace
+    target_root = _sqrt_entries(SpdMatrix(target_entries))
+    a, sigma, bt = np.linalg.svd(x0 @ target_root)
+    return x0, target_root @ (bt.T @ a.T), float(sigma.sum()), trace
+
+
+def _gram_point(x0: np.ndarray, x1: np.ndarray, t: float) -> SpdMatrix:
+    """The geodesic point F F^T with F = (1 - t) X0 + t X1: PSD by
+    construction, where the product mix C mix^T of a map's mix
+    (1 - t) I + t T rounds to negative eigenvalues once T is large."""
+    f = (1.0 - t) * x0 + t * x1
+    return SpdMatrix(f @ f.T)
+
+
+def transport_map(source: SpdMatrix, target: SpdMatrix) -> np.ndarray:
+    """Optimal Gaussian transport map T with T source T^T == target.
+
+    ``T = source^{-1/2} (source^{1/2} target source^{1/2})^{1/2} source^{-1/2}``,
+    symmetric PSD, from one eigendecomposition of the inner matrix. The
+    source is jittered if needed; a source that stays singular raises
+    SingularCenter.
+    """
+    if source.dim != target.dim:
+        raise ValueError(f"dimension mismatch: {source.dim} vs {target.dim}")
+    return _transport(source, target.entries)[0]
 
 
 def bw_geodesic_point(center: SpdMatrix, target: SpdMatrix, t: float) -> SpdMatrix:
     """Point at parameter t on the geodesic from center to target.
 
     Distance from the center grows linearly in t. Endpoints are returned
-    exactly; the center must be (regularizably) positive definite.
+    exactly; the center must have nonzero trace. Inside, the point is the
+    Gram product F F^T with F = ((1 - t) I + t T) C^{1/2}, T the transport
+    map (one inner eigendecomposition) and C^{1/2} the center's square
+    root, so it is PSD by construction. Around a singular center, where
+    the map would need a jitter that moves the curve off the center, T C^{1/2}
+    is replaced by the target's square root turned by the polar factor of
+    C^{1/2} target^{1/2}.
     """
     t = float(t)
     if not 0.0 <= t <= 1.0:
@@ -230,8 +305,10 @@ def bw_geodesic_point(center: SpdMatrix, target: SpdMatrix, t: float) -> SpdMatr
         return center
     if t == 1.0:
         return target
-    mix = (1.0 - t) * np.eye(center.dim) + t * transport_map(center, target)
-    return SpdMatrix(mix @ center.entries @ mix.T)
+    if center.dim != target.dim:
+        raise ValueError(f"dimension mismatch: {center.dim} vs {target.dim}")
+    x0, x1, _, _ = _geodesic_ends(center, target.entries)
+    return _gram_point(x0, x1, t)
 
 
 def bw_ball_project(ball: BwBall, m: SpdMatrix) -> SpdMatrix:
@@ -249,7 +326,12 @@ def random_psd_in_ball(ball: BwBall, seed: int) -> SpdMatrix:
     fraction t is drawn uniformly on [0, 1), a direction comes from a random
     Wishart-type target inflated until it lies beyond the requested distance,
     and the draw is the geodesic point at distance ``t * radius``. Covers the
-    interior and approaches the boundary.
+    interior and approaches the boundary. Around a positive definite center
+    one eigendecomposition per draw, that of the inner matrix C^{1/2} T
+    C^{1/2}, gives both the transport map and the distance to the target,
+    BW^2 = tr C + tr T - 2 sum sqrt(mu); the draw is the Gram product of
+    ``bw_geodesic_point``, which stays PSD and in the ball around singular
+    centers too.
     """
     if ball.radius == 0.0:
         return ball.center
@@ -262,6 +344,7 @@ def random_psd_in_ball(ball: BwBall, seed: int) -> SpdMatrix:
     wishart = g @ g.T
     # Inflate so the target sits beyond rho: BW(c, beta*w) >= sqrt(beta tr w) - sqrt(tr c).
     beta = 4.0 * (rho + math.sqrt(ball.center.trace)) ** 2 / max(float(np.trace(wishart)), 1e-300)
-    target = SpdMatrix(beta * wishart)
-    dist = bw_distance(ball.center, target)
-    return bw_geodesic_point(ball.center, target, rho / dist)
+    target = _symmetrize(beta * wishart)
+    x0, x1, fidelity, far_trace = _geodesic_ends(ball.center, target)
+    dist = math.sqrt(max(ball.center.trace + far_trace - 2.0 * fidelity, 0.0))
+    return _gram_point(x0, x1, rho / dist)

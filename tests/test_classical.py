@@ -325,6 +325,22 @@ class TestGaussianCapacity:
             if power > 0 and alloc.per_mode.sum() > 0:
                 assert alloc.per_mode.sum() == pytest.approx(power, rel=1e-9)
 
+    def test_input_cov_is_built_from_the_waterfilled_spectrum(self):
+        rng = np.random.default_rng(27)
+        for i in range(60):
+            d = int(rng.integers(1, 5))
+            noise = random_spd(rng, d)
+            h = rng.standard_normal((d, d))
+            if i % 3 == 0:  # rank one: dead modes carry no power
+                h = h[:, :1] @ h[:1]
+            power = float(rng.uniform(0.0, 4.0))
+            _, input_cov, alloc = gaussian_capacity(h, noise, power)
+            assert np.array_equal(input_cov._eigvals, alloc.per_mode)
+            computed = np.linalg.eigvalsh(input_cov.entries)[::-1]
+            assert np.abs(input_cov._eigvals - computed).max() <= 1e-12 * max(1.0, power)
+            assert input_cov.trace <= power + 1e-9
+            assert "_eigvecs" not in vars(input_cov)
+
     def test_cholesky_whitening_matches_eigen_whitening(self):
         # L^{-1} H and W^{-1/2} H differ by an orthogonal factor on the left.
         # The singular noises keep exact null axes carrying only the jitter,

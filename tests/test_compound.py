@@ -493,6 +493,27 @@ class TestSweep:
                 sweep_compound(kind, center, grid)
             assert info.value.diagnostics.iterations == 2
 
+    def test_failing_general_channel_sweep_solves_each_row_once(self, monkeypatch):
+        rng = np.random.default_rng(37)
+        center = random_spd(rng, 3)
+        h = ChannelMatrix(rng.standard_normal((3, 3)))
+        grid = [(0.0, 2.0), (0.05, 2.0), (1.0, 2.0), (1.0, 2.0)]
+        solved = compound_capacity(CompoundCapacityRequest(BwBall(center, 0.05), h, 2.0))
+        cap = solved.diagnostics.iterations
+        assert compound_capacity(CompoundCapacityRequest(BwBall(center, 1.0), h, 2.0)).diagnostics.iterations > cap
+        monkeypatch.setattr(compound, "MAX_ITERATIONS", cap)
+        calls = []
+        minimize = compound._minimize
+
+        def counted(*args):
+            calls.append(args[-1])
+            return minimize(*args)
+
+        monkeypatch.setattr(compound, "_minimize", counted)
+        with pytest.raises(SolverNoConverge, match=r"grid point 2 \(r=1.0, budget=2.0\)"):
+            sweep_compound("capacity", center, grid, h)
+        assert calls == [0.05, 1.0]  # row 0 is classical, row 3 is never reached
+
     def test_rejects_empty_grid_and_bad_kind(self):
         center = SpdMatrix.identity(1)
         with pytest.raises(ValueError):

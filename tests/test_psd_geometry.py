@@ -365,10 +365,77 @@ def _no_distance(*args):
             lambda: transport_map(SpdMatrix.identity(1), SpdMatrix.identity(2)),
             "dimension mismatch: 1 vs 2",
         ),
+        (
+            lambda: bw_geodesic_point(SpdMatrix.from_diag([1.0, 0.0]), SpdMatrix.identity(3), 0.5),
+            "dimension mismatch: 2 vs 3",
+        ),
     ],
-    ids=["law_mean_not_finite", "gaussian_w2_dims", "transport_map_dims"],
+    ids=["law_mean_not_finite", "gaussian_w2_dims", "transport_map_dims", "geodesic_point_dims"],
 )
 def test_rejects_malformed_input(monkeypatch, call, message):
     monkeypatch.setattr(psd_geometry, "bw_distance", _no_distance)
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def _sampler_centers(rng):
+    """Seeded centers for d = 1..4: a positive definite one and, for d >= 2,
+    a rank-deficient C = G G^T with G of size d x (d - 1)."""
+    for d in range(1, 5):
+        for _ in range(6):
+            g = rng.standard_normal((d, d))
+            yield SpdMatrix(g @ g.T + float(rng.uniform(0.01, 1.0)) * np.eye(d)), True
+            if d >= 2:
+                g = rng.standard_normal((d, d - 1))
+                yield SpdMatrix(g @ g.T), False
+
+
+def _draw_by_composition(ball, seed):
+    """The sampler written out with the public distance and map, the
+    geodesic point formed as mix C mix^T."""
+    rng = np.random.default_rng(seed)
+    t = float(rng.uniform())
+    g = rng.standard_normal((ball.center.dim, ball.center.dim))
+    rho = t * ball.radius
+    wishart = g @ g.T
+    beta = 4.0 * (rho + math.sqrt(ball.center.trace)) ** 2 / float(np.trace(wishart))
+    target = SpdMatrix(beta * wishart)
+    s = rho / bw_distance(ball.center, target)
+    mix = (1.0 - s) * np.eye(ball.center.dim) + s * transport_map(ball.center, target)
+    return mix @ ball.center.entries @ mix.T
+
+
+def test_sampler_draws_lie_in_the_ball_around_any_center():
+    rng = np.random.default_rng(1)
+    for center, definite in _sampler_centers(rng):
+        for _ in range(10):
+            ball = BwBall(center, float(rng.uniform(0.0, 1.5)) * math.sqrt(center.trace))
+            seed = int(rng.integers(2**31))
+            draw = random_psd_in_ball(ball, seed)
+            assert bw_distance(center, draw) <= ball.radius * (1.0 + 1e-9)
+            assert np.array_equal(random_psd_in_ball(ball, seed).entries, draw.entries)
+            if definite:
+                expected = _draw_by_composition(ball, seed)
+                err = np.abs(draw.entries - expected).max()
+                assert err <= 1e-12 * np.abs(expected).max()
+
+
+def test_ball_project_lands_on_boundary_idempotently_at_rank_deficient_centers():
+    rng = np.random.default_rng(2)
+    boundary_cases = 0
+    for _ in range(30):
+        d = int(rng.integers(2, 5))
+        g = rng.standard_normal((d, d - 1))
+        center = SpdMatrix(g @ g.T)
+        ball = BwBall(center, 0.3 * math.sqrt(center.trace))
+        h = rng.standard_normal((d, d))
+        probe = SpdMatrix(4.0 * h @ h.T)
+        once = bw_ball_project(ball, probe)
+        if bw_distance(center, probe) <= ball.radius:
+            assert once is probe
+        else:
+            boundary_cases += 1
+            assert bw_distance(center, once) == pytest.approx(ball.radius, rel=1e-8)
+        twice = bw_ball_project(ball, once)
+        assert np.allclose(once.entries, twice.entries, atol=1e-9)
+    assert boundary_cases >= 15
