@@ -90,6 +90,14 @@ def _check_power(power) -> float:
     return p
 
 
+def _check_vector(values, what) -> np.ndarray:
+    """``values`` as a float vector; ValueError unless nonempty, 1-D, finite and nonnegative."""
+    v = np.asarray(values, dtype=float)
+    if v.ndim != 1 or v.size == 0 or not (v.min() >= 0.0 and v.max() < math.inf):  # NaN fails both
+        raise ValueError(f"{what} must be a nonempty vector of finite nonnegative reals")
+    return v
+
+
 def reverse_waterfill_rows(spectra, distortion):
     """Exact reverse waterfilling of a distortion budget on each row of eigenvalues.
 
@@ -144,10 +152,11 @@ def rdf_from_spectrum(eigenvalues, distortion: float) -> WaterfillAllocation:
     Per-mode distortions are min(level, eigenvalue) and sum to
     min(distortion, total variance); the rate is the sum of the active-mode
     half-log ratios. A budget at or above the total variance yields zero rate
-    and reports the largest eigenvalue as the level.
+    and reports the largest eigenvalue as the level. Eigenvalues that do not
+    form a nonempty vector of finite nonnegative reals raise ValueError.
     """
     level, per_mode, rate = reverse_waterfill_rows(
-        np.asarray(eigenvalues, dtype=float)[None, :], _check_distortion(distortion)
+        _check_vector(eigenvalues, "eigenvalues")[None, :], _check_distortion(distortion)
     )
     return WaterfillAllocation(float(level[0]), per_mode[0], float(rate[0]))
 
@@ -157,10 +166,11 @@ def capacity_from_gains(gains, power: float) -> WaterfillAllocation:
 
     Per-mode powers are (level - 1/gain)+ and sum to the budget; the rate is
     the sum of half-log(1 + gain * power) terms. An all-zero gain vector
-    (dead channel) yields zero rate with level reported as 0.
+    (dead channel) yields zero rate with level reported as 0. Gains that do
+    not form a nonempty vector of finite nonnegative reals raise ValueError.
     """
     with np.errstate(divide="ignore"):
-        inv = 1.0 / np.asarray(gains, dtype=float)[None, :]
+        inv = 1.0 / _check_vector(gains, "gains")[None, :]
     level, per_mode, rate = waterfill_rows(inv, _check_power(power))
     return WaterfillAllocation(float(level[0]), per_mode[0], float(rate[0]))
 
@@ -198,9 +208,12 @@ def gaussian_mi(gain, input_cov: SpdMatrix, noise_cov: SpdMatrix) -> float:
 
     ``0.5 * log det(gain input gain^T + noise) / det(noise)``. A singular
     noise covariance is handled on its range via pseudo-determinants when the
-    output signal vanishes on the null space; otherwise DegenerateMI.
+    output signal vanishes on the null space; otherwise DegenerateMI. A gain
+    not finite or not of shape (noise dim, input dim) raises ValueError.
     """
     a = np.asarray(gain, dtype=float)
+    if a.shape != (noise_cov.dim, input_cov.dim) or not np.all(np.isfinite(a)):
+        raise ValueError(f"gain must be a finite {noise_cov.dim} x {input_cov.dim} matrix")
     signal = _symmetrize(a @ input_cov.entries @ a.T)
     w, v = np.linalg.eigh(noise_cov.entries)
     null_tol = 1e-12 * max(1.0, float(w[-1]))
@@ -234,9 +247,10 @@ def gaussian_capacity(channel, noise_cov: SpdMatrix, power: float) -> GaussianCa
     strictly positive definite (jittered if nearly singular). The input
     covariance is built from the waterfilled spectrum, which is already
     nonnegative and descending with the gains, in the right singular vectors,
-    so it is not decomposed again.
+    so it is not decomposed again. A raw array channel is validated as a
+    ``ChannelMatrix``.
     """
-    h = np.asarray(channel.entries if isinstance(channel, ChannelMatrix) else channel, dtype=float)
+    h = (channel if isinstance(channel, ChannelMatrix) else ChannelMatrix(channel)).entries
     if h.shape != (noise_cov.dim, noise_cov.dim):
         raise ValueError("channel shape does not match noise covariance")
     gains, vt = _whitened_gains(h, _ensure_positive_definite(noise_cov)[0].entries)

@@ -858,7 +858,9 @@ def _ball_support(a, b, radius):
     alone already reaches r^2) climbs monotonically onto it, so every
     iterate stays a valid gamma. In the hard case, b about 0 on the top
     eigenvector, there is no root and U increases from max(a); the search
-    then stops at once just above max(a). Rows step in lock step.
+    then stops at once just above max(a). Every gamma above max(a) bounds
+    the maximum, so a row whose Newton denominator underflows to 0 (r^3
+    below the smallest float) stops where it stands. Rows step in lock step.
     """
     top = a.max(axis=1)
     support = np.zeros(top.size)  # 0 where A is negative semidefinite, as N is PSD
@@ -873,7 +875,9 @@ def _ball_support(a, b, radius):
         f = terms.sum(axis=1)
         climb = f > radius[live] ** 2  # else at the root, or past it in the hard case
         live, f, terms, shift = live[climb], f[climb], terms[climb], shift[climb]
-        step = f * (np.sqrt(f) / radius[live] - 1.0) / np.sum(terms / shift, axis=1)
+        rise = np.sum(terms / shift, axis=1)
+        step = f * (np.sqrt(f) / radius[live] - 1.0)
+        step = np.divide(step, rise, out=np.zeros_like(f), where=rise > 0.0)
         gamma[live] += step
         live = live[step > 1e-15 * gamma[live]]
         if live.size == 0:

@@ -5,6 +5,12 @@ and in-ball random sampling, all specialized to covariance matrices of
 centered Gaussians. The squared distance between covariances ``a`` and ``b``
 is ``tr(a) + tr(b) - 2 tr((a^{1/2} b a^{1/2})^{1/2})``; combined with a mean
 shift it equals the Wasserstein-2 distance between the Gaussian laws.
+
+Geodesics, projection, in-ball draws and transport maps all rest on one
+optimal coupling of square-root factors (``_geodesic_ends``): X0 = C^{1/2}
+and X1 = F times the polar factor of C^{1/2} F, for any factor F of the
+other end, on any center, positive definite or not. Only ``transport_map``,
+which inverts C^{1/2}, jitters a singular center.
 """
 
 from __future__ import annotations
@@ -29,12 +35,6 @@ def _symmetrize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def _check_psd(w):
-    """Reject ascending eigenvalues ``w`` below -PSD_TOL * max(1, largest)."""
-    if w[0] < -PSD_TOL * max(1.0, float(w[-1])):
-        raise ValueError(f"matrix is not positive semidefinite (min eigenvalue {w[0]:.3e})")
-
-
 @dataclass(frozen=True, eq=False)
 class SpdMatrix:
     """Dense symmetric positive semidefinite matrix.
@@ -57,7 +57,8 @@ class SpdMatrix:
             raise ValueError("entries must be finite")
         a = _symmetrize(a)
         w = np.linalg.eigvalsh(a)
-        _check_psd(w)
+        if w[0] < -PSD_TOL * max(1.0, float(w[-1])):
+            raise ValueError(f"matrix is not positive semidefinite (min eigenvalue {w[0]:.3e})")
         if w[0] < 0.0:
             w, v = np.linalg.eigh(a)
             w = np.maximum(w, 0.0)
@@ -217,52 +218,23 @@ def _ensure_positive_definite(m: SpdMatrix):
     return SpdMatrix(m.entries + threshold * np.eye(m.dim)), threshold
 
 
-def _transport(source: SpdMatrix, target_entries: np.ndarray):
-    """Optimal Gaussian transport map from ``source`` to the PSD matrix
-    ``target_entries`` of the same shape, and the fidelity of the pair, from
-    one eigendecomposition.
-
-    With the (jittered if needed) source C and the target N, the inner
-    matrix C^{1/2} N C^{1/2} is decomposed once as Q diag(mu) Q^T; its
-    eigenvalues below the PSD tolerance are rejected and the rest clamped at
-    zero. The map is C^{-1/2} Q diag(sqrt(mu)) Q^T C^{-1/2} and the fidelity
-    tr((C^{1/2} N C^{1/2})^{1/2}) = sum sqrt(mu), so that
-    BW^2 = tr C + tr N - 2 fidelity. A source that stays singular raises
-    SingularCenter.
-    """
-    src, _ = _ensure_positive_definite(source)
-    w, v = src._eigvals, src._eigvecs
-    half = (v * np.sqrt(w)) @ v.T
-    inv_half = (v / np.sqrt(w)) @ v.T
-    iw, iv = np.linalg.eigh(_symmetrize(half @ target_entries @ half))
-    _check_psd(iw)
-    root = np.sqrt(np.maximum(iw, 0.0))
-    tmap = _symmetrize(inv_half @ ((iv * root) @ iv.T) @ inv_half)
-    return tmap, float(root.sum())
-
-
-def _geodesic_ends(center: SpdMatrix, target_entries: np.ndarray):
+def _geodesic_ends(center: SpdMatrix, factor: np.ndarray):
     """Square-root factors X0, X1 of the ends of the geodesic from ``center``
-    to the PSD ``target_entries``, with their fidelity and the target's trace.
+    to N = F F^T, ``factor`` any square root F of the far end, and their
+    fidelity tr((C^{1/2} N C^{1/2})^{1/2}).
 
-    X0 X0^T is the center, X1 X1^T the target and X0^T X1 is PSD, so
-    X_t = (1 - t) X0 + t X1 is an optimal coupling of the ends and X_t X_t^T
-    the geodesic point at t, at distance t BW from the center, with
-    BW^2 = tr C + tr N - 2 fidelity. Around a center that is positive
-    definite as given, X0 = C^{1/2} and X1 = T C^{1/2}, with T the transport
-    map of ``_transport``. A singular center has no map to jitter without
-    moving the curve off the center, so there X0 = C^{1/2} and X1 = N^{1/2}
-    R, with R = B A^T from the SVD C^{1/2} N^{1/2} = A diag(sigma) B^T, which
-    makes X0^T X1 = A diag(sigma) A^T; the fidelity is sum sigma, as in
-    ``bw_distance``.
+    X0 = C^{1/2} and X1 = F B A^T, from the SVD C^{1/2} F = A diag(sigma)
+    B^T (Bhatia, Jain & Lim, Expo. Math. 2019): X1 X1^T = N and X0^T X1 =
+    A diag(sigma) A^T is PSD, so X_t = (1 - t) X0 + t X1 is an optimal
+    coupling of the ends and X_t X_t^T the geodesic point at t, at distance
+    t BW from the center, with BW^2 = tr C + tr N - 2 sum sigma. This holds
+    for every center, singular or zero included, and the singular values
+    carry round-off of order eps where an eigendecomposition of
+    C^{1/2} N C^{1/2} would lose the small ones.
     """
-    x0, trace = _sqrt_entries(center), float(np.trace(target_entries))
-    if _ensure_positive_definite(center)[1] == 0.0:
-        tmap, fidelity = _transport(center, target_entries)
-        return x0, tmap @ x0, fidelity, trace
-    target_root = _sqrt_entries(SpdMatrix(target_entries))
-    a, sigma, bt = np.linalg.svd(x0 @ target_root)
-    return x0, target_root @ (bt.T @ a.T), float(sigma.sum()), trace
+    x0 = _sqrt_entries(center)
+    a, sigma, bt = np.linalg.svd(x0 @ factor)
+    return x0, factor @ (bt.T @ a.T), float(sigma.sum())
 
 
 def _gram_point(x0: np.ndarray, x1: np.ndarray, t: float) -> SpdMatrix:
@@ -277,26 +249,28 @@ def transport_map(source: SpdMatrix, target: SpdMatrix) -> np.ndarray:
     """Optimal Gaussian transport map T with T source T^T == target.
 
     ``T = source^{-1/2} (source^{1/2} target source^{1/2})^{1/2} source^{-1/2}``,
-    symmetric PSD, from one eigendecomposition of the inner matrix. The
-    source is jittered if needed; a source that stays singular raises
-    SingularCenter.
+    symmetric PSD. The inner root is X0 X1 = A diag(sigma) A^T of the
+    coupling in ``_geodesic_ends``, so no eigendecomposition of the inner
+    matrix is needed. The source is jittered if needed; a source that stays
+    singular raises SingularCenter.
     """
     if source.dim != target.dim:
         raise ValueError(f"dimension mismatch: {source.dim} vs {target.dim}")
-    return _transport(source, target.entries)[0]
+    src, _ = _ensure_positive_definite(source)
+    x0, x1, _ = _geodesic_ends(src, _sqrt_entries(target))
+    w, v = src._eigvals, src._eigvecs
+    inv_half = (v / np.sqrt(w)) @ v.T
+    return _symmetrize(inv_half @ (x0 @ x1) @ inv_half)
 
 
 def bw_geodesic_point(center: SpdMatrix, target: SpdMatrix, t: float) -> SpdMatrix:
     """Point at parameter t on the geodesic from center to target.
 
     Distance from the center grows linearly in t. Endpoints are returned
-    exactly; the center must have nonzero trace. Inside, the point is the
-    Gram product F F^T with F = ((1 - t) I + t T) C^{1/2}, T the transport
-    map (one inner eigendecomposition) and C^{1/2} the center's square
-    root, so it is PSD by construction. Around a singular center, where
-    the map would need a jitter that moves the curve off the center, T C^{1/2}
-    is replaced by the target's square root turned by the polar factor of
-    C^{1/2} target^{1/2}.
+    exactly. Inside, the point is the Gram product F F^T with
+    F = (1 - t) X0 + t X1, X0 and X1 the coupled square roots of
+    ``_geodesic_ends`` with the target's square root as its factor, so it
+    is PSD by construction, for any center, singular or zero included.
     """
     t = float(t)
     if not 0.0 <= t <= 1.0:
@@ -307,7 +281,7 @@ def bw_geodesic_point(center: SpdMatrix, target: SpdMatrix, t: float) -> SpdMatr
         return target
     if center.dim != target.dim:
         raise ValueError(f"dimension mismatch: {center.dim} vs {target.dim}")
-    x0, x1, _, _ = _geodesic_ends(center, target.entries)
+    x0, x1, _ = _geodesic_ends(center, _sqrt_entries(target))
     return _gram_point(x0, x1, t)
 
 
@@ -324,14 +298,14 @@ def random_psd_in_ball(ball: BwBall, seed: int) -> SpdMatrix:
 
     Uses numpy's PCG64 generator (normals via the ziggurat method). A radius
     fraction t is drawn uniformly on [0, 1), a direction comes from a random
-    Wishart-type target inflated until it lies beyond the requested distance,
-    and the draw is the geodesic point at distance ``t * radius``. Covers the
-    interior and approaches the boundary. Around a positive definite center
-    one eigendecomposition per draw, that of the inner matrix C^{1/2} T
-    C^{1/2}, gives both the transport map and the distance to the target,
-    BW^2 = tr C + tr T - 2 sum sqrt(mu); the draw is the Gram product of
-    ``bw_geodesic_point``, which stays PSD and in the ball around singular
-    centers too.
+    Wishart-type target beta G G^T, inflated until it lies beyond the
+    requested distance, and the draw is the geodesic point at distance
+    ``t * radius``. Covers the interior and approaches the boundary. The
+    target is never formed: its factor sqrt(beta) G goes to
+    ``_geodesic_ends``, whose one SVD gives both the coupling and the
+    distance to the target, BW^2 = tr C + ||sqrt(beta) G||_F^2 - 2 fidelity;
+    the draw is the Gram product of ``bw_geodesic_point``, which stays PSD
+    and in the ball around any center.
     """
     if ball.radius == 0.0:
         return ball.center
@@ -341,10 +315,9 @@ def random_psd_in_ball(ball: BwBall, seed: int) -> SpdMatrix:
     rho = t * ball.radius
     if rho == 0.0:
         return ball.center
-    wishart = g @ g.T
-    # Inflate so the target sits beyond rho: BW(c, beta*w) >= sqrt(beta tr w) - sqrt(tr c).
-    beta = 4.0 * (rho + math.sqrt(ball.center.trace)) ** 2 / max(float(np.trace(wishart)), 1e-300)
-    target = _symmetrize(beta * wishart)
-    x0, x1, fidelity, far_trace = _geodesic_ends(ball.center, target)
-    dist = math.sqrt(max(ball.center.trace + far_trace - 2.0 * fidelity, 0.0))
+    # Inflate so the target sits beyond rho: BW(c, beta G G^T) >= sqrt(beta tr G G^T) - sqrt(tr c).
+    beta = 4.0 * (rho + math.sqrt(ball.center.trace)) ** 2 / max(float(np.vdot(g, g)), 1e-300)
+    factor = math.sqrt(beta) * g
+    x0, x1, fidelity = _geodesic_ends(ball.center, factor)
+    dist = math.sqrt(max(ball.center.trace + float(np.vdot(factor, factor)) - 2.0 * fidelity, 0.0))
     return _gram_point(x0, x1, rho / dist)

@@ -398,3 +398,37 @@ class TestGaussianCapacity:
 def test_rejects_malformed_input(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: rdf_from_spectrum([-1.0, 1.0], 0.5), "eigenvalues must be"),
+        (lambda: rdf_from_spectrum([math.nan, 1.0], 0.5), "eigenvalues must be"),
+        (lambda: rdf_from_spectrum([], 0.5), "eigenvalues must be"),
+        (lambda: rdf_from_spectrum([[1.0, 2.0]], 0.5), "eigenvalues must be"),
+        (lambda: capacity_from_gains([math.nan, 1.0], 1.0), "gains must be"),
+        (lambda: capacity_from_gains([math.inf, 1.0], 1.0), "gains must be"),
+        (lambda: capacity_from_gains([-0.5, 1.0], 1.0), "gains must be"),
+        (lambda: gaussian_mi([[math.nan]], SpdMatrix.identity(1), SpdMatrix.identity(1)), "gain must be"),
+        (lambda: gaussian_mi(np.eye(2), SpdMatrix.identity(1), SpdMatrix.identity(2)), "gain must be"),
+        (lambda: gaussian_capacity([[math.nan, 0.0], [0.0, 1.0]], SpdMatrix.identity(2), 1.0), "finite"),
+        (lambda: gaussian_capacity(np.zeros((2, 3)), SpdMatrix.identity(2), 1.0), "nonempty square"),
+    ],
+    ids=[
+        "rdf_negative",
+        "rdf_nan",
+        "rdf_empty",
+        "rdf_not_1d",
+        "gains_nan",
+        "gains_inf",
+        "gains_negative",
+        "mi_gain_nan",
+        "mi_gain_shape",
+        "capacity_channel_nan",
+        "capacity_channel_not_square",
+    ],
+)
+def test_classical_entry_points_reject_bad_vectors(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -553,6 +553,20 @@ class TestTinyRadius:
             for r in self.RADII:
                 self._check(compound_rdf(CompoundRdfRequest(BwBall(center, r), 0.5)), at_center)
 
+    def test_general_channel_at_positive_definite_centers(self):
+        # radii whose cube underflows, in the Frank-Wolfe gap's support search
+        rng = np.random.default_rng(0)
+        for k in range(12):
+            d = 2 + k % 3
+            q = _rotation(rng, d)
+            center = SpdMatrix((q * np.exp(rng.uniform(math.log(0.2), math.log(5.0), d))) @ q.T)
+            channel, power = ChannelMatrix(rng.standard_normal((d, d))), 0.3 * center.trace
+            at_center = compound_capacity(CompoundCapacityRequest(BwBall(center, 0.0), channel, power))
+            for r in (1e-120, 1e-140):
+                result = compound_capacity(CompoundCapacityRequest(BwBall(center, r), channel, power))
+                assert result.diagnostics.solver_path == "projected-gradient"
+                self._check(result, at_center)
+
     def test_sweep(self):
         center = SpdMatrix([[2.0, 0.3], [0.3, 1.0]])
         grid = [(r, 0.5) for r in (0.0,) + self.RADII]

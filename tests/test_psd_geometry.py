@@ -439,3 +439,32 @@ def test_ball_project_lands_on_boundary_idempotently_at_rank_deficient_centers()
         twice = bw_ball_project(ball, once)
         assert np.allclose(once.entries, twice.entries, atol=1e-9)
     assert boundary_cases >= 15
+
+
+def test_geodesic_matches_commuting_closed_form():
+    # centers and targets sharing an eigenbasis, spectra log-uniform on
+    # [1e-8, 1]: the geodesic point is Q diag(((1 - t) sqrt(c) + t sqrt(n))^2) Q^T
+    rng = np.random.default_rng(5)
+    for _ in range(100):
+        d = int(rng.integers(2, 5))
+        q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        c, n = np.exp(rng.uniform(math.log(1e-8), 0.0, (2, d)))
+        t = float(rng.uniform(0.05, 0.95))
+        point = bw_geodesic_point(SpdMatrix((q * c) @ q.T), SpdMatrix((q * n) @ q.T), t)
+        expected = (q * ((1.0 - t) * np.sqrt(c) + t * np.sqrt(n)) ** 2) @ q.T
+        assert np.abs(point.entries - expected).max() <= 1e-11 * np.abs(expected).max()
+
+
+def test_zero_center_geodesic_and_draws():
+    rng = np.random.default_rng(6)
+    for d in (1, 2, 3, 4):
+        zero = SpdMatrix(np.zeros((d, d)))
+        target = random_spd(rng, d)
+        for t in (0.25, 0.5, 0.75):
+            point = bw_geodesic_point(zero, target, t).entries
+            assert np.abs(point - t * t * target.entries).max() <= 1e-14 * np.abs(target.entries).max()
+        for seed in range(20):
+            ball = BwBall(zero, float(rng.uniform(0.1, 2.0)))
+            assert bw_distance(zero, random_psd_in_ball(ball, seed)) <= ball.radius * (1.0 + 1e-12)
+        with pytest.raises(SingularCenter):
+            transport_map(zero, target)
