@@ -26,7 +26,12 @@ import numpy as np
 from .classical import ChannelMatrix
 from .compound import sweep_compound
 from .errors import RobustShannonError, SolverNoConverge
-from .oracle import check_gelbrich, random_seeded_laws, sampler_dominance_checks
+from .oracle import (
+    MAX_EXACT_ASSIGNMENT,
+    check_gelbrich,
+    random_seeded_laws,
+    sampler_dominance_checks,
+)
 from .psd_geometry import SpdMatrix
 
 EXIT_OK = 0
@@ -174,7 +179,7 @@ def _cmd_verify(args, out) -> int:
     failures = 0
     if args.suite == "gelbrich":
         for index, (p, q) in enumerate(random_seeded_laws(args.seed, pairs=5)):
-            report = check_gelbrich(p, q, 256, args.seed + 1000 + index)
+            report = check_gelbrich(p, q, MAX_EXACT_ASSIGNMENT, args.seed + 1000 + index)
             status = "PASS" if report.lower_bound_ok else "FAIL"
             failures += not report.lower_bound_ok
             out.write(

@@ -94,10 +94,24 @@ def sample_gaussian(law: GaussianLaw, n: int, seed: int) -> SampleCloud:
 def empirical_w2(a: SampleCloud, b: SampleCloud) -> float:
     """Exact Wasserstein-2 between equal-weight empirical measures.
 
-    Solves the assignment problem on the squared-Euclidean cost matrix; the
-    exact solution avoids the regularization bias of entropic approximations,
-    which matters because the closed-form comparison is one-sided. In one
-    dimension the monotone pairing of the sorted clouds is that solution.
+    Solves the assignment problem for the squared-Euclidean cost; the exact
+    solution avoids the regularization bias of entropic approximations, which
+    matters because the closed-form comparison is one-sided. In one dimension
+    the monotone pairing of the sorted clouds is that solution.
+
+    In higher dimension the assignment runs on moment-matched clouds,
+    x~ = A^{1/2}(x - x̄) and y~ = A^{-1/2}(y - ȳ), with A the positive
+    definite Brenier map between the Gaussian moment fits of the two clouds.
+    For any such A, |x~_i - y~_j|² = -2<x_i - x̄, y_j - ȳ> + f(i) + g(j), and
+    |x_i - y_j|² has the same form: the two cost matrices differ only by row
+    and column constants, so they have the same optimal assignments. Half
+    the new cost is the Fenchel-Young gap of the Gaussian Brenier
+    potentials, near 0 along the optimal pairing, which keeps the
+    shortest augmenting paths short. The returned value is the mean squared
+    distance of the assigned pairs of original points. When either fit is
+    singular or nearly so (n <= d, repeated points, a rank-one cloud) or A
+    is ill-conditioned, A = I: rounding in a badly conditioned transform
+    could otherwise pick a worse assignment.
     """
     if a.size != b.size:
         raise ValueError(f"cloud sizes differ: {a.size} vs {b.size}")
@@ -110,10 +124,44 @@ def empirical_w2(a: SampleCloud, b: SampleCloud) -> float:
     if a.dim == 1:
         gaps = np.sort(a.points[:, 0]) - np.sort(b.points[:, 0])
         return math.sqrt(float(np.mean(gaps * gaps)))
-    diff = a.points[:, None, :] - b.points[None, :, :]
-    cost = np.einsum("ijk,ijk->ij", diff, diff)
+    x = a.points - a.points.mean(axis=0)
+    y = b.points - b.points.mean(axis=0)
+    axes, scale = _brenier_axes(x, y)
+    x = (x @ axes) * scale
+    y = (y @ axes) / scale
+    cost = np.zeros((a.size, b.size))
+    for k in range(a.dim):
+        step = np.subtract.outer(x[:, k], y[:, k])
+        cost += step * step
     rows, cols = linear_sum_assignment(cost)
-    return math.sqrt(float(cost[rows, cols].mean()))
+    gaps = a.points[rows] - b.points[cols]
+    return math.sqrt(float(np.einsum("ij,ij->i", gaps, gaps).mean()))
+
+
+def _brenier_axes(x: np.ndarray, y: np.ndarray):
+    """Eigenvectors V and square-root eigenvalues of the Brenier map A.
+
+    A = Sx^{-1/2} (Sx^{1/2} Sy Sx^{1/2})^{1/2} Sx^{-1/2} maps the Gaussian
+    moment fit of the centered cloud x onto that of y. Coordinates in the
+    orthonormal V keep the transform's cross term -2<x, y> exact up to the
+    orthogonality of V, whatever the spread of A's eigenvalues. Returns
+    (I, 1) when Sx or A has a condition number above 1e8; A has the rank of
+    Sy, so a singular fit of y lands there too.
+    """
+    n, d = x.shape
+    identity = np.eye(d), np.ones(d)
+    var_x, axes_x = np.linalg.eigh(x.T @ x / n)
+    if not var_x[0] > 1e-8 * var_x[-1]:
+        return identity
+    root = np.sqrt(var_x)
+    half = (axes_x * root) @ axes_x.T
+    inv_half = (axes_x / root) @ axes_x.T
+    mid_w, mid_v = np.linalg.eigh(half @ (y.T @ y / n) @ half)
+    mid = (mid_v * np.sqrt(np.maximum(mid_w, 0.0))) @ mid_v.T
+    w, v = np.linalg.eigh(inv_half @ mid @ inv_half)
+    if not w[0] > 1e-8 * w[-1]:
+        return identity
+    return v, np.sqrt(w)
 
 
 def check_gelbrich(p: GaussianLaw, q: GaussianLaw, n: int, seed: int) -> GelbrichReport:

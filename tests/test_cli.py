@@ -270,6 +270,14 @@ def test_verify_gelbrich(capsys):
     assert lines[-1].startswith("OK")
 
 
+def test_verify_gelbrich_at_the_calibrated_size(capsys):
+    # seed 14 fails at n = 256; the CLI samples MAX_EXACT_ASSIGNMENT points, where
+    # GELBRICH_SLACK was calibrated
+    code, out, _ = run_cli(capsys, "verify", "--suite", "gelbrich", "--seed", "14")
+    assert code == 0
+    assert out.strip().split("\n")[-1] == "OK: suite=gelbrich seed=14"
+
+
 def test_verify_dominance(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "dominance", "--seed", "1")
     assert code == 0

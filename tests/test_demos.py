@@ -1,7 +1,4 @@
-"""Smoke test of the demo scripts: each runs to completion and prints.
-
-``gelbrich_calibration.py`` is left out: it runs for most of a minute.
-"""
+"""Smoke test of the demo scripts: each runs to completion and prints."""
 
 import os
 import subprocess
@@ -13,7 +10,9 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("script", ["classical_limits.py", "bw_geometry.py", "compound_tradeoffs.py"])
+@pytest.mark.parametrize("script", [
+    "classical_limits.py", "bw_geometry.py", "compound_tradeoffs.py", "gelbrich_calibration.py",
+])
 def test_demo_runs(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))

@@ -115,6 +115,57 @@ class TestEmpiricalW2:
             assert abs(got - expected) <= 1e-12 * max(expected, 1e-300)
 
 
+def exactness_clouds(kind, n, d, rng):
+    """A pair of n x d clouds of the given kind for the exactness battery."""
+    x, y = rng.standard_normal((2, n, d)) @ rng.standard_normal((2, d, d))
+    y += rng.standard_normal(d)
+    if kind == "equal_points":  # one cloud a single repeated point, or both the same one
+        x[:] = x[0]
+        if n % 2:
+            y[:] = x[0]
+    elif kind == "rank_one":  # both clouds on lines, sharing a direction when n is odd
+        x = np.outer(rng.standard_normal(n), rng.standard_normal(d))
+        y = np.outer(rng.standard_normal(n), x[0] if n % 2 else rng.standard_normal(d)) + 1.0
+    elif kind == "integer_ties":  # repeated points inside each cloud and shared between them
+        x, y = np.round(x), np.round(y)
+        y[: n // 2] = x[: n // 2]
+    elif kind == "axis_scales":  # axes spread over 1e-6..1e6, or one common scale in that range
+        scales = np.logspace(-6, 6, d) if n % 2 else np.full(d, 10.0 ** rng.uniform(-6, 6))
+        x, y = x * scales, y * rng.permutation(scales)
+    elif kind == "offsets":
+        x, y = x + 1e8 * rng.choice([-1.0, 1.0], d), y + 1e8 * rng.choice([-1.0, 1.0], d)
+    elif kind == "permuted_copy":
+        spread = 3 if n % 2 else 1
+        x = x * np.logspace(-spread, spread, d) + 1e4
+        y = x[rng.permutation(n)]
+    return x, y
+
+
+class TestEmpiricalW2Exactness:
+    """The moment-matched assignment returns the raw squared-distance optimum."""
+
+    KINDS = (
+        "gaussian", "equal_points", "rank_one", "integer_ties",
+        "axis_scales", "offsets", "permuted_copy",
+    )
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_assignment_on_raw_cost(self, kind, d):
+        rng = np.random.default_rng(1000 * d + self.KINDS.index(kind))
+        for n in sorted({1, 2, 3, d, d + 1, 33, 512}):
+            x, y = exactness_clouds(kind, n, d, rng)
+            diff = x[:, None, :] - y[None, :, :]
+            cost = np.einsum("ijk,ijk->ij", diff, diff)
+            rows, cols = linear_sum_assignment(cost)
+            expected = math.sqrt(float(cost[rows, cols].mean()))
+            got = empirical_w2(SampleCloud(x, 0), SampleCloud(y, 0))
+            if expected == 0.0:
+                assert got == 0.0, (n, got)
+            else:
+                assert abs(got - expected) <= 1e-12 * expected, (n, got, expected)
+
+
 class TestCheckGelbrich:
     def test_identical_laws(self):
         law = GaussianLaw([0.0, 0.0], SpdMatrix.identity(2))
