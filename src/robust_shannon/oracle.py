@@ -2,10 +2,13 @@
 
 Gaussian sampling, exact empirical Wasserstein-2 between equal-size sample
 clouds by optimal assignment, a sampled check of the Gaussian closed-form
-distance against the empirical one, and exhaustive grid searches for small
-compound instances. The grid oracles share the solvers' waterfill; their
-independence comes from the exhaustive grid over the ball, not from the
-inner solve.
+distance against the empirical one, and grid searches for small compound
+instances. The grid oracles share the solvers' waterfill; their independence
+comes from the grid over the ball, not from the inner solve. A grid search
+evaluates only the grid's frontier, the last point within the ball on each
+line along the last axis: the Gaussian RDF is nondecreasing and the
+identity-channel capacity nonincreasing in each variance, so the extremum
+over the frontier is the extremum over the whole grid.
 """
 
 from __future__ import annotations
@@ -20,8 +23,6 @@ from .classical import (
     ChannelMatrix,
     _check_distortion,
     _check_power,
-    gaussian_capacity,
-    gaussian_rdf,
     reverse_waterfill_rows,
     waterfill_rows,
 )
@@ -107,11 +108,14 @@ def empirical_w2(a: SampleCloud, b: SampleCloud) -> float:
     and column constants, so they have the same optimal assignments. Half
     the new cost is the Fenchel-Young gap of the Gaussian Brenier
     potentials, near 0 along the optimal pairing, which keeps the
-    shortest augmenting paths short. The returned value is the mean squared
-    distance of the assigned pairs of original points. When either fit is
-    singular or nearly so (n <= d, repeated points, a rank-one cloud) or A
-    is ill-conditioned, A = I: rounding in a badly conditioned transform
-    could otherwise pick a worse assignment.
+    shortest augmenting paths short. Subtracting the column minima, then the
+    row minima, changes the cost by more row and column constants and starts
+    the assignment from a reduced matrix with a zero in every row and
+    column, as in Jonker and Volgenant's column reduction. The returned value
+    is the mean squared distance of the assigned pairs of original points.
+    When either fit is singular or nearly so (n <= d, repeated points, a
+    rank-one cloud) or A is ill-conditioned, A = I: rounding in a badly
+    conditioned transform could otherwise pick a worse assignment.
     """
     if a.size != b.size:
         raise ValueError(f"cloud sizes differ: {a.size} vs {b.size}")
@@ -130,9 +134,13 @@ def empirical_w2(a: SampleCloud, b: SampleCloud) -> float:
     x = (x @ axes) * scale
     y = (y @ axes) / scale
     cost = np.zeros((a.size, b.size))
+    step = np.empty_like(cost)
     for k in range(a.dim):
-        step = np.subtract.outer(x[:, k], y[:, k])
-        cost += step * step
+        np.subtract.outer(x[:, k], y[:, k], out=step)
+        step *= step
+        cost += step
+    cost -= cost.min(axis=0)
+    cost -= cost.min(axis=1)[:, None]
     rows, cols = linear_sum_assignment(cost)
     gaps = a.points[rows] - b.points[cols]
     return math.sqrt(float(np.einsum("ij,ij->i", gaps, gaps).mean()))
@@ -201,7 +209,9 @@ def sampler_dominance_checks(seed: int, draws: int):
     """Compound values vs classical limits at in-ball sampler draws.
 
     Yields one report line per problem kind; a draw beating the compound
-    extremum beyond a 1e-6 slack marks the check failed.
+    extremum beyond a 1e-6 slack marks the check failed. The draws' spectra
+    are scored as rows of one waterfill per kind; with the identity channel
+    the inverse gains are the noise eigenvalues.
     """
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((2, 2))
@@ -212,12 +222,11 @@ def sampler_dominance_checks(seed: int, draws: int):
     cap_value = compound_capacity(
         CompoundCapacityRequest(ball, ChannelMatrix(np.eye(2)), power)
     ).value_nats
-    worst_rdf = -math.inf
-    worst_cap = math.inf
-    for k in range(draws):
-        draw = random_psd_in_ball(ball, seed + 10_000 + k)
-        worst_rdf = max(worst_rdf, gaussian_rdf(draw, distortion))
-        worst_cap = min(worst_cap, gaussian_capacity(np.eye(2), draw, power).rate_nats)
+    spectra = np.array(
+        [random_psd_in_ball(ball, seed + 10_000 + k)._eigvals for k in range(draws)]
+    )
+    worst_rdf = float(reverse_waterfill_rows(spectra, distortion)[2].max())
+    worst_cap = float(waterfill_rows(spectra, power)[2].min())
     yield (
         f"dominance rdf compound={rdf_value:.6g} max_draw={worst_rdf:.6g}",
         worst_rdf <= rdf_value + 1e-6,
@@ -231,13 +240,14 @@ def sampler_dominance_checks(seed: int, draws: int):
 def brute_force_compound(
     kind: str, center: SpdMatrix, r: float, budget: float, grid_step: float
 ) -> float:
-    """Exhaustive grid extremum of a small compound problem.
+    """Grid extremum of a small compound problem.
 
     Grids the per-axis standard deviations over the box around the center's
     diagonal square roots, keeps the points within the ball, evaluates the
     classical limit at each diagonal covariance, and returns the max (rate
-    distortion) or min (capacity, identity channel). Cost grows as
-    (2r / grid_step)^d; only diagonal centers with d <= 3 are accepted.
+    distortion) or min (capacity, identity channel). Only the grid's
+    frontier is evaluated (see ``_grid_frontier``), so the cost grows as
+    (2r / grid_step)^(d - 1); only diagonal centers with d <= 3 are accepted.
     """
     if kind not in ("rdf", "capacity"):
         raise ValueError(f"kind must be 'rdf' or 'capacity', got {kind!r}")
@@ -255,13 +265,42 @@ def brute_force_compound(
     axes = [
         np.arange(max(0.0, si - r), si + r + 0.5 * grid_step, grid_step) for si in s
     ]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    u = np.stack([m.ravel() for m in mesh], axis=1)
-    feasible = np.linalg.norm(u - s, axis=1) <= r * (1.0 + 1e-12) + 1e-15
-    spectra = u[feasible] ** 2
+    spectra = _grid_frontier(axes, s, r * (1.0 + 1e-12) + 1e-15) ** 2
     if kind == "rdf":
         return float(reverse_waterfill_rows(spectra, budget)[2].max())
     # With unit channel the inverse gains are the noise eigenvalues; a noiseless
     # mode makes the capacity infinite, which the minimum then passes over.
     with np.errstate(divide="ignore"):
         return float(waterfill_rows(spectra, budget)[2].min())
+
+
+def _grid_frontier(axes, s: np.ndarray, reach: float) -> np.ndarray:
+    """For each point of the leading axes' grid, the last point u of its line
+    along the last axis with |u - s| <= reach, as rows; lines with no such
+    point are left out.
+
+    Along a line the shift u_d - s_d, rounded, is nondecreasing, so the
+    rounded distance falls up to the point nearest s_d and rises after it,
+    and the points within reach are contiguous. A bisection from that
+    nearest point finds the last one, testing the same rounded predicate on
+    every line at once; memory and time grow with the number of lines, not
+    with the grid.
+    """
+    lead = np.zeros((1, 0))
+    for t in axes[:-1]:
+        lead = np.column_stack([np.repeat(lead, t.size, axis=0), np.tile(t, len(lead))])
+    last = axes[-1]
+
+    def within(lead, j):
+        return np.linalg.norm(np.column_stack([lead, last[j]]) - s, axis=1) <= reach
+
+    lo = np.full(len(lead), int(np.argmin(np.abs(last - s[-1]))))
+    keep = within(lead, lo)
+    lead, lo = lead[keep], lo[keep]
+    hi = np.full(len(lo), last.size - 1)
+    while np.any(lo < hi):
+        mid = (lo + hi + 1) // 2
+        ok = within(lead, mid)
+        lo = np.where(ok, mid, lo)
+        hi = np.where(ok, hi, mid - 1)
+    return np.column_stack([lead, last[lo]])

@@ -101,7 +101,11 @@ class TestCompoundRdf:
 
     @pytest.mark.parametrize(
         "eigenvalues, r, distortion, step",
-        [([0.0, 1.0], 0.5, 0.5, 1e-3), ([0.0, 0.0, 1.0], 0.4, 0.3, 4e-3)],
+        [
+            ([0.0, 1.0], 0.5, 0.5, 1e-3),
+            ([0.0, 0.0, 1.0], 0.4, 0.3, 4e-3),
+            ([0.0, 0.0, 1.0], 0.4, 0.3, 1e-3),  # about 129M grid points, 161k lines
+        ],
     )
     def test_singular_center_matches_brute_force(self, eigenvalues, r, distortion, step):
         # the hard case: the s = 0 modes share the radius the other mode

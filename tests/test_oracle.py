@@ -1,21 +1,29 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
 from robust_shannon import (
+    BwBall,
+    ChannelMatrix,
+    CompoundCapacityRequest,
+    CompoundRdfRequest,
     GaussianLaw,
     SampleCloud,
     SpdMatrix,
     TooLargeForExact,
     brute_force_compound,
     check_gelbrich,
+    compound_capacity,
+    compound_rdf,
     compound_rdf_scalar,
     empirical_w2,
     gaussian_capacity,
     gaussian_rdf,
     gaussian_w2,
+    random_psd_in_ball,
     sample_gaussian,
 )
 from robust_shannon import oracle
@@ -238,6 +246,101 @@ class TestBruteForceCompound:
             brute_force_compound("rdf", SpdMatrix.identity(2), bad, 1.0, 1e-2)
         with pytest.raises(ValueError, match="finite"):
             brute_force_compound("rdf", SpdMatrix.identity(2), 0.1, 1.0, bad)
+
+
+def full_grid_extremum(kind, center, r, budget, step):
+    """The grid oracle's extremum over every grid point in the ball, not only its frontier."""
+    s = np.sqrt(np.diag(center.entries))
+    axes = [np.arange(max(0.0, si - r), si + r + 0.5 * step, step) for si in s]
+    u = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    spectra = u[np.linalg.norm(u - s, axis=1) <= r * (1.0 + 1e-12) + 1e-15] ** 2
+    if kind == "rdf":
+        return float(reverse_waterfill_rows(spectra, budget)[2].max())
+    with np.errstate(divide="ignore"):
+        return float(waterfill_rows(spectra, budget)[2].min())
+
+
+class TestGridFrontier:
+    """The frontier scan returns the extremum of the whole grid."""
+
+    @pytest.mark.parametrize("kind", ["rdf", "capacity"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_full_grid(self, kind, d):
+        rng = np.random.default_rng(70 + 10 * d + (kind == "rdf"))
+        half_width = {1: 2000, 2: 150, 3: 30}[d]  # grid points from the center to the box's edge
+        for case in range(24):
+            lam = rng.uniform(0.0, 2.0, d)
+            if case % 3 == 0:
+                lam[rng.integers(d)] = 0.0
+            if case % 4 == 0:
+                r = 0.0
+            elif case % 4 == 1:  # the box is clipped at 0 on every axis
+                r = 1.5 * math.sqrt(lam.max()) + 0.05
+            else:
+                r = float(rng.uniform(0.05, 0.8))
+            step = max(r, 0.1) / half_width
+            center = SpdMatrix.from_diag(lam)
+            budget = float(rng.uniform(0.1, 1.0) * (lam.sum() if kind == "rdf" else 3.0))
+            budget = max(budget, 0.05)
+            got = brute_force_compound(kind, center, r, budget, step)
+            expected = full_grid_extremum(kind, center, r, budget, step)
+            if math.isinf(expected):
+                assert got == expected, (lam, r, got)
+            else:
+                assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected)), (lam, r, got, expected)
+
+    def test_memory_grows_with_lines_not_grid(self):
+        center = SpdMatrix.from_diag([1.0, 2.0])
+        tracemalloc.start()
+        try:
+            brute_force_compound("rdf", center, 0.25, 1.2, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, peak
+
+
+class TestSamplerDominanceChecks:
+    """Row-scored draws give the extrema of a per-draw classical loop."""
+
+    @pytest.mark.parametrize("seed", [0, 3, 17, 2121])
+    def test_matches_per_draw_loop(self, monkeypatch, seed):
+        scored = {}
+
+        def recording(name, waterfill):
+            def call(*args):
+                result = waterfill(*args)
+                scored[name] = result[2]
+                return result
+            return call
+
+        monkeypatch.setattr(oracle, "reverse_waterfill_rows",
+                            recording("rdf", reverse_waterfill_rows))
+        monkeypatch.setattr(oracle, "waterfill_rows", recording("capacity", waterfill_rows))
+        draws = 50
+        lines = list(oracle.sampler_dominance_checks(seed, draws))
+
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((2, 2))
+        ball = BwBall(SpdMatrix(g @ g.T + 0.5 * np.eye(2)), 0.4)
+        rdf_value = compound_rdf(CompoundRdfRequest(ball, 0.8)).value_nats
+        cap_value = compound_capacity(
+            CompoundCapacityRequest(ball, ChannelMatrix(np.eye(2)), 2.0)
+        ).value_nats
+        rdf, cap = [], []
+        for k in range(draws):
+            draw = random_psd_in_ball(ball, seed + 10_000 + k)
+            rdf.append(gaussian_rdf(draw, 0.8))
+            cap.append(gaussian_capacity(np.eye(2), draw, 2.0).rate_nats)
+        assert scored["rdf"].shape == scored["capacity"].shape == (draws,)
+        assert abs(scored["rdf"].max() - max(rdf)) <= 1e-12
+        assert abs(scored["capacity"].min() - min(cap)) <= 1e-12
+        assert lines == [
+            (f"dominance rdf compound={rdf_value:.6g} max_draw={max(rdf):.6g}",
+             max(rdf) <= rdf_value + 1e-6),
+            (f"dominance capacity compound={cap_value:.6g} min_draw={min(cap):.6g}",
+             min(cap) >= cap_value - 1e-6),
+        ]
 
 
 class TestGridEvaluators:
