@@ -253,25 +253,25 @@ def gaussian_capacity(channel, noise_cov: SpdMatrix, power: float) -> GaussianCa
     h = (channel if isinstance(channel, ChannelMatrix) else ChannelMatrix(channel)).entries
     if h.shape != (noise_cov.dim, noise_cov.dim):
         raise ValueError("channel shape does not match noise covariance")
-    gains, vt = _whitened_gains(h, _ensure_positive_definite(noise_cov)[0].entries)
+    gains, vt, _, _ = _whitened_gains(h, _ensure_positive_definite(noise_cov)[0].entries)
     alloc = capacity_from_gains(gains, power)
     input_cov = SpdMatrix._from_spectrum(vt.T, alloc.per_mode)
     return GaussianCapacity(alloc.rate_nats, input_cov, alloc)
 
 
 def _whitened_gains(h: np.ndarray, noise: np.ndarray):
-    """Squared singular values and right singular vectors (rows) of the
-    channel whitened by the positive definite noise W.
+    """Squared singular values, right singular vectors V^T and left ones U
+    of the channel whitened by the positive definite noise W, and L.
 
     Whitens by the Cholesky factor, W = L L^T: W^{-1/2} = O L^{-1} with O
-    orthogonal, so L^{-1} H has the singular values and right singular
-    vectors of W^{-1/2} H. A gain that is not finite (a subnormal noise
-    variance) raises ValueError.
+    orthogonal, so L^{-1} H = U diag(sqrt(gains)) V^T has the singular
+    values and right singular vectors of W^{-1/2} H. A gain that is not
+    finite (a subnormal noise variance) raises ValueError.
     """
-    whitened = np.linalg.solve(np.linalg.cholesky(noise), h)
-    svals, vt = np.linalg.svd(whitened)[1:]
+    chol = np.linalg.cholesky(noise)
+    u, svals, vt = np.linalg.svd(np.linalg.solve(chol, h))
     with np.errstate(over="ignore"):
         gains = svals * svals
     if not np.all(np.isfinite(gains)):
         raise ValueError("whitened channel gain is not finite: noise too small for the channel")
-    return gains, vt
+    return gains, vt, u, chol

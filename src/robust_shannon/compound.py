@@ -29,8 +29,9 @@ convex problem (capacity is convex in the noise covariance and the ball is
 convex) without a closed-form reduction. It is solved by projected gradient
 in optimal-transport-map coordinates, where the ball is an exact Euclidean
 ball and PSD-ness is automatic, from one start, the center, using the
-Danskin envelope gradient; each objective evaluation forms that gradient
-along with its inner waterfill, so an accepted point is solved once. Each
+Danskin envelope gradient, a Gram product of the Cholesky factor and SVD
+each evaluation takes for its inner waterfill. On the sphere an outward
+gradient loses its radial part, so the rescale acts as a retraction. Each
 line search starts from the Barzilai-Borwein step (and from 1 again if that
 finds no descent), and the solve stops on its certificate: once a step
 leaves the value unchanged to VALUE_STAGNATION_TOL (relative) and the
@@ -64,7 +65,6 @@ from .classical import (
     _check_distortion,
     _check_power,
     _whitened_gains,
-    capacity_from_gains,
     reverse_waterfill_rows,
     waterfill_rows,
 )
@@ -186,19 +186,19 @@ def _minimize(objective, gradient, gap, x0, radius):
     ``objective(x)`` returns the value at x together with the inner solve
     behind it; ``gradient(x, inner)`` and ``gap(inner, radius)``, a duality
     gap over the ball, take that inner solve, so the accepted point of one
-    iteration is never solved again. Each line search starts from the
+    iteration is never solved again. At ||x|| >= r (1 - 1e-12) a gradient
+    with <g, x> < 0 loses its radial part. Each line search starts from the
     Barzilai-Borwein step <s, s>/<s, y>, with s the last move and y the
     change in gradient (from 1 on the first iteration and when <s, y> <= 0),
     and halves until the Armijo condition (1e-4 on the projected step)
-    holds; a search from a Barzilai-Borwein step that finds no such step is
-    run again from 1. Converged once an accepted step changes the value by
-    less than VALUE_STAGNATION_TOL relative and the gap at the new iterate
-    is at most VALUE_STAGNATION_TOL max(1, |value|), or once the line
-    search from 1 cannot move an iterate whose gap meets that bound; if the
-    gap there does not, ``SolverNoConverge``. Returns (x, value, inner,
-    diagnostics), the diagnostics with the gap at x; x may be a matrix
-    (Frobenius norm and inner product). ``SolverNoConverge`` carries the
-    gap at the last iterate.
+    holds; a search from a Barzilai-Borwein step that finds none is run
+    again from 1. Converged once an accepted step changes the value by less
+    than VALUE_STAGNATION_TOL relative and the gap at the new iterate is at
+    most VALUE_STAGNATION_TOL max(1, |value|), or once the line search from
+    1 cannot move an iterate whose gap meets that bound; if the gap there
+    does not, ``SolverNoConverge``, which carries the gap at the last
+    iterate. Returns (x, value, inner, diagnostics), the diagnostics with
+    the gap at x; x may be a matrix (Frobenius norm and inner product).
     """
     label = "projected-gradient"
     x = x0
@@ -206,6 +206,10 @@ def _minimize(objective, gradient, gap, x0, radius):
     grad = None
     for iteration in range(1, MAX_ITERATIONS + 1):
         new_grad = gradient(x, inner)
+        norm = float(np.linalg.norm(x))
+        if norm >= radius * (1.0 - 1e-12) and np.vdot(new_grad, x) < 0.0:
+            unit = x / norm  # on the sphere, heading out: step along it
+            new_grad = new_grad - np.vdot(new_grad, unit) * unit
         alpha = 1.0 if grad is None else _barzilai_borwein(move, new_grad - grad)
         grad = new_grad
         step = _line_search(objective, x, value, grad, radius, alpha)
@@ -679,45 +683,38 @@ class _TransportCoordinates:
         self.channel = self.basis.T @ channel @ self.basis
         self.power = power
 
-    def smatrix(self, y: np.ndarray) -> np.ndarray:
-        return np.eye(self.lam.size) + y / self.weight
-
-    def noise(self, y: np.ndarray) -> SpdMatrix:
-        """The noise of y, in the center's eigenbasis."""
-        s = self.smatrix(y)
-        return SpdMatrix(s @ (self.lam[:, None] * s))
+    def noise(self, s: np.ndarray) -> np.ndarray:
+        """The noise S diag(lam) S of the map S, in the center's eigenbasis."""
+        return _symmetrize(s @ (self.lam[:, None] * s))
 
     def objective(self, y: np.ndarray):
-        """Capacity at the noise of y, with the inner solve behind it: that
-        (jittered) noise, the Danskin gradient there and the waterfill over
-        the whitened channel's gains."""
-        noise, _ = _ensure_positive_definite(self.noise(y))
-        gains, vt = _whitened_gains(self.channel, noise.entries)
-        alloc = capacity_from_gains(gains, self.power)
-        g = _noise_gradient(self.channel, noise.entries, (vt.T * alloc.per_mode) @ vt)
-        return alloc.rate_nats, (noise.entries, g, alloc)
+        """Capacity at the noise N of y, with the inner solve behind it: S =
+        I + Y / W, N (jittered where ``_ensure_positive_definite`` would), the
+        Danskin gradient G there and the waterfill (level, per_mode, rate)
+        over the whitened gains g. N = L L^T and L^{-1} H = U diag(sqrt(g)) V^T
+        give N + H Q H^T = L U diag(1 + g p) U^T L^T at Q = V diag(p) V^T, so
+        G = 0.5 ((N + H Q H^T)^{-1} - N^{-1}) is exactly the Gram product
+        -0.5 B^T diag(g p / (1 + g p)) B, B = U^T L^{-1}: nothing is inverted."""
+        s = np.eye(self.lam.size) + y / self.weight
+        noise = self.noise(s)
+        if not np.linalg.eigvalsh(noise)[0] >= 0.5e-12 * np.trace(noise) / self.lam.size > 0.0:
+            noise = _ensure_positive_definite(SpdMatrix(noise))[0].entries
+        gains, _, u, chol = _whitened_gains(self.channel, noise)
+        with np.errstate(divide="ignore"):
+            inverse = 1.0 / gains
+        level, per_mode, rate = (part[0] for part in waterfill_rows(inverse[None], self.power))
+        b = np.linalg.solve(chol.T, u) * np.sqrt(per_mode / (inverse + per_mode))  # B^T diag(...)^{1/2}
+        return rate, (s, noise, -0.5 * (b @ b.T), (level, per_mode, rate))
 
     def gradient(self, y: np.ndarray, inner) -> np.ndarray:
-        """Danskin envelope gradient pulled back to the Y coordinates.
-
-        The chain rule through S diag(lam) S takes the covariance gradient G
-        to diag(lam) S G + G S diag(lam), and dS = dY / W.
-        """
-        m = (self.lam[:, None] * self.smatrix(y)) @ inner[1]
+        """Danskin envelope gradient pulled back to the Y coordinates: through
+        S diag(lam) S, G goes to diag(lam) S G + G S diag(lam), and dS = dY / W."""
+        m = (self.lam[:, None] * inner[0]) @ inner[2]
         return (m + m.T) / self.weight
 
     def gap(self, inner, radius) -> float:
         """``_gradient_gap`` at the noise of an inner solve."""
-        noise, g, _ = inner
-        return _gradient_gap(g, noise, self.lam, radius)
-
-
-def _noise_gradient(h, noise, input_cov):
-    """Danskin gradient of the capacity in the (positive definite) noise W:
-    0.5 ((W + H Q* H^T)^{-1} - W^{-1}) at the inner-optimal input Q*."""
-    output_cov = noise + h @ input_cov @ h.T
-    g = 0.5 * (np.linalg.inv(_symmetrize(output_cov)) - np.linalg.inv(noise))
-    return _symmetrize(g)
+        return _gradient_gap(inner[2], inner[1], self.lam, radius)
 
 
 def compound_capacity(req: CompoundCapacityRequest) -> CompoundResult:
@@ -767,7 +764,7 @@ def _solve(kind, center, channel, radius, budget):
         center_pd, jitter = _ensure_positive_definite(center)
         axes = _commuting_channel_axes(center_pd, h)
         if axes is not None or zero.any():
-            gains, _ = _whitened_gains(h, center_pd.entries)
+            gains = _whitened_gains(h, center_pd.entries)[0]
         if axes is not None:
             basis, s, hvals = axes
             spectra, alloc, steps, gap = _capacity_rows(s, hvals * hvals, radius, budget)
@@ -777,14 +774,14 @@ def _solve(kind, center, channel, radius, budget):
             for i in np.flatnonzero(~zero):
                 coords = _TransportCoordinates(center_pd, h, budget[i])
                 try:
-                    y, _, (_, _, found), diag = _minimize(
+                    _, _, (s_map, _, _, found), diag = _minimize(
                         coords.objective, coords.gradient, coords.gap, np.zeros(h.shape), radius[i]
                     )
                 except SolverNoConverge as exc:
                     exc._row = int(i)
                     raise
-                covs[i] = SpdMatrix(coords.basis @ coords.noise(y).entries @ coords.basis.T)
-                alloc[0][i], alloc[1][i], alloc[2][i] = found.level, found.per_mode, found.rate_nats
+                covs[i] = SpdMatrix(coords.basis @ coords.noise(s_map) @ coords.basis.T)
+                alloc[0][i], alloc[1][i], alloc[2][i] = found
                 steps[i], gap[i] = diag.iterations, diag.certificate_gap
         if zero.any():
             with np.errstate(divide="ignore"):

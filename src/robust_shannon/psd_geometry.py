@@ -305,7 +305,10 @@ def random_psd_in_ball(ball: BwBall, seed: int) -> SpdMatrix:
     ``_geodesic_ends``, whose one SVD gives both the coupling and the
     distance to the target, BW^2 = tr C + ||sqrt(beta) G||_F^2 - 2 fidelity;
     the draw is the Gram product of ``bw_geodesic_point``, which stays PSD
-    and in the ball around any center.
+    and in the ball around any center, with one limit: around a rank-deficient
+    center, radii below about 1e-8 sqrt(tr C) are not resolved, as the stored
+    center's null eigenvalues, of order eps ||C||, have square roots above
+    such a radius (``bw_distance`` reads up to 1e3 r from the center to itself).
     """
     if ball.radius == 0.0:
         return ball.center

@@ -437,8 +437,79 @@ class TestTransportCoordinates:
                 s = coords.basis.T @ transport_map(center, noise) @ coords.basis
                 y = (s - np.eye(d)) * coords.weight
                 assert np.linalg.norm(y) == pytest.approx(bw_distance(center, noise), rel=1e-9)
-                back = coords.basis @ coords.noise(y).entries @ coords.basis.T
+                s_of_y = coords.objective(y)[1][0]
+                back = coords.basis @ coords.noise(s_of_y) @ coords.basis.T
                 assert np.allclose(back, noise.entries, rtol=0.0, atol=1e-10 * noise.trace)
+
+    def test_factored_gradient_is_the_difference_of_inverses(self):
+        # G = -0.5 B^T diag(g p/(1 + g p)) B, B = U^T L^{-1}, is the Danskin
+        # gradient 0.5 ((W + H Q H^T)^{-1} - W^{-1}) at the noise W of y
+        rng = np.random.default_rng(61)
+        for k in range(14):
+            d = 2 + k % 7
+            if k % 2:
+                request = _benchmark_like(rng, d)
+                center, h, power = request.ball.center, request.channel.entries, request.power
+                radius = request.ball.radius
+            else:
+                center, h = random_spd(rng, d), rng.standard_normal((d, d))
+                power = float(rng.uniform(0.1, 5.0)) * center.trace
+                radius = float(rng.uniform(0.1, 1.0)) * math.sqrt(center.trace)
+            coords = compound._TransportCoordinates(center, h, power)
+            y = rng.standard_normal((d, d)) + np.eye(d)
+            y = (y + y.T) * (float(rng.uniform()) * radius / np.linalg.norm(y + y.T))
+            value, (_, noise, g, (_, per_mode, rate)) = coords.objective(y)
+            assert value == rate
+            vt = compound._whitened_gains(coords.channel, noise)[1]
+            reference = _inverse_difference(coords.channel, noise, (vt.T * per_mode) @ vt)
+            assert np.linalg.norm(g - reference) <= 1e-10 * np.linalg.norm(reference)
+            _assert_symmetric_nsd(g)
+
+    def test_factored_gradient_at_a_jittered_singular_noise(self):
+        # S = I - e1 e1^T leaves the noise a null eigenvalue; the objective
+        # jitters it as _ensure_positive_definite does, and G stays a Gram
+        # product there, where the two inverses would cancel
+        c, s = math.cos(0.4), math.sin(0.4)
+        h = np.diag([2.0, 0.5, 1.0]) @ np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        coords = compound._TransportCoordinates(SpdMatrix.from_diag([1.0, 2.0, 3.0]), h, 1.0)
+        y = np.zeros((3, 3))
+        y[0, 0] = -coords.weight[0, 0]
+        s_map = np.eye(3) + y / coords.weight
+        raw = coords.noise(s_map)
+        assert np.linalg.eigvalsh(raw)[0] == 0.0
+        jittered, jitter = compound._ensure_positive_definite(SpdMatrix(raw))
+        _, (kept, noise, g, _) = coords.objective(y)
+        assert jitter > 0.0 and np.array_equal(kept, s_map)
+        assert np.array_equal(noise, jittered.entries)
+        assert np.all(np.isfinite(g)) and np.abs(g).max() > 1e10
+        _assert_symmetric_nsd(g)
+
+    def test_general_solve_builds_no_matrix_per_iteration(self, monkeypatch):
+        # an evaluation factors the noise once and inverts nothing, so the
+        # SpdMatrix constructions of a solve do not grow with its iterations
+        easy = _benchmark_like(np.random.default_rng(53), 4)
+        hard = list(_pd_battery(2024))[19]
+        built, post_init = [], SpdMatrix.__post_init__
+        monkeypatch.setattr(SpdMatrix, "__post_init__", lambda m: built.append(m) or post_init(m))
+
+        def inverse(*args, **kwargs):
+            raise AssertionError("np.linalg.inv called")
+
+        monkeypatch.setattr(np.linalg, "inv", inverse)
+        counts = []
+        for request in (easy, hard):
+            built.clear()
+            result = compound_capacity(request)
+            assert result.diagnostics.solver_path == "projected-gradient"
+            counts.append((len(built), result.diagnostics.iterations))
+        (easy_built, easy_iterations), (hard_built, hard_iterations) = counts
+        assert hard_iterations >= 10 * easy_iterations
+        assert hard_built == easy_built
+
+
+def _assert_symmetric_nsd(g):
+    assert np.array_equal(g, g.T)
+    assert np.linalg.eigvalsh(g)[-1] <= 1e-15 * np.abs(g).max()
 
 
 class TestSweep:
@@ -586,12 +657,36 @@ def _rotation(rng, d):
 
 def _frank_wolfe_gap(h, center, noise, input_cov, radius):
     """Frank-Wolfe duality gap of the capacity at ``noise``, in nats: the
-    Danskin gradient there, taken into the center's eigenbasis, handed to
+    Danskin gradient there, 0.5 ((W + H Q H^T)^{-1} - W^{-1}) formed here as
+    a difference of inverses, independently of the solver's factored one,
+    taken into the center's eigenbasis and handed to
     ``compound._gradient_gap``."""
     noise, _ = compound._ensure_positive_definite(noise)
-    g = compound._noise_gradient(h, noise.entries, input_cov.entries)
+    g = _inverse_difference(h, noise.entries, input_cov.entries)
     lam, basis = symmetric_eig(center)
     return compound._gradient_gap(basis.T @ g @ basis, basis.T @ noise.entries @ basis, lam, radius)
+
+
+def _inverse_difference(h, noise, input_cov):
+    """0.5 ((W + H Q H^T)^{-1} - W^{-1}), from the symmetrized output
+    covariance, symmetrized."""
+    output_cov = noise + h @ input_cov @ h.T
+    g = 0.5 * (np.linalg.inv(0.5 * (output_cov + output_cov.T)) - np.linalg.inv(noise))
+    return 0.5 * (g + g.T)
+
+
+def _pd_battery(seed):
+    """The 30 requests of the positive definite battery at ``seed``: d = 2..4,
+    radii up to 2 sqrt(tr C), powers over three decades."""
+    rng = np.random.default_rng(seed)
+    for i in range(30):
+        d = 2 + i % 3
+        g = rng.standard_normal((d, d))
+        center = SpdMatrix(g @ g.T + 0.05 * np.eye(d))
+        h = ChannelMatrix(rng.standard_normal((d, d)))
+        radius = float(rng.uniform(0.05, 2.0)) * math.sqrt(center.trace)
+        power = math.exp(rng.uniform(math.log(0.01), math.log(20.0))) * center.trace
+        yield CompoundCapacityRequest(BwBall(center, radius), h, power)
 
 
 def _benchmark_like(rng, d):
@@ -715,6 +810,36 @@ class TestCertificate:
                 continue
             assert result.diagnostics.certificate_gap <= 1e-8 * max(1.0, abs(result.value_nats))
         assert raised <= 2
+
+    @pytest.mark.parametrize("seed", [2025, 2026, 2027])
+    def test_pd_battery_certified_by_tangent_steps(self, monkeypatch, seed):
+        # on the sphere with the gradient pointing out, the step runs along
+        # it, so the rescale does not cap the move and every instance of
+        # these batteries converges
+        monkeypatch.setattr(compound, "MAX_ITERATIONS", 3000)
+        for request in _pd_battery(seed):
+            result = compound_capacity(request)
+            assert result.diagnostics.certificate_gap <= 1e-8 * max(1.0, abs(result.value_nats))
+
+    def test_rdf_gap_at_small_positive_rates(self):
+        # D just below the largest trace in the ball leaves rates in (0,
+        # 1e-3), and each row's gap is computed there, not left at 0.0
+        rng = np.random.default_rng(55)
+        computed = 0
+        for k in range(12):
+            d = 2 + k % 3
+            center = random_spd(rng, d)
+            vals, _ = symmetric_eig(center)
+            radius = np.array([float(rng.uniform(0.1, 1.0)) * math.sqrt(center.trace)])
+            top = (np.linalg.norm(np.sqrt(vals)) + radius[0]) ** 2
+            distortion = np.array([top * (1.0 - 10.0 ** -float(rng.uniform(3.0, 8.0)))])
+            result = compound_rdf(CompoundRdfRequest(BwBall(center, radius[0]), distortion[0]))
+            assert 0.0 < result.value_nats < 1e-3
+            lam, (level, _, _), _, _ = compound._rdf_rows(vals, radius, distortion)
+            expected = compound._rdf_gap(lam, level, vals, radius, distortion)[0]
+            assert result.diagnostics.certificate_gap == expected
+            computed += expected != 0.0
+        assert computed >= 6
 
     def test_singular_center_hard_case_gap(self):
         # A's top direction is e1, where the jittered center diag(0, 1) has
