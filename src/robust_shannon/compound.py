@@ -15,14 +15,18 @@ u of the eigenvalues. Capacity gets the same reduction whenever the channel
 shares an eigenbasis with the center (or is a scalar multiple of the
 identity). Both reductions are solved from their KKT conditions: given the
 water level and the ball multiplier, every mode's stationary point is in
-closed form, so the solve is a scalar root find for the water level (its
-equation is monotone) around one for the multiplier (the norm of u - s
-decreases in it), each by Newton steps kept inside a shrinking bracket.
-Both problems are convex in suitable coordinates, so the KKT point is the
+closed form, so each iteration evaluates the modes once and takes one joint
+(semismooth) Newton step on the pair of equations, budget and ball, from
+the partial derivatives of the closed forms (Qi & Sun, Math. Programming
+58, 1993). The water level keeps a bracket that only evaluations proving
+its side move; a step that leaves it, or that does not halve the last one,
+holds the level while the multiplier settles inside its own bracket. Both
+problems are convex in suitable coordinates, so the KKT point is the
 optimum. The solves work on rows, one per (radius, budget) around a shared
 center, stepped in lock step with the converged rows masked out. Single-shot
 calls and sweeps share one solve path, ``_solve``, which does each set-up
-step once per call: a single-shot call is one row, a sweep one batch.
+step once per call, at unit scale: a single-shot call is one row, a sweep
+one batch.
 
 A channel that shares no eigenbasis with the center leaves the capacity a
 convex problem (capacity is convex in the noise covariance and the ball is
@@ -92,8 +96,10 @@ class SolverDiagnostics:
     ``solver_path`` is "classical" at radius 0 (the classical limit at the
     center: nothing solved, 0 iterations, gap 0.0), "eigen-reduction" for
     the RDF and a channel sharing the center's eigenbasis, and
-    "projected-gradient" otherwise; ``iterations`` counts water-level steps
-    or projected-gradient iterations. ``jitter`` is the diagonal shift
+    "projected-gradient" otherwise; ``iterations`` counts KKT evaluations
+    (each evaluates every mode once at a water level and ball multiplier and
+    takes one joint Newton step) or projected-gradient iterations.
+    ``jitter`` is the diagonal shift
     added to a singular center before solving (0.0 when none was needed,
     and always for the RDF). ``certificate_gap`` is an upper bound, in
     nats, on how far the returned value lies from the true optimum (above
@@ -265,54 +271,97 @@ def _rowdot(a, b):
     return np.einsum("ij,ij->i", a, b)
 
 
-def _increasing_root(fun, x, lo, hi, rows, cap, what):
-    """Roots of increasing functions, one per row of ``rows``, on [lo, hi] by
-    safeguarded Newton steps taken in lock step.
+def _kkt_newton(kkt, level, mult, lo, hi):
+    """Joint Newton steps on the KKT pair of each row, the rows in lock step.
 
-    ``fun(x, rows)`` returns the values and slopes at x of the given rows and
-    a payload, a tuple of per-row arrays of whatever the caller keeps. Each
-    evaluation moves a row's bracket end on its side. A step that leaves the
-    bracket is cut back to the bound it crosses while that bound is still
-    the initial one, and replaced by bisection once the bound was evaluated.
-    A row stops, and is masked out, when its next step is at most
-    ROOT_STEP_TOL relative to x. Returns (x, steps, payload at x) per row;
-    raises SolverNoConverge after ``cap`` steps, its ``_row`` the lowest entry
-    of ``rows`` still live.
+    ``kkt.evaluate(level, mult, rows)`` evaluates the given rows' modes once
+    at (level, multiplier) and returns the multiplier it used (moved into
+    its interval at that level), the budget residual b, the ball residual c
+    (relative, so that |c| <= ROOT_STEP_TOL means the ball holds to that
+    tolerance), their partials (b_level, b_mult, c_level, c_mult) and u. c
+    rises in the multiplier and b moves in it in the direction ``kkt.sign``,
+    so at a fixed level b - g has the sign of sign c, g being b on the ball:
+    an increasing function of the level with its root at the optimum.
+
+    Each row takes the joint Newton step, whose level part is the Newton
+    step on the estimate of g along the ball's tangent (the Schur complement
+    of c_mult). An evaluation proves its level low when b < 0 with sign c
+    >= 0, or, once the multiplier is settled (|c| within ROOT_STEP_TOL, or
+    its own Newton step within ROOT_STEP_TOL relative), when that estimate
+    is below 0; high alike; such a level moves its side of the row's
+    bracket [lo, hi]. A level step that leaves the bracket is cut back to
+    the bound it crosses while that bound is still the initial one, and
+    replaced by bisection once the bound was evaluated. A row whose step
+    bisects or is not at most half the last one (a Newton cycle at a kink
+    where a mode changes branch) holds its level until an evaluation proves
+    its side, stepping its multiplier alone, as does a row whose level step
+    is within ROOT_STEP_TOL relative. The signs of c bracket the multiplier
+    at a level, and as c falls in the level (u - s grows with it) the bound
+    on the side the level leaves stays valid at the next one; a multiplier
+    step that leaves a two-sided bracket bisects it. The row stops, and is
+    masked out, once its level step comes with a settled multiplier or a
+    multiplier step within ROOT_STEP_TOL relative. Returns (u, evaluations)
+    per row; raises SolverNoConverge after MAX_ITERATIONS evaluations, its
+    ``_row`` the lowest row still live.
     """
-    n = x.size
-    steps, found, payload = np.zeros(n, dtype=int), np.empty(n), None
-    live, initial_lo, initial_hi = np.arange(n), np.ones(n, dtype=bool), np.ones(n, dtype=bool)
-    for k in range(1, cap + 1):  # x, lo, hi and the flags hold the live rows only
-        f, slope, part = fun(x, rows[live])
-        if payload is None:
-            payload = tuple(np.empty((n,) + p.shape[1:], p.dtype) for p in part)
-        below, above = f < 0.0, f > 0.0
-        lo, hi = np.where(below, x, lo), np.where(above, x, hi)
-        initial_lo, initial_hi = initial_lo & ~below, initial_hi & ~above
-        nxt = x - np.divide(f, slope, out=np.full(x.size, math.nan), where=slope > 0.0)
-        tol, step = ROOT_STEP_TOL * np.abs(x), np.abs(nxt - x)
-        out = ~(step <= tol) & ~((lo < nxt) & (nxt < hi))
+    n = level.size
+    steps, found, live = np.zeros(n, dtype=int), None, np.arange(n)
+    initial_lo, initial_hi, waiting = np.ones(n, dtype=bool), np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
+    mult_lo, mult_hi, last = np.full(n, -math.inf), np.full(n, math.inf), np.full(n, math.inf)
+    for k in range(1, MAX_ITERATIONS + 1):  # the per-row state holds the live rows only
+        mult, b, c, (b_level, b_mult, c_level, c_mult), u = kkt.evaluate(level, mult, live)
+        if found is None:
+            found = np.empty((n, u.shape[1]))
+        ratio = b_mult / c_mult
+        reduced, estimate = b_level - ratio * c_level, b - ratio * c
+        settled = np.abs(c) <= ROOT_STEP_TOL * np.maximum(1.0, np.abs(mult * c_mult))
+        # the sign of g that the evaluation proves, 0 where it proves none
+        # (c != 0 where the multiplier is not settled)
+        side = np.where(settled, estimate, np.where((b < 0.0) == (kkt.sign * c > 0.0), b, 0.0))
+        low, high = side < 0.0, side > 0.0
+        lo, hi = np.where(low, level, lo), np.where(high, level, hi)
+        initial_lo, initial_hi = initial_lo & ~low, initial_hi & ~high
+        nxt = level - np.divide(estimate, reduced, out=np.full(level.size, math.nan), where=reduced > 0.0)
+        close = (estimate == 0.0) | (np.abs(nxt - level) <= ROOT_STEP_TOL * np.abs(level))
+        out = ~close & ~((lo < nxt) & (nxt < hi))
         if out.any():
-            cut_lo = out & initial_lo & (nxt <= lo)
-            cut_hi = out & initial_hi & (nxt >= hi)
+            cut_lo, cut_hi = out & initial_lo & (nxt <= lo), out & initial_hi & (nxt >= hi)
+            out &= ~(cut_lo | cut_hi)  # the rows that bisect
             nxt = np.where(cut_lo, lo, np.where(cut_hi, hi, np.where(out, 0.5 * (lo + hi), nxt)))
-            step = np.abs(nxt - x)
-        done = (f == 0.0) | (step <= tol)
+        # the joint step's size: relative in the level, and in the multiplier
+        # relative to the larger of the multiplier and its step
+        mult_step = np.abs((c + c_level * (nxt - level)) / c_mult)
+        size = np.abs(nxt - level) / np.abs(level) + mult_step / (np.abs(mult) + mult_step + 1e-300)
+        waiting = (waiting | out | ~(size <= 0.5 * last)) & ~(low | high)
+        hold = close | waiting
+        nxt, last = np.where(hold, level, nxt), np.where(hold, last, size)
+        new_mult = mult - (c + c_level * (nxt - level)) / c_mult
+        mult_tol = ROOT_STEP_TOL * np.abs(mult)
+        # the multiplier's bracket at the next level: c falls in the level, so
+        # a bound on the side the level moves away from stays valid
+        mult_lo = np.where(nxt < level, -math.inf, np.maximum(mult_lo, np.where(c < 0.0, mult, -math.inf)))
+        mult_hi = np.where(nxt > level, math.inf, np.minimum(mult_hi, np.where(c > 0.0, mult, math.inf)))
+        both = np.isfinite(mult_lo) & np.isfinite(mult_hi)
+        halve = both & ~((mult_lo < new_mult) & (new_mult < mult_hi)) & ~(np.abs(new_mult - mult) <= mult_tol)
+        if halve.any():
+            new_mult = np.where(halve, 0.5 * np.add(mult_lo, mult_hi, out=np.zeros_like(mult), where=both), new_mult)
+        done = close & (settled | (np.abs(new_mult - mult) <= mult_tol))
         if done.any():
-            found[live[done]], steps[live[done]] = x[done], k
-            for store, p in zip(payload, part):
-                store[live[done]] = p[done]
+            found[live[done]], steps[live[done]] = u[done], k
             keep = ~done
-            live, nxt, lo, hi = live[keep], nxt[keep], lo[keep], hi[keep]
-            initial_lo, initial_hi = initial_lo[keep], initial_hi[keep]
-            if live.size == 0:
-                return found, steps, payload
-        x = nxt
+            if not keep.any():
+                return found, steps
+            live, nxt, new_mult, lo, hi, initial_lo, initial_hi, waiting, mult_lo, mult_hi, last = (
+                a[keep] for a in (
+                    live, nxt, new_mult, lo, hi, initial_lo, initial_hi, waiting, mult_lo, mult_hi, last
+                )
+            )
+        level, mult = nxt, new_mult
     failure = SolverNoConverge(
-        f"{what} search did not converge within {cap} steps",
-        SolverDiagnostics(cap, "eigen-reduction"),
+        f"KKT search did not converge within {MAX_ITERATIONS} evaluations",
+        SolverDiagnostics(MAX_ITERATIONS, "eigen-reduction"),
     )
-    failure._row = int(rows[live].min())
+    failure._row = int(live.min())
     raise failure
 
 
@@ -341,7 +390,7 @@ def compound_rdf(req: CompoundRdfRequest) -> CompoundResult:
 def _rdf_rows(vals, radius, distortion):
     """The RDF reduction around the center spectrum ``vals`` (descending), one
     row per (radius, distortion): worst-case spectra, their reverse waterfill
-    (level, per_mode, rate), water-level steps and certificate gaps.
+    (level, per_mode, rate), KKT evaluations and certificate gaps.
 
     ``_rdf_gap`` at the center, with S bounded by Cauchy-Schwarz, caps the
     radius' effect at d (2 ||s|| r + r^2)/(2D); rows where that is below the
@@ -361,7 +410,7 @@ def _rdf_rows(vals, radius, distortion):
     steps = np.zeros(radius.size, dtype=int)
     if moved.any():
         with _rows_of(moved):
-            u, steps[moved] = _RdfKkt(s, radius[moved], distortion[moved]).solve()
+            u, steps[moved] = _RdfKkt(s, radius[moved], distortion[moved]).solve(lam[moved])
         lam[moved] = u * u
     level, per_mode, rate = reverse_waterfill_rows(lam, distortion[:, None])
     gap = np.where(center, effect, 0.0)
@@ -374,48 +423,49 @@ def _rdf_rows(vals, radius, distortion):
 
 class _RdfKkt:
     """KKT solve of the RDF reduction max rate(u^2) over ||u - s|| <= r, one
-    row per (radius, distortion) around the shared s, the rows in lock step.
+    row per (radius, distortion) around the shared s, by ``_kkt_newton``.
 
     With water level theta and ball multiplier kappa, each mode's
     stationary point is in closed form. Above the water (u^2 >= theta)
     u = (s + sqrt(s^2 + 4/kappa))/2; below it u = s kappa theta /
     (kappa theta - 1), for kappa theta > 1; u is the smaller of the two.
-    The multiplier is searched as omega = 1 - 1/(kappa theta), in which
-    u - s decreases and the branch below the water, s (1 - omega)/omega,
-    stays well conditioned for small s; omega <= 0 puts every mode above
-    the water. At omega = 0 the modes with s = 0 jump from 0 to
-    sqrt(theta); when the radius falls inside that jump they share what
-    the other modes leave of it, each with u^2 <= theta (the hard case).
+    The multiplier is taken as omega = 1 - 1/(kappa theta), in which u - s
+    decreases and the branch below the water, s (1 - omega)/omega, stays
+    well conditioned for small s; omega <= 0 puts every mode above the
+    water. The residuals are the budget sum min(u^2, theta) - D, which
+    falls in omega, and the ball 1 - ||u - s||^2/r^2, which rises in it. At
+    omega = 0 the modes with s = 0 jump from 0 to sqrt(theta); when the
+    radius falls inside that jump they share what the other modes leave of
+    it, each with u^2 <= theta (the hard case), and the level alone moves.
 
-    The water level solves sum min(u^2, theta) = D, increasing in theta on
-    [D/d, (s_max + r)^2]; the search starts at the top, where every mode is
-    below the water and u is the radial point s (1 + r/||s||). In
-    the coordinates (lambda/(2 theta), 1/(2 theta)) the reduced problem
-    maximizes a jointly concave function over a convex cone, so this KKT
-    point is the optimum.
+    The level lies in [D/d, (s_max + r)^2]. The solve starts at the reverse
+    waterfill level of the radial point s (1 + r/||s||), with kappa from
+    each mode's quadratic u (u - s) = 1/kappa there, weighted by its share
+    of r^2; both are exact at d = 1. In the coordinates (lambda/(2 theta),
+    1/(2 theta)) the reduced problem maximizes a jointly concave function
+    over a convex cone, so this KKT point is the optimum.
     """
+
+    sign = -1.0
 
     def __init__(self, s, radius, distortion):
         self.s, self.radius, self.distortion = s, radius, distortion
         self.r2 = radius * radius
         self.zero = s == 0.0
-        norm_s = float(np.linalg.norm(s))
+        self.norm_s = norm_s = float(np.linalg.norm(s))
         # every mode below the water; kept below 1 (kappa finite) when r/||s|| rounds away
         self.omega_radial = np.minimum(norm_s / (norm_s + radius), np.nextafter(1.0, 0.0))
-        # each row's last theta, omega and d omega/d theta: its next multiplier
-        # search starts on that tangent
-        self.theta = np.zeros(radius.size)
-        self.omega = self.omega_radial.copy()
-        self.slope = np.zeros(radius.size)
 
-    def solve(self):
-        """Worst-case u and the water-level steps, one row each."""
-        top = (self.s[0] + self.radius) ** 2
-        lo, rows = self.distortion / self.s.size, np.arange(top.size)
-        _, steps, (u,) = _increasing_root(
-            self._excess, top, lo, top, rows, MAX_ITERATIONS, "water level"
-        )
-        return u, steps
+    def solve(self, radial):
+        """Worst-case u and the KKT evaluations, one row each, from the
+        spectra ``radial`` of each row's radial point."""
+        s, distortion, radius = self.s, self.distortion, self.radius
+        theta = reverse_waterfill_rows(radial, distortion[:, None])[0]
+        # sum over the modes of (delta^2 / r^2) / (u delta), where every
+        # moved mode has delta/u = r/(||s|| + r)
+        kappa = (radial > 0.0).sum(axis=1) / (radius * (self.norm_s + radius))
+        top = (s[0] + radius) ** 2
+        return _kkt_newton(self, theta, 1.0 - 1.0 / (kappa * theta), distortion / s.size, top)
 
     def _modes(self, theta, omega):
         """u - s at each row's (theta, omega), its partial derivatives in
@@ -435,65 +485,46 @@ class _RdfKkt:
         d_theta = np.where(under, 0.0, d_theta)
         return delta, d_omega, d_theta, under
 
-    def _multiplier(self, theta, lo, hi, rows):
-        """omega in [lo, hi] with ||u - s|| = r per row; returns ``_modes`` there."""
-        omega = self.omega[rows]
-        start = omega + self.slope[rows] * (theta - self.theta[rows])
-        fallback = np.where((lo < omega) & (omega < hi), omega, hi)
-        start = np.where((lo < start) & (start < hi), start, fallback)
-        self.theta[rows] = theta
-        self.omega[rows], _, modes = _increasing_root(
-            self._residual, start, lo, hi, rows, MAX_SECULAR_NEWTON, "ball multiplier"
-        )
-        return modes
-
-    def _residual(self, omega, rows):
-        modes = self._modes(self.theta[rows], omega)
-        delta, d_omega = modes[:2]
-        return self.r2[rows] - _rowdot(delta, delta), -2.0 * _rowdot(delta, d_omega), modes
-
-    def _excess(self, theta, rows):
-        """sum min(u^2, theta) - D at each row's theta, with its slope in theta and u."""
+    def evaluate(self, theta, omega, rows):
+        """The ``_kkt_newton`` evaluation at each row's (theta, omega)."""
         s, d, zero = self.s, self.s.size, self.zero
-        r2, distortion = self.r2[rows], self.distortion[rows]
-        level = theta[:, None]
-        above = 2.0 * level / (s + np.sqrt(s * s + 4.0 * level))  # u - s at omega = 0
-        above[:, zero] = 0.0
-        rho0 = _rowdot(above, above)
+        r2, distortion, radius = self.r2[rows], self.distortion[rows], self.radius[rows]
+        # every mode above the water: at 1/kappa = (s_max + r) r the top one spends r
+        lo = 1.0 - np.maximum(theta, (s[0] + radius) * radius) / theta
+        omega = np.clip(omega, lo, self.omega_radial[rows])
+        hard = np.zeros(rows.size, dtype=bool)
         n_zero = int(zero.sum())
-        value, slope, u = np.empty(rows.size), np.empty(rows.size), np.empty((rows.size, d))
-        # hard case: kappa theta = 1 and the s = 0 modes share the rest
-        hard = (rho0 <= r2) & (r2 < rho0 + n_zero * theta)
+        if n_zero:
+            level = theta[:, None]
+            above = 2.0 * level / (s + np.sqrt(s * s + 4.0 * level))  # u - s at omega = 0
+            above[:, zero] = 0.0
+            rho0 = _rowdot(above, above)
+            # the s = 0 modes jump across the ball at omega = 0
+            hard = (rho0 <= r2) & (r2 < rho0 + n_zero * theta)
+            omega = np.where(hard, 0.0, omega)
+        delta, d_omega, d_theta, under = self._modes(theta, omega)
+        u = s + delta
+        budget = np.minimum(u * u, theta[:, None]).sum(axis=1) - distortion
+        ball = 1.0 - _rowdot(delta, delta) / r2  # relative to r^2
+        # below the water u = s/omega: u^2 moves with omega only, above it sum min = theta
+        safe = np.where(omega > 0.0, omega, 1.0)
+        curvature = (under * (s * s)).sum(axis=1) / safe**3
+        jacobian = [
+            d - under.sum(axis=1, dtype=float), -2.0 * curvature,
+            -2.0 * _rowdot(delta, d_theta) / r2, -2.0 * _rowdot(delta, d_omega) / r2,
+        ]
         if hard.any():
-            at = rows[hard]
-            self.theta[at], self.omega[at], self.slope[at] = theta[hard], 0.0, 0.0
+            # kappa theta = 1 and the s = 0 modes share the rest
             d_above = 1.0 / np.sqrt(s * s + 4.0 * theta[hard, None])
-            slope[hard] = (d - n_zero) - 2.0 * _rowdot(above[hard], d_above)
             spare = r2[hard] - rho0[hard]
-            value[hard] = (d - n_zero) * theta[hard] + spare - distortion[hard]
+            budget[hard] = (d - n_zero) * theta[hard] + spare - distortion[hard]
+            ball[hard] = 0.0
+            for j, value in enumerate(((d - n_zero) - 2.0 * _rowdot(above[hard], d_above), 0.0, 0.0, 1.0)):
+                jacobian[j][hard] = value
             share = above[hard]
             share[:, zero] = np.sqrt(spare / n_zero)[:, None]
             u[hard] = s + share
-        soft = ~hard
-        if soft.any():
-            at, level, radius = rows[soft], theta[soft], self.radius[rows[soft]]
-            inside = r2[soft] < rho0[soft]
-            # every mode above the water: at 1/kappa = (s_max + r) r the top one spends r
-            lo = np.where(inside, 0.0, 1.0 - np.maximum(level, (s[0] + radius) * radius) / level)
-            hi = np.where(inside, self.omega_radial[at], 0.0)
-            delta, d_omega, d_theta, under = self._multiplier(level, lo, hi, at)
-            tangent = -_rowdot(delta, d_theta) / _rowdot(delta, d_omega)
-            self.slope[at] = tangent
-            u[soft] = s + delta
-            value[soft] = np.minimum(u[soft] ** 2, level[:, None]).sum(axis=1) - distortion[soft]
-            # below the water u = s/omega, and u^2 moves with theta only through omega
-            n_below = under.sum(axis=1)
-            curvature = np.divide(
-                (under * (s * s)).sum(axis=1), self.omega[at] ** 3,
-                out=np.zeros(at.size), where=n_below > 0,
-            )
-            slope[soft] = (d - n_below) - 2.0 * curvature * tangent
-        return value, slope, (u,)
+        return omega, budget, ball, jacobian, u
 
 
 def _rdf_gap(lam, level, center_vals, radius, distortion):
@@ -541,102 +572,93 @@ def _is_diagonal(m):
 
 class _CapacityKkt:
     """KKT solve of the commuting-channel capacity, min capacity over
-    ||u - s|| <= r, one row per (radius, power), the rows in lock step.
+    ||u - s|| <= r, one row per (radius, power), by ``_kkt_newton``.
 
     u are the noise stddevs per axis, s the (jittered) center's and w = h^2
     the squared channel weights. With water level nu and ball multiplier
     kappa, a mode with s^2 >= w nu gets no power and keeps u = s (dead
     modes, w = 0, always); otherwise u is the positive root of
     (kappa + 1/(w nu)) u^2 - kappa s u - 1 = 0, solved for u - s without
-    cancellation. kappa = 0 when u = max(s, sqrt(w nu)) lies inside the
-    ball; else ||u - s|| = r fixes it, with 1/||u - s|| increasing in kappa.
-    The water level solves sum (nu - u^2/w)+ = P, increasing in nu between
-    the classical levels at the noise stddevs s and s + r; the search starts
-    at the latter, which is the answer at d = 1. The problem is jointly
-    convex in (u^2, 1/nu), so this KKT point is the optimum. Every row has
-    some power and some live mode.
+    cancellation. The ball residual r/||u - s|| - 1 rises in kappa, and so
+    does the budget residual sum (nu - u^2/w)+ - P. kappa = 0 where u =
+    max(s, sqrt(w nu)) lies inside the ball: there the budget residual is
+    -P, which proves the level low, and the residuals and their partials at
+    kappa = 0 (the same closed forms) give the step towards the sphere.
+
+    The level lies between the classical levels at the noise stddevs s and
+    s + r. The solve starts at the classical level of the radial point
+    s (1 + r/||s||), on the sphere, which is the answer at d = 1, with
+    kappa from the kappa = 0 step pulled onto the sphere, each mode's kappa
+    from its quadratic there, weighted by its share of r^2; later kappas
+    are kept in [0, active modes / r^2], across which the ball residual
+    changes sign. The problem is jointly convex in (u^2, 1/nu), so this KKT
+    point is the optimum. Every row has some power and some live mode.
     """
+
+    sign = 1.0
 
     def __init__(self, s, w, radius, power):
         self.s, self.w, self.radius, self.power = s, w, radius, power
-        m = radius.size
-        # each row's last nu, kappa and d kappa/d nu: its next multiplier
-        # search starts on that tangent
-        self.nu, self.kappa, self.slope = np.zeros(m), np.zeros(m), np.zeros(m)
-        # each row's 1/(w nu) and 1 - s^2/(w nu) at the nu being evaluated,
-        # 1 and 0 off its active modes, so that those keep u = s
-        self.c, self.e = np.ones((m, s.size)), np.zeros((m, s.size))
 
     def solve(self):
-        """Worst-case u and the water-level steps, one row each."""
+        """Worst-case u and the KKT evaluations, one row each."""
         s, w, m = self.s, self.w, self.radius.size
+        radial = s * (1.0 + self.radius / float(np.linalg.norm(s)))[:, None]
         with np.errstate(divide="ignore"):
-            inverse = np.vstack([np.tile(s * s, (m, 1)), (s + self.radius[:, None]) ** 2]) / w
-        levels, _, _ = waterfill_rows(inverse, np.tile(self.power, 2)[:, None])
-        lo, hi = levels[:m], levels[m:]
-        _, steps, (u,) = _increasing_root(
-            self._excess, hi, lo, hi, np.arange(m), MAX_ITERATIONS, "water level"
-        )
-        return u, steps
+            inverse = np.vstack([np.tile(s * s, (m, 1)), (s + self.radius[:, None]) ** 2, radial**2]) / w
+        levels, _, _ = waterfill_rows(inverse, np.tile(self.power, 3)[:, None])
+        lo, hi, start = levels[:m], levels[m:2 * m], levels[2 * m:]
+        return _kkt_newton(self, start, np.full(m, math.nan), lo, hi)
 
-    def _excess(self, nu, rows):
-        """sum (nu - u^2/w)+ - P at each row's nu, with its slope in nu and u."""
-        s, w = self.s, self.w
+    def evaluate(self, nu, kappa, rows):
+        """The ``_kkt_newton`` evaluation at each row's (nu, kappa)."""
+        s, w, radius = self.s, self.w, self.radius[rows]
         wnu = w * nu[:, None]
         active = wnu > s * s
         c = 1.0 / np.where(active, wnu, 1.0)
         e = np.where(active, 1.0 - c * s * s, 0.0)
         free = np.where(active, np.sqrt(wnu) - s, 0.0)  # u - s at kappa = 0
         free_norm = np.sqrt(_rowdot(free, free))
-        value, slope, u = -self.power[rows], np.zeros(rows.size), s + free
-        tight = free_norm > self.radius[rows]  # the rows where the ball binds
-        if not tight.any():
-            return value, slope, (u,)
-        at, level, active = rows[tight], nu[tight], active[tight]
-        c, radius = c[tight], self.radius[at]
-        self.c[at], self.e[at] = c, e[tight]
-        hi = active.sum(axis=1) / radius**2
-        start = self.kappa[at] + self.slope[at] * (level - self.nu[at])
-        # the kappa = 0 step pulled onto the sphere, with each mode's
-        # kappa from its quadratic there, weighted by its share of r^2
-        guess = free[tight] * (radius / free_norm[tight])[:, None]
-        u0 = s + guess
-        pulled = np.minimum(_rowdot(guess, (1.0 - c * u0 * u0) / u0) / radius**2, hi)
-        start = np.where((0.0 < start) & (start < hi), start, pulled)
-        self.kappa[at], _, (delta, ua, jac) = _increasing_root(
-            self._residual, start, np.zeros(at.size), hi, at, MAX_SECULAR_NEWTON, "ball multiplier"
-        )
-        d_kappa = -delta * ua / jac
-        d_nu = ua * ua * c / (level[:, None] * jac)
-        tangent = -_rowdot(delta, d_nu) / _rowdot(delta, d_kappa)
-        self.nu[at], self.slope[at] = level, tangent
-        weighted = np.where(active, ua / np.where(active, w, 1.0), 0.0)  # u/w on the active modes
-        value[tight] = level * active.sum(axis=1) - _rowdot(weighted, ua) - self.power[at]
-        d_total = d_nu + d_kappa * tangent[:, None]
-        slope[tight] = active.sum(axis=1) - 2.0 * _rowdot(weighted, d_total)
-        u[tight] = ua
-        return value, slope, (u,)
-
-    def _residual(self, kappa, rows):
+        count = active.sum(axis=1)
+        hi = count / radius**2
+        tight = free_norm > radius
+        fresh = tight & np.isnan(kappa)
+        kappa = np.where(tight, np.clip(kappa, 0.0, hi), 0.0)
+        if fresh.any():
+            # a row's first kappa where the ball binds: the kappa = 0 step pulled
+            # onto the sphere, each mode's kappa from its quadratic there
+            # weighted by its share of r^2
+            guess = free * np.divide(radius, free_norm, out=np.zeros_like(radius), where=fresh)[:, None]
+            u0 = s + guess
+            pulled = np.minimum(_rowdot(guess, (1.0 - c * u0 * u0) / u0) / radius**2, hi)
+            kappa = np.where(fresh, pulled, kappa)
         # (kappa + c) d^2 + (kappa + 2c) s d - e = 0 for d = u - s
-        s, c, e = self.s, self.c[rows], self.e[rows]
         kc = kappa[:, None] + c
         k2c = (kappa[:, None] + 2.0 * c) * s
         delta = 2.0 * e / (k2c + np.sqrt(k2c * k2c + kc * (4.0 * e)))
-        ua = s + delta
+        u = s + delta
         jac = 2.0 * kc * delta + k2c  # its derivative in d
-        squares = delta * delta
-        norm2 = squares.sum(axis=1)
-        norm = np.sqrt(norm2)
-        slope = _rowdot(squares / jac, ua) / (norm2 * norm)
-        return 1.0 / norm - 1.0 / self.radius[rows], slope, (delta, ua, jac)
+        d_kappa = -delta * u / jac
+        d_nu = u * u * c / (nu[:, None] * jac)
+        weighted = np.where(active, u / np.where(active, w, 1.0), 0.0)  # u/w on the active modes
+        budget = np.where(tight, nu * count - _rowdot(weighted, u), 0.0) - self.power[rows]
+        # the ball as r/||u - s|| - 1; a level with no active mode is low
+        norm = np.sqrt(_rowdot(delta, delta))
+        some = norm > 0.0
+        norm = np.where(some, norm, radius)
+        pull = -radius / norm**3
+        jacobian = (
+            count - 2.0 * _rowdot(weighted, d_nu), -2.0 * _rowdot(weighted, d_kappa),
+            pull * _rowdot(delta, d_nu), np.where(some, pull * _rowdot(delta, d_kappa), 1.0),
+        )
+        return kappa, budget, np.where(some, radius / norm - 1.0, 1.0), jacobian, u
 
 
 def _capacity_rows(s, w, radius, power):
     """The commuting-channel capacity reduction around the (jittered) center
     stddevs ``s`` with squared channel weights ``w``, one row per (radius,
     power): worst-case noise variances, their waterfill (level, per_mode,
-    rate), water-level steps and Frank-Wolfe gaps.
+    rate), KKT evaluations and Frank-Wolfe gaps.
 
     Capacity is convex in the noise variances n, |dC/dn_i| <= w P /
     (2 s^2 (s^2 + w P)) at the center, and the ball moves n_i by at most
@@ -754,14 +776,30 @@ def _solve(kind, center, channel, radius, budget):
     ``SolverNoConverge`` carries in ``_row`` the lowest row that failed: the
     first in order on the general path, the lowest still unconverged when a
     lock-step search ran out of steps.
+
+    The solve runs at unit scale: with 4^e the power of four nearest tr C/d,
+    (C, r, budget) become (C/4^e, r/2^e, budget/4^e), and the worst cases,
+    their traces, the water levels, the per-mode budgets and the jitter are
+    scaled back by 4^e. Scaling by a power of two is exact, so the values,
+    gaps and iterations are the same bits at every scale. A center with
+    tr C/d in [1/2, 2) is solved as given, and so are rows whose budget or
+    radius would overflow at unit scale.
     """
     m, zero, jitter, covs = radius.size, radius == 0.0, 0.0, None
+    unit, e = center, math.frexp(center.trace / center.dim)[1] // 2
+    if e != 0:
+        with np.errstate(over="ignore"):
+            scaled = np.ldexp(radius, -e), np.ldexp(budget, -2 * e)
+        if all(np.isfinite(part).all() for part in scaled):
+            unit, (radius, budget) = SpdMatrix(np.ldexp(center.entries, -2 * e)), scaled
+        else:
+            e = 0  # budgets or radii beyond the float range at unit scale
     if kind == "rdf":
-        basis = center._eigvecs
-        spectra, alloc, steps, gap = _rdf_rows(center._eigvals, radius, budget)
+        basis = unit._eigvecs
+        spectra, alloc, steps, gap = _rdf_rows(unit._eigvals, radius, budget)
     else:
         h = channel.entries
-        center_pd, jitter = _ensure_positive_definite(center)
+        center_pd, jitter = _ensure_positive_definite(unit)
         axes = _commuting_channel_axes(center_pd, h)
         if axes is not None or zero.any():
             gains = _whitened_gains(h, center_pd.entries)[0]
@@ -780,7 +818,7 @@ def _solve(kind, center, channel, radius, budget):
                 except SolverNoConverge as exc:
                     exc._row = int(i)
                     raise
-                covs[i] = SpdMatrix(coords.basis @ coords.noise(s_map) @ coords.basis.T)
+                covs[i] = SpdMatrix(np.ldexp(coords.basis @ coords.noise(s_map) @ coords.basis.T, 2 * e))
                 alloc[0][i], alloc[1][i], alloc[2][i] = found
                 steps[i], gap[i] = diag.iterations, diag.certificate_gap
         if zero.any():
@@ -788,6 +826,10 @@ def _solve(kind, center, channel, radius, budget):
                 inverse = np.tile(1.0 / gains, (int(zero.sum()), 1))
             for column, classical in zip(alloc, waterfill_rows(inverse, budget[zero, None])):
                 column[zero] = classical
+    if e != 0:  # back to the units of the data
+        alloc, jitter = (np.ldexp(alloc[0], 2 * e), np.ldexp(alloc[1], 2 * e), alloc[2]), math.ldexp(jitter, 2 * e)
+        if covs is None:
+            spectra = np.ldexp(spectra, 2 * e)
     trace = spectra.sum(axis=1) if covs is None else np.array([c.trace for c in covs])
     trace[zero], steps[zero], gap[zero] = center.trace, 0, 0.0
     path = "eigen-reduction" if covs is None else "projected-gradient"

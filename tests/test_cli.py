@@ -292,7 +292,7 @@ def test_verify_deterministic(capsys):
 
 
 def test_sweep_no_convergence_reports_iterations(capsys, monkeypatch, tmp_path):
-    monkeypatch.setattr(compound, "MAX_ITERATIONS", 2)
+    monkeypatch.setattr(compound, "MAX_ITERATIONS", 1)
     monkeypatch.setattr(compound, "VALUE_STAGNATION_TOL", 0.0)
     center = write_matrix(tmp_path / "center.json", [[1.0, 0.3], [0.3, 4.0]])
     code, _, err = run_cli(
@@ -300,8 +300,20 @@ def test_sweep_no_convergence_reports_iterations(capsys, monkeypatch, tmp_path):
         "--distortion", "1",
     )
     assert code == 3
-    assert "after 2 iterations" in err
+    assert "after 1 iterations" in err
     assert "grid point 0" in err
+
+
+def test_capacity_at_huge_scale_matches_closed_form(capsys, tmp_path):
+    # at unit scale nothing overflows: no warning, and the scalar closed form
+    center = write_matrix(tmp_path / "center.json", [[1e300]])
+    code, out, err = run_cli(
+        capsys, "compound-capacity", "--center", center, "--radius", "1e150", "--power", "1e300",
+    )
+    assert (code, err) == (0, "")
+    value = float(out.strip().split("\n")[1].split(",")[2])
+    expected = compound_capacity_scalar(1e150, 1e150, 1e300)
+    assert value == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
 def test_general_channel_no_convergence_reports_iterations(capsys, monkeypatch, tmp_path):

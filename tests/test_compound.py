@@ -120,6 +120,14 @@ class TestCompoundRdf:
         level = result.inner_allocation.level
         assert np.all(lam[:-1] > 0.0) and np.all(lam[:-1] < level)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_zero_center_spreads_the_radius_evenly(self, d):
+        # no radial direction: the worst case puts r^2/d on every mode
+        center = SpdMatrix(np.zeros((d, d)))
+        result = compound_rdf(CompoundRdfRequest(BwBall(center, 1.0), 0.3))
+        assert result.value_nats == pytest.approx(0.5 * d * math.log(1.0 / 0.3), rel=1e-14)
+        assert result.diagnostics.certificate_gap <= 1e-12 * d
+
     def test_worst_case_feasible_and_reproduces_value(self):
         rng = np.random.default_rng(31)
         for _ in range(20):
@@ -552,21 +560,21 @@ class TestSweep:
             sweep_compound("capacity", center, [(0.1, math.nan), (0.1, 1.0)])
 
     def test_no_convergence_keeps_diagnostics(self, monkeypatch):
-        monkeypatch.setattr(compound, "MAX_ITERATIONS", 2)
+        monkeypatch.setattr(compound, "MAX_ITERATIONS", 1)
         monkeypatch.setattr(compound, "VALUE_STAGNATION_TOL", 0.0)
         center = SpdMatrix([[1.0, 0.3], [0.3, 4.0]])
         with pytest.raises(SolverNoConverge, match="grid point 0") as info:
             sweep_compound("rdf", center, [(0.5, 1.0)])
-        assert info.value.diagnostics.iterations == 2
+        assert info.value.diagnostics.iterations == 1
 
     def test_batch_failure_names_lowest_failing_point(self, monkeypatch):
-        monkeypatch.setattr(compound, "MAX_ITERATIONS", 2)
+        monkeypatch.setattr(compound, "MAX_ITERATIONS", 1)
         center = SpdMatrix([[1.0, 0.3], [0.3, 4.0]])
         grid = [(0.0, 1.0), (0.5, 2.0), (0.5, 1.0), (0.0, 2.0)]
         for kind in ("rdf", "capacity"):
             with pytest.raises(SolverNoConverge, match="grid point 1") as info:
                 sweep_compound(kind, center, grid)
-            assert info.value.diagnostics.iterations == 2
+            assert info.value.diagnostics.iterations == 1
 
     def test_failing_general_channel_sweep_solves_each_row_once(self, monkeypatch):
         rng = np.random.default_rng(37)
@@ -587,7 +595,9 @@ class TestSweep:
         monkeypatch.setattr(compound, "_minimize", counted)
         with pytest.raises(SolverNoConverge, match=r"grid point 2 \(r=1.0, budget=2.0\)"):
             sweep_compound("capacity", center, grid, h)
-        assert calls == [0.05, 1.0]  # row 0 is classical, row 3 is never reached
+        # row 0 is classical, row 3 is never reached; radii are at unit scale
+        unit = 2.0 ** -(math.frexp(center.trace / center.dim)[1] // 2)
+        assert calls == [0.05 * unit, 1.0 * unit]
 
     def test_rejects_empty_grid_and_bad_kind(self):
         center = SpdMatrix.identity(1)
@@ -867,3 +877,52 @@ class TestCertificate:
             gap = result.diagnostics.certificate_gap
             assert -1e-12 <= gap <= 1e-8 * max(1.0, abs(result.value_nats))
         assert rdf.diagnostics.jitter == 0.0
+
+
+def _ill_conditioned_kkt_battery(count):
+    """Centers of d = 2..16 with spectra log-uniform in [1e-6, 1], each with
+    12 rows: radii log-uniform in [1e-4, 3] ||s||, distortions in [1e-4, 1]
+    ||s||^2 and powers in [1e-3, 10] ||s||^2."""
+    rng = np.random.default_rng(3)
+    for _ in range(count):
+        d = int(rng.integers(2, 17))
+        vals = np.sort(np.exp(rng.uniform(math.log(1e-6), 0.0, d)))[::-1]
+        total = float(vals.sum())
+
+        def draw(lo, hi):
+            return np.exp(rng.uniform(math.log(lo), math.log(hi), 12))
+
+        yield vals, math.sqrt(total) * draw(1e-4, 3.0), total * draw(1e-4, 1.0), total * draw(1e-3, 10.0)
+
+
+class TestKktSteps:
+    def test_ill_conditioned_battery_converges_with_tight_gaps(self):
+        # every row converges, without a warning, to a certified optimum
+        for vals, radius, distortion, power in _ill_conditioned_kkt_battery(100):
+            s = np.sqrt(vals)
+            _, (_, _, rate), _, gap = compound._rdf_rows(vals, radius, distortion)
+            assert np.all(gap <= 1e-12 * np.maximum(1.0, np.abs(rate)))
+            _, (_, _, rate), _, gap = compound._capacity_rows(s, np.ones_like(s), radius, power)
+            assert np.all(gap <= 1e-12 * np.maximum(1.0, np.abs(rate)))
+
+    @pytest.mark.parametrize("kind", ["rdf", "capacity"])
+    def test_sweep_like_grids_take_few_evaluations(self, kind):
+        # a wrong slope or start shows as extra KKT evaluations; at d = 1 the
+        # start is the answer
+        rng = np.random.default_rng(17)
+        lo, hi = (0.05, 0.8) if kind == "rdf" else (0.1, 2.0)
+        closed_form = compound_rdf_scalar if kind == "rdf" else compound_capacity_scalar
+        for d in (1, 4, 16) * 4:
+            q = _rotation(rng, d)
+            center = SpdMatrix((q * np.exp(rng.uniform(math.log(0.5), math.log(2.0), d))) @ q.T)
+            total = center.trace
+            grid = [
+                (f * math.sqrt(total), float(b))
+                for f in (0.1, 0.25, 0.5) for b in np.linspace(lo * total, hi * total, 8)
+            ]
+            for point in sweep_compound(kind, center, grid):
+                assert point.diagnostics.solver_path == "eigen-reduction"
+                assert point.diagnostics.iterations <= (2 if d == 1 else 10)
+                if d == 1:
+                    expected = closed_form(math.sqrt(total), point.r, point.budget)
+                    assert point.value_nats == pytest.approx(expected, rel=1e-14, abs=0.0)

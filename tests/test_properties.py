@@ -253,6 +253,54 @@ def sweep_instances(draw):
     return kind, center, channel, grid + grid[:1]
 
 
+@st.composite
+def unit_free_instances(draw):
+    """(kind, center entries, channel or None, grid) at d = 1..4 whose
+    center is built exactly at every scale 4^k: rotated positive definite,
+    or singular and diagonal up to a permutation."""
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lam = np.exp(rng.uniform(math.log(0.2), math.log(5.0), d))
+    singular = d > 1 and draw(st.booleans())
+    if singular:
+        lam[rng.choice(d, size=int(rng.integers(1, d)), replace=False)] = 0.0
+        q = np.eye(d)[rng.permutation(d)]
+    else:
+        q = _rotation(rng, d)
+    kind = draw(st.sampled_from(["rdf", "capacity"]))
+    shapes = ["identity", "commuting"] if singular else ["identity", "commuting", "general"]
+    shape = draw(st.sampled_from(shapes)) if kind == "capacity" else "identity"
+    channel = None
+    if shape == "commuting":
+        channel = ChannelMatrix((q * rng.uniform(-2.0, 2.0, d)) @ q.T)
+    elif shape == "general":
+        channel = ChannelMatrix(rng.standard_normal((d, d)))
+    total = float(lam.sum())
+    # radii and budgets are normal floats at every scale, so scaling them is exact
+    radii = draw(st.lists(st.sampled_from([0.0, 0.05, 0.5]) | st.floats(1e-6, 2.0), min_size=1, max_size=2))
+    budgets = draw(st.lists(st.floats(0.01, 3.0), min_size=1, max_size=2))
+    grid = [(r * math.sqrt(total), b * total) for r in radii for b in budgets]
+    return kind, (q * lam) @ q.T, channel, grid
+
+
+@settings(max_examples=50)
+@given(unit_free_instances(), st.integers(-250, 250))
+def test_results_do_not_depend_on_units(instance, k):
+    # (C, r, budget) -> (4^k C, 2^k r, 4^k budget) is exact in floating point,
+    # and the solve runs at unit scale: the same bits at every scale
+    kind, entries, channel, grid = instance
+    base = sweep_compound(kind, SpdMatrix(entries), grid, channel)
+    scaled_grid = [(math.ldexp(r, k), math.ldexp(b, 2 * k)) for r, b in grid]
+    scaled = sweep_compound(kind, SpdMatrix(np.ldexp(entries, 2 * k)), scaled_grid, channel)
+    for point, at_scale in zip(base, scaled):
+        assert at_scale.value_nats == point.value_nats
+        assert at_scale.worst_case_trace == math.ldexp(point.worst_case_trace, 2 * k)
+        ours, theirs = at_scale.diagnostics, point.diagnostics
+        assert (ours.iterations, ours.solver_path) == (theirs.iterations, theirs.solver_path)
+        assert ours.certificate_gap == theirs.certificate_gap
+        assert ours.jitter == math.ldexp(theirs.jitter, 2 * k)
+
+
 def _single(kind, center, channel, r, budget):
     if kind == "rdf":
         return compound_rdf(CompoundRdfRequest(BwBall(center, r), budget))
