@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _lapack
 from .errors import DegenerateMI
 from .psd_geometry import SpdMatrix, _ensure_positive_definite, _symmetrize, symmetric_eig
 
@@ -215,7 +216,7 @@ def gaussian_mi(gain, input_cov: SpdMatrix, noise_cov: SpdMatrix) -> float:
     if a.shape != (noise_cov.dim, input_cov.dim) or not np.all(np.isfinite(a)):
         raise ValueError(f"gain must be a finite {noise_cov.dim} x {input_cov.dim} matrix")
     signal = _symmetrize(a @ input_cov.entries @ a.T)
-    w, v = np.linalg.eigh(noise_cov.entries)
+    w, v = _lapack.eigh(noise_cov.entries)
     null_tol = 1e-12 * max(1.0, float(w[-1]))
     in_range = w > null_tol
     if not np.all(in_range):
@@ -264,12 +265,14 @@ def _whitened_gains(h: np.ndarray, noise: np.ndarray):
     of the channel whitened by the positive definite noise W, and L.
 
     Whitens by the Cholesky factor, W = L L^T: W^{-1/2} = O L^{-1} with O
-    orthogonal, so L^{-1} H = U diag(sqrt(gains)) V^T has the singular
-    values and right singular vectors of W^{-1/2} H. A gain that is not
-    finite (a subnormal noise variance) raises ValueError.
+    orthogonal, so L^{-1} H, formed by one triangular solve, has the
+    singular values and right singular vectors of W^{-1/2} H: L^{-1} H =
+    U diag(sqrt(gains)) V^T. A noise that is not positive definite raises
+    LinAlgError; a gain that is not finite (a subnormal noise variance)
+    raises ValueError.
     """
-    chol = np.linalg.cholesky(noise)
-    u, svals, vt = np.linalg.svd(np.linalg.solve(chol, h))
+    chol = _lapack.cholesky(noise)
+    u, svals, vt = _lapack.svd(_lapack.solve_lower(chol, h))
     with np.errstate(over="ignore"):
         gains = svals * svals
     if not np.all(np.isfinite(gains)):

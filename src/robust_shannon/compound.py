@@ -58,11 +58,12 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from . import _lapack
 from .classical import (
     ChannelMatrix,
     WaterfillAllocation,
@@ -101,7 +102,7 @@ class SolverDiagnostics:
     takes one joint Newton step) or projected-gradient iterations.
     ``jitter`` is the diagonal shift
     added to a singular center before solving (0.0 when none was needed,
-    and always for the RDF). ``certificate_gap`` is an upper bound, in
+    and always for the RDF), in a ``SolverNoConverge``'s diagnostics too. ``certificate_gap`` is an upper bound, in
     nats, on how far the returned value lies from the true optimum (above
     it for capacity, below it for the RDF). The projected-gradient gap is
     never below zero; an eigen-reduction's can read a few ulps below zero
@@ -113,7 +114,7 @@ class SolverDiagnostics:
 
     iterations: int
     solver_path: str
-    jitter: float = 0.0
+    jitter: float
     certificate_gap: float | None = None
 
 
@@ -205,6 +206,7 @@ def _minimize(objective, gradient, gap, x0, radius):
     does not, ``SolverNoConverge``, which carries the gap at the last
     iterate. Returns (x, value, inner, diagnostics), the diagnostics with
     the gap at x; x may be a matrix (Frobenius norm and inner product).
+    The jitter, which only the caller knows, reads NaN.
     """
     label = "projected-gradient"
     x = x0
@@ -224,7 +226,7 @@ def _minimize(objective, gradient, gap, x0, radius):
         if step is None:
             # The iterate did not move; every further iteration would repeat
             # this line search verbatim.
-            diagnostics = SolverDiagnostics(iteration, label, certificate_gap=gap(inner, radius))
+            diagnostics = SolverDiagnostics(iteration, label, math.nan, gap(inner, radius))
             if diagnostics.certificate_gap <= VALUE_STAGNATION_TOL * max(1.0, abs(value)):
                 return x, value, inner, diagnostics
             raise SolverNoConverge("line search cannot move an iterate whose gap is above tolerance", diagnostics)
@@ -234,11 +236,11 @@ def _minimize(objective, gradient, gap, x0, radius):
         if stagnant:
             certificate = gap(inner, radius)
             if certificate <= VALUE_STAGNATION_TOL * max(1.0, abs(value)):
-                diagnostics = SolverDiagnostics(iteration, label, certificate_gap=certificate)
+                diagnostics = SolverDiagnostics(iteration, label, math.nan, certificate)
                 return x, value, inner, diagnostics
     raise SolverNoConverge(
         f"value did not stagnate within {MAX_ITERATIONS} iterations",
-        SolverDiagnostics(MAX_ITERATIONS, label, certificate_gap=gap(inner, radius)),
+        SolverDiagnostics(MAX_ITERATIONS, label, math.nan, gap(inner, radius)),
     )
 
 
@@ -302,7 +304,7 @@ def _kkt_newton(kkt, level, mult, lo, hi):
     masked out, once its level step comes with a settled multiplier or a
     multiplier step within ROOT_STEP_TOL relative. Returns (u, evaluations)
     per row; raises SolverNoConverge after MAX_ITERATIONS evaluations, its
-    ``_row`` the lowest row still live.
+    ``_row`` the lowest row still live and its jitter NaN for the caller.
     """
     n = level.size
     steps, found, live = np.zeros(n, dtype=int), None, np.arange(n)
@@ -359,7 +361,7 @@ def _kkt_newton(kkt, level, mult, lo, hi):
         level, mult = nxt, new_mult
     failure = SolverNoConverge(
         f"KKT search did not converge within {MAX_ITERATIONS} evaluations",
-        SolverDiagnostics(MAX_ITERATIONS, "eigen-reduction"),
+        SolverDiagnostics(MAX_ITERATIONS, "eigen-reduction", math.nan),
     )
     failure._row = int(live.min())
     raise failure
@@ -556,7 +558,7 @@ def _commuting_channel_axes(center: SpdMatrix, h: np.ndarray):
         return vecs, np.sqrt(center._eigvals), np.diag(mixed).copy()
     if float(np.abs(h - h.T).max()) <= 1e-10 * max(1.0, float(np.abs(h).max())):
         t = (math.sqrt(5.0) - 1.0) / 2.0 * np.linalg.norm(center.entries) / np.linalg.norm(h)
-        _, vecs = np.linalg.eigh(center.entries + t * _symmetrize(h))
+        _, vecs = _lapack.eigh(center.entries + t * _symmetrize(h))
         mixed_center = vecs.T @ center.entries @ vecs
         mixed = vecs.T @ h @ vecs
         if _is_diagonal(mixed_center) and _is_diagonal(mixed):
@@ -716,16 +718,18 @@ class _TransportCoordinates:
         over the whitened gains g. N = L L^T and L^{-1} H = U diag(sqrt(g)) V^T
         give N + H Q H^T = L U diag(1 + g p) U^T L^T at Q = V diag(p) V^T, so
         G = 0.5 ((N + H Q H^T)^{-1} - N^{-1}) is exactly the Gram product
-        -0.5 B^T diag(g p / (1 + g p)) B, B = U^T L^{-1}: nothing is inverted."""
+        -0.5 B^T diag(g p / (1 + g p)) B, B = U^T L^{-1}: nothing is inverted.
+        B^T = L^{-T} U is the second of two triangular solves on L, after
+        the L^{-1} H of the whitening."""
         s = np.eye(self.lam.size) + y / self.weight
         noise = self.noise(s)
-        if not np.linalg.eigvalsh(noise)[0] >= 0.5e-12 * np.trace(noise) / self.lam.size > 0.0:
+        if not _lapack.eigvalsh(noise)[0] >= 0.5e-12 * np.trace(noise) / self.lam.size > 0.0:
             noise = _ensure_positive_definite(SpdMatrix(noise))[0].entries
         gains, _, u, chol = _whitened_gains(self.channel, noise)
         with np.errstate(divide="ignore"):
             inverse = 1.0 / gains
         level, per_mode, rate = (part[0] for part in waterfill_rows(inverse[None], self.power))
-        b = np.linalg.solve(chol.T, u) * np.sqrt(per_mode / (inverse + per_mode))  # B^T diag(...)^{1/2}
+        b = _lapack.solve_lower(chol, u, trans=1) * np.sqrt(per_mode / (inverse + per_mode))  # B^T diag(...)^{1/2}
         return rate, (s, noise, -0.5 * (b @ b.T), (level, per_mode, rate))
 
     def gradient(self, y: np.ndarray, inner) -> np.ndarray:
@@ -794,38 +798,42 @@ def _solve(kind, center, channel, radius, budget):
             unit, (radius, budget) = SpdMatrix(np.ldexp(center.entries, -2 * e)), scaled
         else:
             e = 0  # budgets or radii beyond the float range at unit scale
-    if kind == "rdf":
-        basis = unit._eigvecs
-        spectra, alloc, steps, gap = _rdf_rows(unit._eigvals, radius, budget)
-    else:
-        h = channel.entries
-        center_pd, jitter = _ensure_positive_definite(unit)
-        axes = _commuting_channel_axes(center_pd, h)
-        if axes is not None or zero.any():
-            gains = _whitened_gains(h, center_pd.entries)[0]
-        if axes is not None:
-            basis, s, hvals = axes
-            spectra, alloc, steps, gap = _capacity_rows(s, hvals * hvals, radius, budget)
+    try:
+        if kind == "rdf":
+            basis = unit._eigvecs
+            spectra, alloc, steps, gap = _rdf_rows(unit._eigvals, radius, budget)
         else:
-            covs, steps, gap = [center] * m, np.zeros(m, dtype=int), np.zeros(m)
-            alloc = (np.zeros(m), np.zeros((m, center.dim)), np.zeros(m))
-            for i in np.flatnonzero(~zero):
-                coords = _TransportCoordinates(center_pd, h, budget[i])
-                try:
-                    _, _, (s_map, _, _, found), diag = _minimize(
-                        coords.objective, coords.gradient, coords.gap, np.zeros(h.shape), radius[i]
-                    )
-                except SolverNoConverge as exc:
-                    exc._row = int(i)
-                    raise
-                covs[i] = SpdMatrix(np.ldexp(coords.basis @ coords.noise(s_map) @ coords.basis.T, 2 * e))
-                alloc[0][i], alloc[1][i], alloc[2][i] = found
-                steps[i], gap[i] = diag.iterations, diag.certificate_gap
-        if zero.any():
-            with np.errstate(divide="ignore"):
-                inverse = np.tile(1.0 / gains, (int(zero.sum()), 1))
-            for column, classical in zip(alloc, waterfill_rows(inverse, budget[zero, None])):
-                column[zero] = classical
+            h = channel.entries
+            center_pd, jitter = _ensure_positive_definite(unit)
+            axes = _commuting_channel_axes(center_pd, h)
+            if axes is not None or zero.any():
+                gains = _whitened_gains(h, center_pd.entries)[0]
+            if axes is not None:
+                basis, s, hvals = axes
+                spectra, alloc, steps, gap = _capacity_rows(s, hvals * hvals, radius, budget)
+            else:
+                covs, steps, gap = [center] * m, np.zeros(m, dtype=int), np.zeros(m)
+                alloc = (np.zeros(m), np.zeros((m, center.dim)), np.zeros(m))
+                for i in np.flatnonzero(~zero):
+                    coords = _TransportCoordinates(center_pd, h, budget[i])
+                    try:
+                        _, _, (s_map, _, _, found), diag = _minimize(
+                            coords.objective, coords.gradient, coords.gap, np.zeros(h.shape), radius[i]
+                        )
+                    except SolverNoConverge as exc:
+                        exc._row = int(i)
+                        raise
+                    covs[i] = SpdMatrix(np.ldexp(coords.basis @ coords.noise(s_map) @ coords.basis.T, 2 * e))
+                    alloc[0][i], alloc[1][i], alloc[2][i] = found
+                    steps[i], gap[i] = diag.iterations, diag.certificate_gap
+            if zero.any():
+                with np.errstate(divide="ignore"):
+                    inverse = np.tile(1.0 / gains, (int(zero.sum()), 1))
+                for column, classical in zip(alloc, waterfill_rows(inverse, budget[zero, None])):
+                    column[zero] = classical
+    except SolverNoConverge as exc:  # either path: the jitter in the units of the data
+        exc.diagnostics = replace(exc.diagnostics, jitter=math.ldexp(jitter, 2 * e))
+        raise
     if e != 0:  # back to the units of the data
         alloc, jitter = (np.ldexp(alloc[0], 2 * e), np.ldexp(alloc[1], 2 * e), alloc[2]), math.ldexp(jitter, 2 * e)
         if covs is None:
@@ -856,7 +864,7 @@ def _gradient_gap(g, noise, center_vals, radius):
     center is diag(center_vals) in this basis, so with -G = Q diag(a) Q^T,
     b_i = sum_k Q_ki^2 center_vals_k.
     """
-    a, q = np.linalg.eigh(-g)
+    a, q = _lapack.eigh(-g)
     support = _ball_support(a[None], (q * q).T @ center_vals, np.array([radius]))
     return max(0.0, float(np.sum(g * noise)) + float(support[0]))
 
@@ -903,23 +911,21 @@ def _ball_support(a, b, radius):
     """
     top = a.max(axis=1)
     support = np.zeros(top.size)  # 0 where A is negative semidefinite, as N is PSD
-    rows = np.flatnonzero(top > 0.0)
+    rows = top > 0.0
     a, b, radius, top = a[rows], np.broadcast_to(b, a.shape)[rows], radius[rows], top[rows]
     root = np.sqrt(b) * np.abs(a)
-    gamma = np.maximum(np.max(a + root / radius[:, None], axis=1), top * (1.0 + 1e-12))
-    live = np.arange(rows.size)
+    gamma = np.maximum((a + root / radius[:, None]).max(axis=1), top * (1.0 + 1e-12))
+    live = np.ones(top.size, dtype=bool)  # every row steps, stopped ones by 0
     for _ in range(MAX_SECULAR_NEWTON):
-        shift = gamma[live, None] - a[live]
-        terms = (root[live] / shift) ** 2
+        shift = gamma[:, None] - a
+        terms = (root / shift) ** 2
         f = terms.sum(axis=1)
-        climb = f > radius[live] ** 2  # else at the root, or past it in the hard case
-        live, f, terms, shift = live[climb], f[climb], terms[climb], shift[climb]
-        rise = np.sum(terms / shift, axis=1)
-        step = f * (np.sqrt(f) / radius[live] - 1.0)
-        step = np.divide(step, rise, out=np.zeros_like(f), where=rise > 0.0)
-        gamma[live] += step
-        live = live[step > 1e-15 * gamma[live]]
-        if live.size == 0:
+        live &= f > radius * radius  # else at the root, or past it in the hard case
+        rise = (terms / shift).sum(axis=1)
+        step = np.divide(f * (np.sqrt(f) / radius - 1.0), rise, out=np.zeros_like(f), where=live & (rise > 0.0))
+        gamma += step
+        live &= step > 1e-15 * gamma
+        if not live.any():
             break
     support[rows] = _support_dual(a, b, radius, gamma)
     return support

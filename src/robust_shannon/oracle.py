@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from . import _lapack
 from .classical import (
     ChannelMatrix,
     _check_distortion,
@@ -158,15 +159,15 @@ def _brenier_axes(x: np.ndarray, y: np.ndarray):
     """
     n, d = x.shape
     identity = np.eye(d), np.ones(d)
-    var_x, axes_x = np.linalg.eigh(x.T @ x / n)
+    var_x, axes_x = _lapack.eigh(x.T @ x / n)
     if not var_x[0] > 1e-8 * var_x[-1]:
         return identity
     root = np.sqrt(var_x)
     half = (axes_x * root) @ axes_x.T
     inv_half = (axes_x / root) @ axes_x.T
-    mid_w, mid_v = np.linalg.eigh(half @ (y.T @ y / n) @ half)
+    mid_w, mid_v = _lapack.eigh(half @ (y.T @ y / n) @ half)
     mid = (mid_v * np.sqrt(np.maximum(mid_w, 0.0))) @ mid_v.T
-    w, v = np.linalg.eigh(inv_half @ mid @ inv_half)
+    w, v = _lapack.eigh(inv_half @ mid @ inv_half)
     if not w[0] > 1e-8 * w[-1]:
         return identity
     return v, np.sqrt(w)

@@ -21,6 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _lapack
 from .errors import SingularCenter
 
 # Relative floor below which negative eigenvalues are treated as round-off
@@ -56,11 +57,11 @@ class SpdMatrix:
         if not np.all(np.isfinite(a)):
             raise ValueError("entries must be finite")
         a = _symmetrize(a)
-        w = np.linalg.eigvalsh(a)
+        w = _lapack.eigvalsh(a)
         if w[0] < -PSD_TOL * max(1.0, float(w[-1])):
             raise ValueError(f"matrix is not positive semidefinite (min eigenvalue {w[0]:.3e})")
         if w[0] < 0.0:
-            w, v = np.linalg.eigh(a)
+            w, v = _lapack.eigh(a)
             w = np.maximum(w, 0.0)
             a = _symmetrize(v @ np.diag(w) @ v.T)
             vecs = v[:, ::-1].copy()
@@ -76,7 +77,7 @@ class SpdMatrix:
     @cached_property
     def _eigvecs(self) -> np.ndarray:
         """Orthonormal eigenvectors as columns, paired with ``_eigvals``."""
-        vecs = np.linalg.eigh(self.entries)[1][:, ::-1].copy()
+        vecs = _lapack.eigh(self.entries)[1][:, ::-1].copy()
         vecs.setflags(write=False)
         return vecs
 
@@ -180,7 +181,7 @@ def bw_distance(a: SpdMatrix, b: SpdMatrix) -> float:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     # tr((a^{1/2} b a^{1/2})^{1/2}) as the nuclear norm of a^{1/2} b^{1/2}: its singular
     # values carry round-off of order eps, square roots of near-zero eigenvalues sqrt(eps)
-    fidelity = np.linalg.svd(_sqrt_entries(a) @ _sqrt_entries(b), compute_uv=False).sum()
+    fidelity = _lapack.svd(_sqrt_entries(a) @ _sqrt_entries(b), compute_uv=False).sum()
     radicand = a.trace + b.trace - 2.0 * fidelity
     band = BW_RADICAND_TOL * (a.trace + b.trace)
     if radicand < -band:
@@ -233,7 +234,7 @@ def _geodesic_ends(center: SpdMatrix, factor: np.ndarray):
     C^{1/2} N C^{1/2} would lose the small ones.
     """
     x0 = _sqrt_entries(center)
-    a, sigma, bt = np.linalg.svd(x0 @ factor)
+    a, sigma, bt = _lapack.svd(x0 @ factor)
     return x0, factor @ (bt.T @ a.T), float(sigma.sum())
 
 

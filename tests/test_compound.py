@@ -425,6 +425,22 @@ class TestCompoundCapacity:
         assert result.diagnostics.jitter == jitter
         assert np.diag(noises[0]).min() == jitter  # the start, in the center's eigenbasis
 
+    @pytest.mark.parametrize("scale", [1.0, 4.0])
+    @pytest.mark.parametrize("channel", ["general", "commuting"])
+    def test_no_convergence_carries_the_jitter(self, monkeypatch, scale, channel):
+        # projected gradient and the KKT search both fail at one iteration and
+        # report the jitter of the converged solve, in the units of the data
+        h = np.array([[1.0, 0.3, 0.0], [0.2, 1.0, 0.5], [0.0, 0.4, 1.0]]) if channel == "general" else np.eye(3)
+        center = SpdMatrix.from_diag(np.array([1.0, 2.0, 0.0]) * scale)
+        request = CompoundCapacityRequest(BwBall(center, 0.5), ChannelMatrix(h), 1.0)
+        converged = compound_capacity(request).diagnostics
+        assert converged.jitter == 1e-12 * scale
+        monkeypatch.setattr(compound, "MAX_ITERATIONS", 1)
+        with pytest.raises(SolverNoConverge) as info:
+            compound_capacity(request)
+        assert info.value.diagnostics.solver_path == converged.solver_path
+        assert info.value.diagnostics.jitter == converged.jitter
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             CompoundCapacityRequest(
