@@ -2,11 +2,14 @@
 
 Loads covariance/channel matrices from JSON, evaluates (radius, budget)
 points through ``sweep_compound`` and emits them as CSV or JSON rows, or runs
-the verification oracles. ``rdf`` and ``capacity`` are the radius-0 points
-of ``compound-rdf`` and ``compound-capacity`` (the classical limits, labelled
-"classical" in the diagnostics), and ``sweep`` evaluates a grid. Output is
-byte-stable for a fixed command line and seed: numbers are serialized with
-full round-trip precision and rows in deterministic order.
+the verification oracles. The five solve subcommands share one handler:
+``rdf`` and ``capacity`` are the radius-0 points of ``compound-rdf`` and
+``compound-capacity`` (the classical limits, labelled "classical" in the
+diagnostics), and ``sweep`` evaluates a grid. Each takes exactly one center
+source, ``--center`` or ``--sigma0-scalar``, and no flag it would not read;
+``--seed`` belongs to ``verify`` alone. Output is byte-stable for a fixed
+command line: numbers are serialized with full round-trip precision and rows
+in deterministic order.
 
 Exit codes: 0 success, 1 verification suite failed, 2 config/domain error,
 3 solver did not converge, 4 output I/O failure.
@@ -41,22 +44,18 @@ EXIT_NO_CONVERGE = 3
 EXIT_IO = 4
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def load_covariance(path: str) -> SpdMatrix:
     """Load {"dim": d, "rows": [[...], ...]} as a covariance matrix.
 
-    Rows are averaged with their transpose; relative asymmetry above 1e-6
-    is rejected.
+    Relative asymmetry above 1e-6 is rejected; below it ``SpdMatrix``
+    averages the rows with their transpose.
     """
     m = _load_matrix(path)
     asym = float(np.abs(m - m.T).max())
     scale = max(float(np.abs(m).max()), 1e-300)
     if asym > 1e-6 * scale:
         raise ValueError(f"{path}: matrix asymmetry {asym:.3e} exceeds 1e-6 relative")
-    return SpdMatrix(0.5 * (m + m.T))
+    return SpdMatrix(m)
 
 
 def load_channel(path: str) -> ChannelMatrix:
@@ -106,71 +105,58 @@ def _resolve_center(args) -> SpdMatrix:
     if args.sigma0_scalar is not None:
         if args.sigma0_scalar <= 0:
             raise ValueError(f"--sigma0-scalar must be positive, got {args.sigma0_scalar}")
-        return SpdMatrix([[args.sigma0_scalar**2]])
-    if args.center is None:
-        raise ValueError("one of --center or --sigma0-scalar is required")
+        try:
+            variance = args.sigma0_scalar**2
+        except OverflowError:
+            raise ValueError(f"--sigma0-scalar {args.sigma0_scalar} overflows when squared") from None
+        return SpdMatrix([[variance]])
     return load_covariance(args.center)
-
-
-def _resolve_channel(args, dim: int) -> ChannelMatrix:
-    if args.channel:
-        return load_channel(args.channel)
-    return ChannelMatrix(np.eye(dim))
 
 
 def emit(rows, fmt: str, units: str, stream) -> None:
     """Write ``SweepPoint`` rows as CSV (header + data, LF endings) or a JSON array."""
     if not rows:
         raise ValueError("nothing to emit")
-    bits = units == "bits"
+    table = []  # the value columns of each row, in output order
+    for row in rows:
+        item = {"r": row.r, "budget": row.budget, "value_nats": row.value_nats}
+        if units == "bits":
+            item["value_bits"] = row.value_nats / math.log(2)
+        item["worst_case_trace"] = row.worst_case_trace
+        table.append(item)
     if fmt == "csv":
-        header = "r,budget,value_nats" + (",value_bits" if bits else "") + ",worst_case_trace"
-        lines = [header]
-        for row in rows:
-            fields = [_fmt(row.r), _fmt(row.budget), _fmt(row.value_nats)]
-            if bits:
-                fields.append(_fmt(row.value_nats / math.log(2)))
-            fields.append(_fmt(row.worst_case_trace))
-            lines.append(",".join(fields))
+        lines = [",".join(table[0])]  # the header, then every number at full round-trip precision
+        lines += [",".join([format(float(v), ".17g") for v in item.values()]) for item in table]
         stream.write("\n".join(lines) + "\n")
     else:
-        payload = []
-        for row in rows:
-            item = {"r": row.r, "budget": row.budget, "value_nats": row.value_nats}
-            if bits:
-                item["value_bits"] = row.value_nats / math.log(2)
-            item["worst_case_trace"] = row.worst_case_trace
+        for item, row in zip(table, rows):
             item["diagnostics"] = asdict(row.diagnostics)
-            payload.append(item)
-        stream.write(json.dumps(payload, indent=2) + "\n")
+        stream.write(json.dumps(table, indent=2) + "\n")
     stream.flush()
 
 
-def _cmd_point(args, out) -> int:
-    """One (radius, budget) point; the classical subcommands fix the radius at 0."""
-    center = _resolve_center(args)
-    if args.kind == "rdf":
-        point, channel = (args.radius, args.distortion), None
-    else:
-        point, channel = (args.radius, args.power), _resolve_channel(args, center.dim)
-    emit(sweep_compound(args.kind, center, [point], channel), args.format, args.units, out)
-    return EXIT_OK
+BUDGET_FLAGS = {"rdf": "distortion", "capacity": "power"}
 
 
-def _cmd_sweep(args, out) -> int:
+def _cmd_solve(args, out) -> int:
+    """Evaluate a (radius, budget) grid: one point for the single-point
+    commands (radius 0 for ``rdf`` and ``capacity``), radii x budgets for
+    ``sweep``. Only ``sweep`` has flags of the other kind, and rejects them."""
+    for flag in ("power", "channel") if args.kind == "rdf" else ("distortion",):
+        if getattr(args, flag, None) is not None:
+            raise ValueError(f"sweep --kind {args.kind} does not take --{flag}")
     center = _resolve_center(args)
-    radii = _parse_float_list(args.radii)
-    channel = None
-    if args.kind == "rdf":
-        if args.distortion is None:
-            raise ValueError("sweep --kind rdf requires --distortion")
-        budgets = _parse_grid(args.distortion)
+    budget = getattr(args, BUDGET_FLAGS[args.kind])
+    if args.subcommand == "sweep":
+        radii = _parse_float_list(args.radii)
+        if budget is None:
+            raise ValueError(f"sweep --kind {args.kind} requires --{BUDGET_FLAGS[args.kind]}")
+        budgets = _parse_grid(budget)
+        grid = sorted((r, b) for r in radii for b in budgets)
     else:
-        if args.power is None:
-            raise ValueError("sweep --kind capacity requires --power")
-        budgets = _parse_grid(args.power)
-        channel = _resolve_channel(args, center.dim)
-    grid = sorted((r, b) for r in radii for b in budgets)
+        grid = [(args.radius, budget)]
+    channel = getattr(args, "channel", None)  # None: the identity
+    channel = load_channel(channel) if channel is not None else None
     emit(sweep_compound(args.kind, center, grid, channel), args.format, args.units, out)
     return EXIT_OK
 
@@ -204,60 +190,46 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p):
+    def add_solve(name, help, kind=None):
+        """A solve subcommand with its center source, channel (capacity
+        only) and output flags."""
+        p = sub.add_parser(name, help=help)
+        if kind is None:
+            p.add_argument("--kind", choices=tuple(BUDGET_FLAGS), required=True)
+        center = p.add_mutually_exclusive_group(required=True)
+        center.add_argument("--center", help="covariance matrix JSON file")
+        center.add_argument(
+            "--sigma0-scalar", type=float, help="scalar nominal standard deviation (a 1x1 center)"
+        )
+        if kind != "rdf":
+            p.add_argument("--channel", help="channel matrix JSON file (capacity; default identity)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--units", choices=("nats", "bits"), default="nats")
-        p.add_argument("--seed", type=int, default=0)
+        p.set_defaults(handler=_cmd_solve, kind=kind)
+        return p
 
-    def add_center(p):
-        p.add_argument("--center", help="covariance matrix JSON file")
-        p.add_argument(
-            "--sigma0-scalar",
-            type=float,
-            help="scalar nominal standard deviation (bypasses --center for d=1)",
-        )
+    for name, help in (
+        ("rdf", "classical Gaussian rate-distortion"),
+        ("capacity", "classical Gaussian channel capacity"),
+        ("compound-rdf", "worst-case rate-distortion over a ball"),
+        ("compound-capacity", "worst-case capacity over a ball"),
+    ):
+        kind = name.removeprefix("compound-")
+        p = add_solve(name, help, kind)
+        if kind == name:
+            p.set_defaults(radius=0.0)
+        else:
+            p.add_argument("--radius", type=float, required=True)
+        p.add_argument(f"--{BUDGET_FLAGS[kind]}", type=float, required=True)
 
-    p = sub.add_parser("rdf", help="classical Gaussian rate-distortion")
-    add_center(p)
-    p.add_argument("--distortion", type=float, required=True)
-    add_common(p)
-    p.set_defaults(handler=_cmd_point, kind="rdf", radius=0.0)
-
-    p = sub.add_parser("capacity", help="classical Gaussian channel capacity")
-    add_center(p)
-    p.add_argument("--channel", help="channel matrix JSON file (default identity)")
-    p.add_argument("--power", type=float, required=True)
-    add_common(p)
-    p.set_defaults(handler=_cmd_point, kind="capacity", radius=0.0)
-
-    p = sub.add_parser("compound-rdf", help="worst-case rate-distortion over a ball")
-    add_center(p)
-    p.add_argument("--radius", type=float, required=True)
-    p.add_argument("--distortion", type=float, required=True)
-    add_common(p)
-    p.set_defaults(handler=_cmd_point, kind="rdf")
-
-    p = sub.add_parser("compound-capacity", help="worst-case capacity over a ball")
-    add_center(p)
-    p.add_argument("--channel", help="channel matrix JSON file (default identity)")
-    p.add_argument("--radius", type=float, required=True)
-    p.add_argument("--power", type=float, required=True)
-    add_common(p)
-    p.set_defaults(handler=_cmd_point, kind="capacity")
-
-    p = sub.add_parser("sweep", help="evaluate a (radius, budget) grid")
-    p.add_argument("--kind", choices=("rdf", "capacity"), required=True)
-    add_center(p)
-    p.add_argument("--channel", help="channel matrix JSON file (capacity only)")
+    p = add_solve("sweep", "evaluate a (radius, budget) grid")
     p.add_argument("--radii", required=True, help="comma-separated radii")
     p.add_argument("--distortion", help="distortion value or start:stop:count grid")
     p.add_argument("--power", help="power value or start:stop:count grid")
-    add_common(p)
-    p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("verify", help="run a verification oracle suite")
     p.add_argument("--suite", choices=("gelbrich", "dominance"), default="gelbrich")
-    add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_cmd_verify)
 
     return parser

@@ -276,8 +276,8 @@ def _rowdot(a, b):
 def _kkt_newton(kkt, level, mult, lo, hi):
     """Joint Newton steps on the KKT pair of each row, the rows in lock step.
 
-    ``kkt.evaluate(level, mult, rows)`` evaluates the given rows' modes once
-    at (level, multiplier) and returns the multiplier it used (moved into
+    ``kkt.evaluate(level, mult)`` evaluates every row's modes once at
+    (level, multiplier) and returns the multiplier it used (moved into
     its interval at that level), the budget residual b, the ball residual c
     (relative, so that |c| <= ROOT_STEP_TOL means the ball holds to that
     tolerance), their partials (b_level, b_mult, c_level, c_mult) and u. c
@@ -302,16 +302,18 @@ def _kkt_newton(kkt, level, mult, lo, hi):
     on the side the level leaves stays valid at the next one; a multiplier
     step that leaves a two-sided bracket bisects it. The row stops, and is
     masked out, once its level step comes with a settled multiplier or a
-    multiplier step within ROOT_STEP_TOL relative. Returns (u, evaluations)
-    per row; raises SolverNoConverge after MAX_ITERATIONS evaluations, its
-    ``_row`` the lowest row still live and its jitter NaN for the caller.
+    multiplier step within ROOT_STEP_TOL relative: its u is recorded then,
+    and it holds its (level, multiplier) while the live rows step on.
+    Returns (u, evaluations) per row; raises SolverNoConverge after
+    MAX_ITERATIONS evaluations, its ``_row`` the lowest row still live and
+    its jitter NaN for the caller.
     """
     n = level.size
-    steps, found, live = np.zeros(n, dtype=int), None, np.arange(n)
+    steps, found, live = np.zeros(n, dtype=int), None, np.ones(n, dtype=bool)
     initial_lo, initial_hi, waiting = np.ones(n, dtype=bool), np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
     mult_lo, mult_hi, last = np.full(n, -math.inf), np.full(n, math.inf), np.full(n, math.inf)
-    for k in range(1, MAX_ITERATIONS + 1):  # the per-row state holds the live rows only
-        mult, b, c, (b_level, b_mult, c_level, c_mult), u = kkt.evaluate(level, mult, live)
+    for k in range(1, MAX_ITERATIONS + 1):  # every row steps, stopped ones hold
+        mult, b, c, (b_level, b_mult, c_level, c_mult), u = kkt.evaluate(level, mult)
         if found is None:
             found = np.empty((n, u.shape[1]))
         ratio = b_mult / c_mult
@@ -347,23 +349,17 @@ def _kkt_newton(kkt, level, mult, lo, hi):
         halve = both & ~((mult_lo < new_mult) & (new_mult < mult_hi)) & ~(np.abs(new_mult - mult) <= mult_tol)
         if halve.any():
             new_mult = np.where(halve, 0.5 * np.add(mult_lo, mult_hi, out=np.zeros_like(mult), where=both), new_mult)
-        done = close & (settled | (np.abs(new_mult - mult) <= mult_tol))
-        if done.any():
-            found[live[done]], steps[live[done]] = u[done], k
-            keep = ~done
-            if not keep.any():
-                return found, steps
-            live, nxt, new_mult, lo, hi, initial_lo, initial_hi, waiting, mult_lo, mult_hi, last = (
-                a[keep] for a in (
-                    live, nxt, new_mult, lo, hi, initial_lo, initial_hi, waiting, mult_lo, mult_hi, last
-                )
-            )
-        level, mult = nxt, new_mult
+        done = live & close & (settled | (np.abs(new_mult - mult) <= mult_tol))
+        found[done], steps[done] = u[done], k
+        live &= ~done
+        if not live.any():
+            return found, steps
+        level, mult = np.where(live, nxt, level), np.where(live, new_mult, mult)
     failure = SolverNoConverge(
         f"KKT search did not converge within {MAX_ITERATIONS} evaluations",
         SolverDiagnostics(MAX_ITERATIONS, "eigen-reduction", math.nan),
     )
-    failure._row = int(live.min())
+    failure._row = int(np.argmax(live))
     raise failure
 
 
@@ -487,14 +483,14 @@ class _RdfKkt:
         d_theta = np.where(under, 0.0, d_theta)
         return delta, d_omega, d_theta, under
 
-    def evaluate(self, theta, omega, rows):
+    def evaluate(self, theta, omega):
         """The ``_kkt_newton`` evaluation at each row's (theta, omega)."""
         s, d, zero = self.s, self.s.size, self.zero
-        r2, distortion, radius = self.r2[rows], self.distortion[rows], self.radius[rows]
+        r2, distortion, radius = self.r2, self.distortion, self.radius
         # every mode above the water: at 1/kappa = (s_max + r) r the top one spends r
         lo = 1.0 - np.maximum(theta, (s[0] + radius) * radius) / theta
-        omega = np.clip(omega, lo, self.omega_radial[rows])
-        hard = np.zeros(rows.size, dtype=bool)
+        omega = np.clip(omega, lo, self.omega_radial)
+        hard = np.zeros(theta.size, dtype=bool)
         n_zero = int(zero.sum())
         if n_zero:
             level = theta[:, None]
@@ -612,9 +608,9 @@ class _CapacityKkt:
         lo, hi, start = levels[:m], levels[m:2 * m], levels[2 * m:]
         return _kkt_newton(self, start, np.full(m, math.nan), lo, hi)
 
-    def evaluate(self, nu, kappa, rows):
+    def evaluate(self, nu, kappa):
         """The ``_kkt_newton`` evaluation at each row's (nu, kappa)."""
-        s, w, radius = self.s, self.w, self.radius[rows]
+        s, w, radius = self.s, self.w, self.radius
         wnu = w * nu[:, None]
         active = wnu > s * s
         c = 1.0 / np.where(active, wnu, 1.0)
@@ -643,7 +639,7 @@ class _CapacityKkt:
         d_kappa = -delta * u / jac
         d_nu = u * u * c / (nu[:, None] * jac)
         weighted = np.where(active, u / np.where(active, w, 1.0), 0.0)  # u/w on the active modes
-        budget = np.where(tight, nu * count - _rowdot(weighted, u), 0.0) - self.power[rows]
+        budget = np.where(tight, nu * count - _rowdot(weighted, u), 0.0) - self.power
         # the ball as r/||u - s|| - 1; a level with no active mode is low
         norm = np.sqrt(_rowdot(delta, delta))
         some = norm > 0.0

@@ -2,8 +2,10 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,7 +66,7 @@ def test_cli_matches_library_bit_for_bit(capsys):
 
 def test_rerun_is_byte_identical(capsys):
     argv = ["sweep", "--kind", "capacity", "--sigma0-scalar", "1",
-            "--radii", "0,0.5,1", "--power", "0:4:9", "--seed", "3"]
+            "--radii", "0,0.5,1", "--power", "0:4:9"]
     code1, out1, _ = run_cli(capsys, *argv)
     code2, out2, _ = run_cli(capsys, *argv)
     assert code1 == code2 == 0
@@ -203,13 +205,29 @@ SWEEP_CAPACITY = ("sweep", "--kind", "capacity", "--sigma0-scalar", "1", "--radi
         (None, SWEEP_CAPACITY + ("--power", "0:1"), "grid spec must be start:stop:count"),
         (None, SWEEP_CAPACITY + ("--power", "0:1:0"), "grid count must be at least 1"),
         (None, ("rdf", "--sigma0-scalar=-1", "--distortion", "1"), "--sigma0-scalar must be positive"),
+        (None, ("rdf", "--sigma0-scalar", "1e200", "--distortion", "1"), "overflows when squared"),
         (None, SWEEP_RDF, "sweep --kind rdf requires --distortion"),
         (None, SWEEP_CAPACITY, "sweep --kind capacity requires --power"),
         (None, ("capacity", "--sigma0-scalar", "1e-155", "--power", "1"), "gain is not finite"),
+        (None, ("capacity", "--sigma0-scalar", "1", "--channel", "", "--power", "1"), "cannot read"),
+        # the center sources are exclusive, whether or not the file exists
+        (None, ("rdf", "--center", "FILE", "--sigma0-scalar", "1", "--distortion", "0.5"),
+         "not allowed with argument --center"),
+        ('{"dim": 1, "rows": [[1.0]]}',
+         ("rdf", "--center", "FILE", "--sigma0-scalar", "1", "--distortion", "0.5"),
+         "not allowed with argument --center"),
+        # a sweep rejects the other kind's flags
+        (None, SWEEP_RDF + ("--distortion", "0.5", "--power", "3"), "sweep --kind rdf does not take --power"),
+        (None, SWEEP_RDF + ("--distortion", "0.5", "--channel", "/nonexistent.json"),
+         "sweep --kind rdf does not take --channel"),
+        (None, SWEEP_CAPACITY + ("--power", "1", "--distortion", "7"),
+         "sweep --kind capacity does not take --distortion"),
     ],
     ids=["malformed_json", "no_dim_or_rows", "rows_dim_mismatch", "grid_two_fields",
-         "grid_count_zero", "negative_sigma0", "sweep_no_distortion", "sweep_no_power",
-         "subnormal_noise"],
+         "grid_count_zero", "negative_sigma0", "overflowing_sigma0", "sweep_no_distortion",
+         "sweep_no_power", "subnormal_noise", "empty_channel_path", "center_and_sigma0_missing_file",
+         "center_and_sigma0_valid_file", "sweep_rdf_power", "sweep_rdf_channel",
+         "sweep_capacity_distortion"],
 )
 def test_rejected_input_exit_code(tmp_path, capsys, center_text, argv, message):
     path = tmp_path / "center.json"
@@ -219,6 +237,48 @@ def test_rejected_input_exit_code(tmp_path, capsys, center_text, argv, message):
     assert code == 2
     assert out == ""
     assert message in err
+
+
+SOLVE_COMMANDS = {
+    "rdf": ("rdf", "--sigma0-scalar", "1", "--distortion", "0.5"),
+    "capacity": ("capacity", "--sigma0-scalar", "1", "--power", "1"),
+    "compound_rdf": ("compound-rdf", "--sigma0-scalar", "1", "--radius", "0.5", "--distortion", "0.5"),
+    "compound_capacity": ("compound-capacity", "--sigma0-scalar", "1", "--radius", "0.5", "--power", "1"),
+    "sweep": SWEEP_CAPACITY + ("--power", "1"),
+}
+REJECTED_FLAGS = {
+    **{f"{name}_seed": argv + ("--seed", "1") for name, argv in SOLVE_COMMANDS.items()},
+    "verify_format": ("verify", "--format", "json"),
+    "verify_units": ("verify", "--units", "bits"),
+    "rdf_channel": SOLVE_COMMANDS["rdf"] + ("--channel", "FILE"),
+    "compound_rdf_channel": SOLVE_COMMANDS["compound_rdf"] + ("--channel", "FILE"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED_FLAGS))
+def test_flags_a_command_would_not_read_are_rejected(tmp_path, capsys, case):
+    # every accepted flag changes the output; the rest exit 2 before any work
+    channel = write_matrix(tmp_path / "h.json", [[1.0]])
+    code, out, err = run_cli(capsys, *(channel if arg == "FILE" else arg for arg in REJECTED_FLAGS[case]))
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments" in err
+
+
+def _readme_cli_examples():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("robust-shannon ")]
+    assert examples, "README's Command line block lists no examples"
+    return examples
+
+
+@pytest.mark.parametrize("argv", _readme_cli_examples(), ids=lambda argv: argv[0])
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys, argv):
+    write_matrix(tmp_path / "cov.json", [[1.0, 0.2], [0.2, 4.0]])
+    monkeypatch.chdir(tmp_path)  # the examples name cov.json relative to the working directory
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert out
 
 
 def test_emit_rejects_empty_rows():
