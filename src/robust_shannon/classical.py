@@ -59,7 +59,7 @@ class ChannelMatrix:
         h = np.array(self.entries, dtype=float)
         if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] == 0:
             raise ValueError("entries must be a nonempty square matrix")
-        if not np.all(np.isfinite(h)):
+        if not np.isfinite(h).all():
             raise ValueError("entries must be finite")
         h.setflags(write=False)
         object.__setattr__(self, "entries", h)
@@ -147,6 +147,20 @@ def waterfill_rows(inverse_gains, power):
     return level, per_mode, 0.5 * np.log1p(snr).sum(axis=1)
 
 
+def _rdf_core(eigenvalues: np.ndarray, distortion: float):
+    """Level, per-mode distortions and rate of one checked spectrum and budget."""
+    level, per_mode, rate = reverse_waterfill_rows(eigenvalues[None, :], distortion)
+    return float(level[0]), per_mode[0], float(rate[0])
+
+
+def _capacity_core(gains: np.ndarray, power: float):
+    """Level, per-mode powers and rate of one checked gain vector and budget."""
+    with np.errstate(divide="ignore"):
+        inv = 1.0 / gains[None, :]
+    level, per_mode, rate = waterfill_rows(inv, power)
+    return float(level[0]), per_mode[0], float(rate[0])
+
+
 def rdf_from_spectrum(eigenvalues, distortion: float) -> WaterfillAllocation:
     """Reverse waterfilling on a vector of source eigenvalues.
 
@@ -156,10 +170,8 @@ def rdf_from_spectrum(eigenvalues, distortion: float) -> WaterfillAllocation:
     and reports the largest eigenvalue as the level. Eigenvalues that do not
     form a nonempty vector of finite nonnegative reals raise ValueError.
     """
-    level, per_mode, rate = reverse_waterfill_rows(
-        _check_vector(eigenvalues, "eigenvalues")[None, :], _check_distortion(distortion)
-    )
-    return WaterfillAllocation(float(level[0]), per_mode[0], float(rate[0]))
+    eigenvalues = _check_vector(eigenvalues, "eigenvalues")
+    return WaterfillAllocation(*_rdf_core(eigenvalues, _check_distortion(distortion)))
 
 
 def capacity_from_gains(gains, power: float) -> WaterfillAllocation:
@@ -170,20 +182,23 @@ def capacity_from_gains(gains, power: float) -> WaterfillAllocation:
     (dead channel) yields zero rate with level reported as 0. Gains that do
     not form a nonempty vector of finite nonnegative reals raise ValueError.
     """
-    with np.errstate(divide="ignore"):
-        inv = 1.0 / _check_vector(gains, "gains")[None, :]
-    level, per_mode, rate = waterfill_rows(inv, _check_power(power))
-    return WaterfillAllocation(float(level[0]), per_mode[0], float(rate[0]))
+    gains = _check_vector(gains, "gains")
+    return WaterfillAllocation(*_capacity_core(gains, _check_power(power)))
 
 
 def reverse_waterfill(cov: SpdMatrix, distortion: float) -> WaterfillAllocation:
     """Reverse-waterfilled distortion allocation for a Gaussian source covariance."""
-    return rdf_from_spectrum(cov._eigvals, distortion)
+    return WaterfillAllocation(*_rdf_core(cov._eigvals, _check_distortion(distortion)))
 
 
 def gaussian_rdf(cov: SpdMatrix, distortion: float) -> float:
-    """Rate-distortion function of a Gaussian vector source, in nats."""
-    return reverse_waterfill(cov, distortion).rate_nats
+    """Rate-distortion function of a Gaussian vector source, in nats.
+
+    Validates only the distortion, which must be positive and finite
+    (ValueError otherwise); the spectrum is the covariance's own, which
+    ``SpdMatrix`` checked at construction.
+    """
+    return _rdf_core(cov._eigvals, _check_distortion(distortion))[2]
 
 
 def rdf_realization(cov: SpdMatrix, distortion: float) -> TestChannel:
@@ -194,11 +209,11 @@ def rdf_realization(cov: SpdMatrix, distortion: float) -> TestChannel:
     information equals the rate and its distortion meets the budget.
     """
     vals, vecs = symmetric_eig(cov)
-    alloc = rdf_from_spectrum(vals, distortion)
+    _, per_mode, _ = _rdf_core(vals, _check_distortion(distortion))
     with np.errstate(divide="ignore", invalid="ignore"):
-        gains = np.where(vals > 0.0, 1.0 - alloc.per_mode / np.maximum(vals, 1e-300), 0.0)
+        gains = np.where(vals > 0.0, 1.0 - per_mode / np.maximum(vals, 1e-300), 0.0)
     gains = np.maximum(gains, 0.0)
-    noise = alloc.per_mode * gains
+    noise = per_mode * gains
     a = (vecs * gains) @ vecs.T
     z = _symmetrize((vecs * noise) @ vecs.T)
     return TestChannel(a, SpdMatrix(z))
@@ -248,16 +263,21 @@ def gaussian_capacity(channel, noise_cov: SpdMatrix, power: float) -> GaussianCa
     strictly positive definite (jittered if nearly singular). The input
     covariance is built from the waterfilled spectrum, which is already
     nonnegative and descending with the gains, in the right singular vectors,
-    so it is not decomposed again. A raw array channel is validated as a
-    ``ChannelMatrix``.
+    so it is not decomposed again.
+
+    Validates, in this order: a raw array channel as a ``ChannelMatrix``
+    (square, finite), the channel's shape against the noise, the whitened
+    gains (finite; ValueError for a noise too small for the channel) and
+    the power, which must be nonnegative and finite. The gains then go to
+    the waterfill without being checked again.
     """
     h = (channel if isinstance(channel, ChannelMatrix) else ChannelMatrix(channel)).entries
     if h.shape != (noise_cov.dim, noise_cov.dim):
         raise ValueError("channel shape does not match noise covariance")
     gains, vt, _, _ = _whitened_gains(h, _ensure_positive_definite(noise_cov)[0].entries)
-    alloc = capacity_from_gains(gains, power)
-    input_cov = SpdMatrix._from_spectrum(vt.T, alloc.per_mode)
-    return GaussianCapacity(alloc.rate_nats, input_cov, alloc)
+    level, per_mode, rate = _capacity_core(gains, _check_power(power))
+    input_cov = SpdMatrix._from_spectrum(vt.T, per_mode)
+    return GaussianCapacity(rate, input_cov, WaterfillAllocation(level, per_mode, rate))
 
 
 def _whitened_gains(h: np.ndarray, noise: np.ndarray):
@@ -275,6 +295,6 @@ def _whitened_gains(h: np.ndarray, noise: np.ndarray):
     u, svals, vt = _lapack.svd(_lapack.solve_lower(chol, h))
     with np.errstate(over="ignore"):
         gains = svals * svals
-    if not np.all(np.isfinite(gains)):
+    if not np.isfinite(gains).all():
         raise ValueError("whitened channel gain is not finite: noise too small for the channel")
     return gains, vt, u, chol

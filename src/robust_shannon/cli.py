@@ -80,31 +80,54 @@ def _load_matrix(path: str) -> np.ndarray:
     return rows
 
 
-def _parse_grid(text: str) -> list[float]:
-    """Either a single float or 'start:stop:count'."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"grid spec must be start:stop:count, got {text!r}")
-        start, stop = float(parts[0]), float(parts[1])
-        count = int(parts[2])
-        if count < 1:
-            raise ValueError(f"grid count must be at least 1, got {count}")
+def _parse_number(text: str, flag: str, kind=float):
+    """``text`` as a ``kind`` (float or int); ValueError naming ``--flag`` when it is not one."""
+    try:
+        return kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"--{flag}: expected {what}, got {text!r}") from None
+
+
+def _parse_grid(text: str, flag: str) -> list[float]:
+    """Either a single float or 'start:stop:count'; every rejection names ``--flag``."""
+    if ":" not in text:
+        return [_parse_number(text, flag)]
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise ValueError(f"--{flag}: grid spec must be start:stop:count, got {text!r}")
+    start, stop = _parse_number(parts[0], flag), _parse_number(parts[1], flag)
+    count = _parse_number(parts[2], flag, int)
+    if count < 1:
+        raise ValueError(f"--{flag}: grid count must be at least 1, got {count}")
+    try:
         return [float(v) for v in np.linspace(start, stop, count)]
-    return [float(text)]
+    except MemoryError:
+        raise ValueError(f"--{flag}: grid count {count} does not fit in memory") from None
 
 
-def _parse_float_list(text: str) -> list[float]:
-    values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
+def _parse_float_list(text: str, flag: str) -> list[float]:
+    values = [_parse_number(tok, flag) for tok in text.split(",") if tok.strip() != ""]
     if not values:
-        raise ValueError(f"empty list: {text!r}")
+        raise ValueError(f"--{flag}: empty list: {text!r}")
     return values
+
+
+def _seed(text: str) -> int:
+    """``--seed``: a non-negative integer, as numpy's generators require."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {seed}")
+    return seed
 
 
 def _resolve_center(args) -> SpdMatrix:
     if args.sigma0_scalar is not None:
-        if args.sigma0_scalar <= 0:
-            raise ValueError(f"--sigma0-scalar must be positive, got {args.sigma0_scalar}")
+        if not 0.0 < args.sigma0_scalar < math.inf:
+            raise ValueError(f"--sigma0-scalar must be positive and finite, got {args.sigma0_scalar}")
         try:
             variance = args.sigma0_scalar**2
         except OverflowError:
@@ -148,10 +171,10 @@ def _cmd_solve(args, out) -> int:
     center = _resolve_center(args)
     budget = getattr(args, BUDGET_FLAGS[args.kind])
     if args.subcommand == "sweep":
-        radii = _parse_float_list(args.radii)
+        radii = _parse_float_list(args.radii, "radii")
         if budget is None:
             raise ValueError(f"sweep --kind {args.kind} requires --{BUDGET_FLAGS[args.kind]}")
-        budgets = _parse_grid(budget)
+        budgets = _parse_grid(budget, BUDGET_FLAGS[args.kind])
         grid = sorted((r, b) for r in radii for b in budgets)
     else:
         grid = [(args.radius, budget)]
@@ -229,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification oracle suite")
     p.add_argument("--suite", choices=("gelbrich", "dominance"), default="gelbrich")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0, help="non-negative integer")
     p.set_defaults(handler=_cmd_verify)
 
     return parser

@@ -39,7 +39,6 @@ from .psd_geometry import (
     GaussianLaw,
     SpdMatrix,
     gaussian_w2,
-    matrix_sqrt,
     random_psd_in_ball,
 )
 
@@ -58,7 +57,7 @@ class SampleCloud:
         p = np.array(self.points, dtype=float)
         if p.ndim != 2 or p.shape[0] < 1:
             raise ValueError("points must be a nonempty n x d array")
-        if not np.all(np.isfinite(p)):
+        if not np.isfinite(p).all():
             raise ValueError("points must be finite")
         p.setflags(write=False)
         object.__setattr__(self, "points", p)
@@ -89,8 +88,7 @@ def sample_gaussian(law: GaussianLaw, n: int, seed: int) -> SampleCloud:
         raise ValueError(f"n must be at least 1, got {n}")
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, law.dim))
-    factor = matrix_sqrt(law.cov).entries
-    return SampleCloud(law.mean + z @ factor, seed)
+    return SampleCloud(law.mean + z @ law.cov._root, seed)
 
 
 def empirical_w2(a: SampleCloud, b: SampleCloud) -> float:
@@ -134,9 +132,10 @@ def empirical_w2(a: SampleCloud, b: SampleCloud) -> float:
     axes, scale = _brenier_axes(x, y)
     x = (x @ axes) * scale
     y = (y @ axes) / scale
-    cost = np.zeros((a.size, b.size))
+    cost = np.subtract.outer(x[:, 0], y[:, 0])
+    cost *= cost
     step = np.empty_like(cost)
-    for k in range(a.dim):
+    for k in range(1, a.dim):
         np.subtract.outer(x[:, k], y[:, k], out=step)
         step *= step
         cost += step

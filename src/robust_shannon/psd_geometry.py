@@ -42,10 +42,15 @@ class SpdMatrix:
 
     Entries are symmetrized exactly on construction. Eigenvalues below
     ``-PSD_TOL * max(1, largest eigenvalue)`` are rejected; smaller negative
-    round-off is clamped to zero and the entries rebuilt. The descending
-    eigenvalues and the trace are computed at construction and kept with the
-    instance; the eigenvectors are computed on first use and cached, so a
-    matrix whose eigenvectors nobody reads never pays for or holds them.
+    round-off is clamped to zero and the entries rebuilt. Entries that
+    overflow when symmetrized, or whose eigenvalues overflow, are rejected, so
+    every instance holds a finite, nonnegative, descending spectrum and
+    consumers need not check it again. The descending eigenvalues and the
+    trace are computed at construction and kept with the instance; the
+    eigenvectors and the PSD square root are computed on first use and
+    cached read-only, so a matrix whose eigenvectors or root nobody reads
+    never pays for or holds them, and one whose root is read often (a ball
+    center) builds it once.
     """
 
     entries: np.ndarray
@@ -54,12 +59,15 @@ class SpdMatrix:
         a = np.array(self.entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
             raise ValueError("entries must be a nonempty square matrix")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("entries must be finite")
         a = _symmetrize(a)
+        if not np.isfinite(a).all():
+            raise ValueError("entries must be finite")
         w = _lapack.eigvalsh(a)
-        if w[0] < -PSD_TOL * max(1.0, float(w[-1])):
-            raise ValueError(f"matrix is not positive semidefinite (min eigenvalue {w[0]:.3e})")
+        lo, hi = float(w[0]), float(w[-1])
+        if not hi < math.inf:
+            raise ValueError(f"eigenvalues must be finite (largest {hi:.3e})")
+        if lo < -PSD_TOL * max(1.0, hi):
+            raise ValueError(f"matrix is not positive semidefinite (min eigenvalue {lo:.3e})")
         if w[0] < 0.0:
             w, v = _lapack.eigh(a)
             w = np.maximum(w, 0.0)
@@ -72,7 +80,7 @@ class SpdMatrix:
             arr.setflags(write=False)
         object.__setattr__(self, "entries", a)
         object.__setattr__(self, "_eigvals", vals)
-        object.__setattr__(self, "_trace", float(np.trace(a)))
+        object.__setattr__(self, "_trace", float(a.trace()))
 
     @cached_property
     def _eigvecs(self) -> np.ndarray:
@@ -80,6 +88,14 @@ class SpdMatrix:
         vecs = _lapack.eigh(self.entries)[1][:, ::-1].copy()
         vecs.setflags(write=False)
         return vecs
+
+    @cached_property
+    def _root(self) -> np.ndarray:
+        """Entries of the PSD square root, V diag(sqrt(w)) V^T symmetrized."""
+        v = self._eigvecs
+        root = _symmetrize((v * np.sqrt(self._eigvals)) @ v.T)
+        root.setflags(write=False)
+        return root
 
     @property
     def dim(self) -> int:
@@ -105,7 +121,7 @@ class SpdMatrix:
             arr.setflags(write=False)
         object.__setattr__(m, "entries", a)
         object.__setattr__(m, "_eigvals", vals)
-        object.__setattr__(m, "_trace", float(np.trace(a)))
+        object.__setattr__(m, "_trace", float(a.trace()))
         return m
 
     @classmethod
@@ -128,7 +144,7 @@ class GaussianLaw:
         m = np.array(self.mean, dtype=float).reshape(-1)
         if m.shape[0] != self.cov.dim:
             raise ValueError("mean and covariance dimensions do not match")
-        if not np.all(np.isfinite(m)):
+        if not np.isfinite(m).all():
             raise ValueError("mean must be finite")
         m.setflags(write=False)
         object.__setattr__(self, "mean", m)
@@ -160,14 +176,9 @@ def symmetric_eig(m: SpdMatrix):
     return m._eigvals.copy(), m._eigvecs.copy()
 
 
-def _sqrt_entries(m: SpdMatrix) -> np.ndarray:
-    w, v = m._eigvals, m._eigvecs
-    return _symmetrize((v * np.sqrt(w)) @ v.T)
-
-
 def matrix_sqrt(m: SpdMatrix) -> SpdMatrix:
     """Unique PSD square root, via the eigendecomposition."""
-    return SpdMatrix(_sqrt_entries(m))
+    return SpdMatrix(m._root)
 
 
 def bw_distance(a: SpdMatrix, b: SpdMatrix) -> float:
@@ -181,7 +192,7 @@ def bw_distance(a: SpdMatrix, b: SpdMatrix) -> float:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     # tr((a^{1/2} b a^{1/2})^{1/2}) as the nuclear norm of a^{1/2} b^{1/2}: its singular
     # values carry round-off of order eps, square roots of near-zero eigenvalues sqrt(eps)
-    fidelity = _lapack.svd(_sqrt_entries(a) @ _sqrt_entries(b), compute_uv=False).sum()
+    fidelity = _lapack.svd(a._root @ b._root, compute_uv=False).sum()
     radicand = a.trace + b.trace - 2.0 * fidelity
     band = BW_RADICAND_TOL * (a.trace + b.trace)
     if radicand < -band:
@@ -233,7 +244,7 @@ def _geodesic_ends(center: SpdMatrix, factor: np.ndarray):
     carry round-off of order eps where an eigendecomposition of
     C^{1/2} N C^{1/2} would lose the small ones.
     """
-    x0 = _sqrt_entries(center)
+    x0 = center._root
     a, sigma, bt = _lapack.svd(x0 @ factor)
     return x0, factor @ (bt.T @ a.T), float(sigma.sum())
 
@@ -258,7 +269,7 @@ def transport_map(source: SpdMatrix, target: SpdMatrix) -> np.ndarray:
     if source.dim != target.dim:
         raise ValueError(f"dimension mismatch: {source.dim} vs {target.dim}")
     src, _ = _ensure_positive_definite(source)
-    x0, x1, _ = _geodesic_ends(src, _sqrt_entries(target))
+    x0, x1, _ = _geodesic_ends(src, target._root)
     w, v = src._eigvals, src._eigvecs
     inv_half = (v / np.sqrt(w)) @ v.T
     return _symmetrize(inv_half @ (x0 @ x1) @ inv_half)
@@ -282,7 +293,7 @@ def bw_geodesic_point(center: SpdMatrix, target: SpdMatrix, t: float) -> SpdMatr
         return target
     if center.dim != target.dim:
         raise ValueError(f"dimension mismatch: {center.dim} vs {target.dim}")
-    x0, x1, _ = _geodesic_ends(center, _sqrt_entries(target))
+    x0, x1, _ = _geodesic_ends(center, target._root)
     return _gram_point(x0, x1, t)
 
 

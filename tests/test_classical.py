@@ -14,6 +14,7 @@ from robust_shannon import (
     rdf_from_spectrum,
     rdf_realization,
     reverse_waterfill,
+    symmetric_eig,
 )
 from robust_shannon import classical
 from robust_shannon.classical import reverse_waterfill_rows, waterfill_rows
@@ -432,3 +433,47 @@ def test_rejects_malformed_input(call, message):
 def test_classical_entry_points_reject_bad_vectors(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def _lean_path_cases():
+    """Seeded (noise or source covariance, channel) pairs: d = 1..8 positive
+    definite, a rank-deficient W that gaussian_capacity jitters, and a zero
+    channel, whose modes are all dead."""
+    rng = np.random.default_rng(2121)
+    for d in range(1, 9):
+        yield random_spd(rng, d), rng.standard_normal((d, d))
+    g = rng.standard_normal((4, 2))
+    yield SpdMatrix(g @ g.T), rng.standard_normal((4, 4))
+    yield random_spd(rng, 3), np.zeros((3, 3))
+
+
+@pytest.mark.parametrize("cov, h", list(_lean_path_cases()))
+def test_lean_classical_paths_equal_the_validated_ones(cov, h):
+    vals, vecs = symmetric_eig(cov)
+    for distortion in (0.05 * cov.trace, 0.5 * cov.trace, 2.0 * cov.trace):
+        checked = rdf_from_spectrum(vals, distortion)
+        alloc = reverse_waterfill(cov, distortion)
+        assert gaussian_rdf(cov, distortion) == alloc.rate_nats == checked.rate_nats
+        assert alloc.level == checked.level
+        assert np.array_equal(alloc.per_mode, checked.per_mode)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gains = np.where(vals > 0.0, 1.0 - checked.per_mode / np.maximum(vals, 1e-300), 0.0)
+        gains = np.maximum(gains, 0.0)
+        assert np.array_equal(rdf_realization(cov, distortion).gain, (vecs * gains) @ vecs.T)
+    noise = classical._ensure_positive_definite(cov)[0].entries
+    whitened = classical._whitened_gains(h, noise)[0]
+    for power in (0.0, 0.5, 3.0):
+        got = gaussian_capacity(h, cov, power)
+        checked = capacity_from_gains(whitened, power)
+        assert got.rate_nats == got.allocation.rate_nats == checked.rate_nats
+        assert got.allocation.level == checked.level
+        assert np.array_equal(got.allocation.per_mode, checked.per_mode)
+        assert np.array_equal(got.input_cov._eigvals, checked.per_mode)
+
+
+def test_capacity_checks_the_gains_before_the_power():
+    # a subnormal noise variance fails whitening, which runs before the power check
+    with pytest.raises(ValueError, match="gain is not finite"):
+        gaussian_capacity(np.eye(1), SpdMatrix([[1e-310]]), -1.0)
+    with pytest.raises(ValueError, match="power must be nonnegative"):
+        gaussian_capacity(np.eye(1), SpdMatrix([[1.0]]), -1.0)

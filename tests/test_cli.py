@@ -239,6 +239,39 @@ def test_rejected_input_exit_code(tmp_path, capsys, center_text, argv, message):
     assert message in err
 
 
+SWEEP_RDF_TWO_RADII = ("sweep", "--kind", "rdf", "--sigma0-scalar", "1", "--radii", "0,0.5")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("verify", "--seed", "-1"), "--seed"),
+        (("verify", "--seed", "x"), "--seed"),
+        (SWEEP_RDF_TWO_RADII + ("--distortion", "0:1:2.5"), "--distortion"),
+        (SWEEP_RDF_TWO_RADII + ("--distortion", "abc"), "--distortion"),
+        (SWEEP_RDF_TWO_RADII + ("--distortion", "0:x:3"), "--distortion"),
+        (("sweep", "--kind", "rdf", "--sigma0-scalar", "1", "--radii", "0,x", "--distortion", "1"),
+         "--radii"),
+        (SWEEP_CAPACITY + ("--power", "1:2:0"), "--power"),
+        (SWEEP_RDF_TWO_RADII + ("--distortion", "0.1:1:100000000000"), "--distortion"),
+        (("rdf", "--sigma0-scalar", "nan", "--distortion", "1"), "--sigma0-scalar"),
+        (("rdf", "--sigma0-scalar", "inf", "--distortion", "1"), "--sigma0-scalar"),
+    ],
+    ids=["negative_seed", "seed_not_int", "grid_count_not_int", "budget_not_number",
+         "grid_stop_not_number", "radius_not_number", "grid_count_zero", "grid_too_large",
+         "sigma0_nan", "sigma0_inf"],
+)
+def test_rejections_name_their_flag(monkeypatch, capsys, argv, flag):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("linspace")
+
+    # the grid that does not fit raises where the real one would, without allocating
+    monkeypatch.setattr(np, "linspace", out_of_memory)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert flag in err
+
+
 SOLVE_COMMANDS = {
     "rdf": ("rdf", "--sigma0-scalar", "1", "--distortion", "0.5"),
     "capacity": ("capacity", "--sigma0-scalar", "1", "--power", "1"),

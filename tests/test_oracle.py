@@ -385,3 +385,32 @@ def test_rejects_malformed_input(monkeypatch, call, error, message):
     monkeypatch.setattr(oracle, "sample_gaussian", _no_sampling)
     with pytest.raises(error, match=message):
         call()
+
+
+def _w2_on_zeros_and_add_cost(a, b):
+    """``empirical_w2`` for d >= 2 with the cost summed into a zero matrix, one axis at a time."""
+    x = a.points - a.points.mean(axis=0)
+    y = b.points - b.points.mean(axis=0)
+    axes, scale = oracle._brenier_axes(x, y)
+    x = (x @ axes) * scale
+    y = (y @ axes) / scale
+    cost = np.zeros((a.size, b.size))
+    step = np.empty_like(cost)
+    for k in range(a.dim):
+        np.subtract.outer(x[:, k], y[:, k], out=step)
+        step *= step
+        cost += step
+    cost -= cost.min(axis=0)
+    cost -= cost.min(axis=1)[:, None]
+    rows, cols = linear_sum_assignment(cost)
+    gaps = a.points[rows] - b.points[cols]
+    return math.sqrt(float(np.einsum("ij,ij->i", gaps, gaps).mean()))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_empirical_w2_equals_the_zeros_and_add_cost(d):
+    rng = np.random.default_rng(40 + d)
+    for n in (8, 16, 64, 128, 512):
+        p, q = random_law(rng, d), random_law(rng, d)
+        a, b = sample_gaussian(p, n, 2 * n), sample_gaussian(q, n, 2 * n + 1)
+        assert empirical_w2(a, b) == _w2_on_zeros_and_add_cost(a, b)

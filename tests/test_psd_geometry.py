@@ -468,3 +468,48 @@ def test_zero_center_geodesic_and_draws():
             assert bw_distance(zero, random_psd_in_ball(ball, seed)) <= ball.radius * (1.0 + 1e-12)
         with pytest.raises(SingularCenter):
             transport_map(zero, target)
+
+
+def test_construction_rejects_overflow():
+    # symmetrizing 1e308 + 1e308 overflows; a 4 x 4 block of 0.5e308 has the eigenvalue 2e308
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="entries must be finite"):
+        SpdMatrix(np.full((2, 2), 1e308))
+    with pytest.raises(ValueError, match="eigenvalues must be finite"):
+        SpdMatrix(np.full((4, 4), 0.5e308))
+
+
+def _eigen_root(m):
+    """The square root built from the eigendecomposition, symmetrized."""
+    vals, vecs = symmetric_eig(m)
+    root = (vecs * np.sqrt(vals)) @ vecs.T
+    return 0.5 * (root + root.T)
+
+
+def test_square_root_is_cached_read_only_and_matches_the_eigen_root():
+    rng = np.random.default_rng(7)
+    for d in range(1, 6):
+        g = rng.standard_normal((d, max(d - 1, 1)))
+        for m in (random_spd(rng, d), SpdMatrix(g @ g.T)):
+            assert "_root" not in vars(m)  # built on first use
+            root = m._root
+            assert m._root is root
+            assert not root.flags.writeable
+            with pytest.raises(ValueError):
+                root[0, 0] = 1.0
+            assert np.array_equal(root, _eigen_root(m))
+            assert np.array_equal(matrix_sqrt(m).entries, SpdMatrix(_eigen_root(m)).entries)
+
+
+def test_sampler_draws_do_not_depend_on_a_cached_root():
+    rng = np.random.default_rng(8)
+    for d in range(1, 5):
+        for rank in range(1, d + 1):
+            g = rng.standard_normal((d, rank))
+            cached, fresh = SpdMatrix(g @ g.T), SpdMatrix(g @ g.T)
+            radius = float(rng.uniform(0.1, 1.0)) * math.sqrt(cached.trace)
+            seed = int(rng.integers(2**31))
+            assert not cached._root.flags.writeable  # built before the draw
+            draw = random_psd_in_ball(BwBall(fresh, radius), seed)  # builds the root on the way
+            assert "_root" in vars(fresh)
+            assert np.array_equal(draw.entries, random_psd_in_ball(BwBall(cached, radius), seed).entries)
+            assert np.array_equal(draw.entries, random_psd_in_ball(BwBall(fresh, radius), seed).entries)
