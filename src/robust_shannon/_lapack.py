@@ -40,6 +40,11 @@ def cholesky(a):
     return _checked("dpotrf", *dpotrf(a, lower=1, clean=1))[0]
 
 
+def positive_definite(a):
+    """Whether the Cholesky factorization of the symmetric ``a`` succeeds."""
+    return dpotrf(a, lower=1, clean=0)[1] == 0
+
+
 def solve_lower(l, b, trans=0):
     """L^{-1} b, or L^{-T} b with ``trans=1``, for a lower triangular L."""
     return _checked("dtrtrs", *dtrtrs(l, b, lower=1, trans=trans))[0]

@@ -5,12 +5,25 @@ covariance eigenvalues, the explicit linear test channel realizing it, the
 Gaussian mutual-information determinant formula, and the capacity of a
 linear channel with Gaussian noise by whitening plus waterfilling. All rates
 are in nats.
+
+Every waterfill is one sort-and-prefix-sum scan, implemented twice with the
+same bits. ``reverse_waterfill_rows`` and ``waterfill_rows`` scan a batch of
+rows in numpy; ``_rdf_core`` and ``_capacity_core`` scan one spectrum in
+Python floats, with numpy only for the per-mode allocation and the log-sum,
+so that the sums round as the batch's do. Both stay because each is the
+cheaper one for its call shape: on one row of d <= 32 the numpy scan's time
+is mostly per-call dispatch, two to four times the Python scan's, while a
+Python loop over a batch (a 72-row KKT start, the draws of a sampler check)
+would cost many times the numpy scan. The classical limits and the
+general-channel objective call the one-spectrum cores; the eigen-reductions,
+the oracles and the r = 0 rows of a compound solve call the batch scans.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -148,17 +161,34 @@ def waterfill_rows(inverse_gains, power):
 
 
 def _rdf_core(eigenvalues: np.ndarray, distortion: float):
-    """Level, per-mode distortions and rate of one checked spectrum and budget."""
-    level, per_mode, rate = reverse_waterfill_rows(eigenvalues[None, :], distortion)
-    return float(level[0]), per_mode[0], float(rate[0])
+    """Level, per-mode distortions and rate of one checked spectrum and
+    budget: ``reverse_waterfill_rows``' scan on one row, in Python floats."""
+    ordered = sorted(eigenvalues.tolist())
+    d = len(ordered)
+    below = accumulate(ordered[:-1], initial=0.0)  # the sums of the j smallest, j = 0..d-1
+    levels = [(distortion - b) / (d - j) for j, b in enumerate(below)]
+    level = levels[sum(a > b for a, b in zip(levels[:-1], ordered))]
+    rate = 0.5 * np.log(np.maximum(eigenvalues, level) / level).sum()
+    return min(level, ordered[-1]), np.minimum(eigenvalues, level), float(rate)
 
 
-def _capacity_core(gains: np.ndarray, power: float):
-    """Level, per-mode powers and rate of one checked gain vector and budget."""
+def _inverse_gains(gains: np.ndarray) -> np.ndarray:
+    """1 / gains, infinite at a dead mode (gain 0)."""
     with np.errstate(divide="ignore"):
-        inv = 1.0 / gains[None, :]
-    level, per_mode, rate = waterfill_rows(inv, power)
-    return float(level[0]), per_mode[0], float(rate[0])
+        return 1.0 / gains
+
+
+def _capacity_core(inverse: np.ndarray, power: float):
+    """Level, per-mode powers and rate of one checked vector of inverse
+    gains and budget: ``waterfill_rows``' scan on one row, in Python floats."""
+    ordered = sorted(inverse.tolist())
+    levels = [(power + active) / k for k, active in enumerate(accumulate(ordered), 1)]
+    level = levels[sum(a > b for a, b in zip(levels, ordered[1:]))]
+    if level == math.inf:
+        level = 0.0
+    per_mode = np.maximum(level - inverse, 0.0)
+    # a mode without power has a positive (or infinite) inverse gain, so its SNR is exactly 0
+    return level, per_mode, float(0.5 * np.log1p(per_mode / inverse).sum())
 
 
 def rdf_from_spectrum(eigenvalues, distortion: float) -> WaterfillAllocation:
@@ -183,7 +213,7 @@ def capacity_from_gains(gains, power: float) -> WaterfillAllocation:
     not form a nonempty vector of finite nonnegative reals raise ValueError.
     """
     gains = _check_vector(gains, "gains")
-    return WaterfillAllocation(*_capacity_core(gains, _check_power(power)))
+    return WaterfillAllocation(*_capacity_core(_inverse_gains(gains), _check_power(power)))
 
 
 def reverse_waterfill(cov: SpdMatrix, distortion: float) -> WaterfillAllocation:
@@ -275,7 +305,7 @@ def gaussian_capacity(channel, noise_cov: SpdMatrix, power: float) -> GaussianCa
     if h.shape != (noise_cov.dim, noise_cov.dim):
         raise ValueError("channel shape does not match noise covariance")
     gains, vt, _, _ = _whitened_gains(h, _ensure_positive_definite(noise_cov)[0].entries)
-    level, per_mode, rate = _capacity_core(gains, _check_power(power))
+    level, per_mode, rate = _capacity_core(_inverse_gains(gains), _check_power(power))
     input_cov = SpdMatrix._from_spectrum(vt.T, per_mode)
     return GaussianCapacity(rate, input_cov, WaterfillAllocation(level, per_mode, rate))
 

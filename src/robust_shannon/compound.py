@@ -57,6 +57,7 @@ definite by a small diagonal jitter, reported as
 from __future__ import annotations
 
 import math
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
@@ -67,8 +68,10 @@ from . import _lapack
 from .classical import (
     ChannelMatrix,
     WaterfillAllocation,
+    _capacity_core,
     _check_distortion,
     _check_power,
+    _inverse_gains,
     _whitened_gains,
     reverse_waterfill_rows,
     waterfill_rows,
@@ -160,22 +163,60 @@ class SweepPoint(NamedTuple):
 
 
 def compound_rdf_scalar(sigma0: float, r: float, distortion: float) -> float:
-    """Closed-form scalar worst-case RDF: half log+ of (sigma0 + r)^2 / D."""
-    _check_scalar_domain(sigma0, r)
-    return max(0.0, 0.5 * math.log((sigma0 + r) ** 2 / _check_distortion(distortion)))
+    """Closed-form scalar worst-case RDF: half log+ of (sigma0 + r)^2 / D.
+
+    Where the square is not a normal float, or the ratio is 0 or infinite,
+    the log is taken as log(sigma0 + r) - log(D) / 2 instead. (A subnormal
+    ratio is below 1, so its rate is 0 either way.)
+    """
+    sigma0, r = _check_scalar_domain(sigma0, r)
+    distortion = _check_distortion(distortion)
+    square = _normal_square(sigma0 + r)
+    if square is not None and 0.0 < square / distortion < math.inf:
+        return max(0.0, 0.5 * math.log(square / distortion))
+    return max(0.0, _log_sum(sigma0, r) - 0.5 * math.log(distortion))
 
 
 def compound_capacity_scalar(sigma0: float, r: float, power: float) -> float:
-    """Closed-form scalar worst-case capacity: half log(1 + B / (sigma0 + r)^2)."""
-    _check_scalar_domain(sigma0, r)
-    return 0.5 * math.log1p(_check_power(power) / (sigma0 + r) ** 2)
+    """Closed-form scalar worst-case capacity: half log(1 + B / (sigma0 + r)^2).
+
+    Where the square is not a normal float or the ratio q overflows (and
+    B > 0), log q = log B - 2 log(sigma0 + r) gives log(1 + q) = max(log q,
+    0) + log1p(exp(-|log q|)).
+    """
+    sigma0, r = _check_scalar_domain(sigma0, r)
+    power = _check_power(power)
+    square = _normal_square(sigma0 + r)
+    if square is not None and power / square < math.inf:
+        return 0.5 * math.log1p(power / square)
+    if power == 0.0:
+        return 0.0
+    log_ratio = math.log(power) - 2.0 * _log_sum(sigma0, r)
+    return 0.5 * (max(log_ratio, 0.0) + math.log1p(math.exp(-abs(log_ratio))))
 
 
 def _check_scalar_domain(sigma0, r):
+    """(sigma0, r) as floats; ValueError unless sigma0 > 0 and r >= 0, both finite."""
     if not (float(sigma0) > 0.0 and math.isfinite(sigma0)):
         raise ValueError(f"sigma0 must be positive and finite, got {sigma0}")
     if not (float(r) >= 0.0 and math.isfinite(r)):
         raise ValueError(f"r must be nonnegative and finite, got {r}")
+    return float(sigma0), float(r)
+
+
+def _normal_square(s: float):
+    """s ** 2 when it is a normal float; None where it overflows or underflows."""
+    try:
+        square = s**2
+    except OverflowError:
+        return None
+    return square if sys.float_info.min <= square < math.inf else None
+
+
+def _log_sum(a: float, b: float) -> float:
+    """log(a + b) of a > 0 and b >= 0, also where a + b overflows."""
+    hi, lo = max(a, b), min(a, b)
+    return math.log(hi) + math.log1p(lo / hi)
 
 
 def _project_ball(x, radius):
@@ -709,22 +750,32 @@ class _TransportCoordinates:
 
     def objective(self, y: np.ndarray):
         """Capacity at the noise N of y, with the inner solve behind it: S =
-        I + Y / W, N (jittered where ``_ensure_positive_definite`` would), the
-        Danskin gradient G there and the waterfill (level, per_mode, rate)
-        over the whitened gains g. N = L L^T and L^{-1} H = U diag(sqrt(g)) V^T
-        give N + H Q H^T = L U diag(1 + g p) U^T L^T at Q = V diag(p) V^T, so
-        G = 0.5 ((N + H Q H^T)^{-1} - N^{-1}) is exactly the Gram product
-        -0.5 B^T diag(g p / (1 + g p)) B, B = U^T L^{-1}: nothing is inverted.
-        B^T = L^{-T} U is the second of two triangular solves on L, after
-        the L^{-1} H of the whitening."""
-        s = np.eye(self.lam.size) + y / self.weight
+        I + Y / W, N, the Danskin gradient G there and the waterfill (level,
+        per_mode, rate) over the whitened gains g.
+
+        N is kept when tr N > 0 and the Cholesky factorization of N - t I,
+        t = 0.5e-12 tr N / d, succeeds, that is when lambda_min(N) > t up to
+        rounding; otherwise it goes through ``_ensure_positive_definite``,
+        which keeps it when lambda_min(N) >= t and else adds 2t to the
+        diagonal. The test costs one Cholesky factorization, not an
+        eigendecomposition.
+
+        N = L L^T and L^{-1} H = U diag(sqrt(g)) V^T give N + H Q H^T = L U
+        diag(1 + g p) U^T L^T at Q = V diag(p) V^T, so G = 0.5 ((N + H Q
+        H^T)^{-1} - N^{-1}) is exactly the Gram product -0.5 B^T diag(g p /
+        (1 + g p)) B, B = U^T L^{-1}: nothing is inverted. B^T = L^{-T} U is
+        the second of two triangular solves on L, after the L^{-1} H of the
+        whitening. The waterfill is ``_capacity_core``, the one-spectrum
+        scan."""
+        eye = np.eye(self.lam.size)
+        s = eye + y / self.weight
         noise = self.noise(s)
-        if not _lapack.eigvalsh(noise)[0] >= 0.5e-12 * np.trace(noise) / self.lam.size > 0.0:
+        threshold = 0.5e-12 * noise.trace() / self.lam.size
+        if not (threshold > 0.0 and _lapack.positive_definite(noise - threshold * eye)):
             noise = _ensure_positive_definite(SpdMatrix(noise))[0].entries
         gains, _, u, chol = _whitened_gains(self.channel, noise)
-        with np.errstate(divide="ignore"):
-            inverse = 1.0 / gains
-        level, per_mode, rate = (part[0] for part in waterfill_rows(inverse[None], self.power))
+        inverse = _inverse_gains(gains)
+        level, per_mode, rate = _capacity_core(inverse, self.power)
         b = _lapack.solve_lower(chol, u, trans=1) * np.sqrt(per_mode / (inverse + per_mode))  # B^T diag(...)^{1/2}
         return rate, (s, noise, -0.5 * (b @ b.T), (level, per_mode, rate))
 
@@ -823,8 +874,7 @@ def _solve(kind, center, channel, radius, budget):
                     alloc[0][i], alloc[1][i], alloc[2][i] = found
                     steps[i], gap[i] = diag.iterations, diag.certificate_gap
             if zero.any():
-                with np.errstate(divide="ignore"):
-                    inverse = np.tile(1.0 / gains, (int(zero.sum()), 1))
+                inverse = np.tile(_inverse_gains(gains), (int(zero.sum()), 1))
                 for column, classical in zip(alloc, waterfill_rows(inverse, budget[zero, None])):
                     column[zero] = classical
     except SolverNoConverge as exc:  # either path: the jitter in the units of the data

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import _lapack
 from .classical import (
@@ -89,6 +88,15 @@ def sample_gaussian(law: GaussianLaw, n: int, seed: int) -> SampleCloud:
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, law.dim))
     return SampleCloud(law.mean + z @ law.cov._root, seed)
+
+
+def linear_sum_assignment(cost: np.ndarray):
+    """``scipy.optimize.linear_sum_assignment``, imported on the first call:
+    only ``empirical_w2`` needs it, and importing scipy.optimize takes about
+    0.2 s, which a CLI solve command would otherwise pay for nothing."""
+    from scipy.optimize import linear_sum_assignment as solve
+
+    return solve(cost)
 
 
 def empirical_w2(a: SampleCloud, b: SampleCloud) -> float:

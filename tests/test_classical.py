@@ -74,6 +74,15 @@ def assert_matches_reference(got, expected):
     assert rate == pytest.approx(ref_rate, rel=1e-12, abs=1e-12)
 
 
+def assert_same_bits(got, row):
+    """A one-spectrum core's (level, per_mode, rate) equals a batch row's bit for bit."""
+    (level, per_mode, rate), (row_level, row_per_mode, row_rate) = got, row
+    assert type(level) is float and type(rate) is float
+    assert np.float64(level).tobytes() == row_level.tobytes()
+    assert per_mode.tobytes() == row_per_mode.tobytes()
+    assert np.float64(rate).tobytes() == row_rate.tobytes()
+
+
 RDF_CASES = {
     "d1": ([2.0], 0.5),
     "repeated": ([1.0, 1.0, 1.0, 4.0, 4.0], 2.5),
@@ -116,18 +125,40 @@ class TestExactWaterfill:
         )
 
     def test_batched_rows_match_reference_bisection(self):
+        # each batch row against the bisection, and the one-spectrum cores,
+        # which scan in Python floats, against the batch row bit for bit;
+        # the last budget of each kind puts a candidate level on a spectrum
+        # value, where counting a tie as an overshoot would move the level
         rng = np.random.default_rng(27)
-        spectra = rng.uniform(0.0, 3.0, size=(60, 5)) ** 2
-        spectra[::7, 0] = 0.0
-        gains = np.where(rng.random((60, 5)) < 0.2, 0.0, spectra)
-        for budget in (1e-9, 0.4, 3.0, 40.0):
-            rows = zip(*reverse_waterfill_rows(spectra, budget))
-            for row, got in zip(spectra, rows):
-                assert_matches_reference(got, reference_rdf(row, budget))
+        for d in (1, 2, 3, 5, 8, 16, 32):
+            m = 12
+            spectra = rng.uniform(0.0, 3.0, size=(m, d)) ** 2
+            spectra[1::4] = spectra[1::4, :1]  # one eigenvalue, repeated
+            spectra[2::4, d // 2:] = spectra[2::4, -1:]  # a repeated top block
+            if d > 1:
+                spectra[::5, 0] = 0.0  # a null eigenvalue
+            gains = np.where(rng.random((m, d)) < 0.2, 0.0, spectra)
+            gains[3] = 0.0  # a dead channel
             with np.errstate(divide="ignore"):
-                rows = zip(*waterfill_rows(1.0 / gains, budget))
-            for row, got in zip(gains, rows):
-                assert_matches_reference(got, reference_capacity(row, budget))
+                inverse = 1.0 / gains
+            totals, ordered = spectra.sum(axis=1), np.sort(spectra, axis=1)
+            second = ordered[:, min(1, d - 1)]
+            on_second = ordered[:, 0] + (d - 1) * second  # the level with one mode saturated is `second`
+            lowest = np.sort(inverse, axis=1)[:, :2]
+            gap = [b - a if b < math.inf else 1.0 for a, b in lowest] if d > 1 else [1.0] * m
+            budgets = (1e-9, 0.4, 3.0, 40.0, totals, 2.0 * totals)
+            for budget in (0.0, *budgets, gap):
+                column = np.broadcast_to(np.reshape(budget, (-1, 1)), (m, 1))
+                rows = zip(*waterfill_rows(inverse, column))
+                for row, inv, b, got in zip(gains, inverse, column[:, 0], rows):
+                    assert_matches_reference(got, reference_capacity(row, b))
+                    assert_same_bits(classical._capacity_core(inv, float(b)), got)
+            for budget in (*budgets, on_second):
+                column = np.broadcast_to(np.reshape(budget, (-1, 1)), (m, 1))
+                rows = zip(*reverse_waterfill_rows(spectra, column))
+                for row, b, got in zip(spectra, column[:, 0], rows):
+                    assert_matches_reference(got, reference_rdf(row, b))
+                    assert_same_bits(classical._rdf_core(row, float(b)), got)
 
 
 class TestReverseWaterfill:

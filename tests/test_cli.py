@@ -349,6 +349,18 @@ def test_module_entry_point_exit_code(module):
     assert "distortion must be positive" in done.stderr
 
 
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # only empirical_w2 needs the assignment solver, so solve commands do not import it
+    src = os.path.dirname(os.path.dirname(robust_shannon.__file__))
+    code = "import robust_shannon.cli, sys; print('scipy.optimize' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
 def test_missing_center_is_config_error(capsys):
     code, _, err = run_cli(capsys, "rdf", "--distortion", "1")
     assert code == 2

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -64,6 +65,46 @@ class TestScalarClosedForms:
             compound_rdf_scalar(1.0, 0.5, 0.0)
         with pytest.raises(ValueError):
             compound_capacity_scalar(1.0, 0.5, -1.0)
+
+    @pytest.mark.parametrize(
+        "sigma0, r, budget",
+        [
+            (1e200, 0.0, 1.0),  # the square overflows
+            (1e-200, 0.0, 1e-300),  # the square underflows to 0
+            (1e-170, 0.0, 1e300),  # the capacity ratio overflows
+            (1e308, 1e308, 1e-300),  # sigma0 + r overflows
+            (1e154, 1e154, 1e-200),
+            (3e154, 1e154, 1e300),
+            (1e-160, 0.0, 1e-322),  # subnormal square and budget
+            (1e-160, 3e-161, 5e-324),
+            (1e-300, 1e-300, 1e-10),
+            (2.0, 0.5, 1e-320),  # a subnormal capacity ratio
+            (1.5e-154, 0.0, 2.5e-308),
+        ],
+    )
+    def test_extreme_inputs_match_mpmath(self, sigma0, r, budget):
+        # log space where the square leaves the normal range or the ratio
+        # overflows, against 50-digit arithmetic; the logs cancel to a few
+        # hundred ulps
+        with mpmath.workdps(50):
+            square = (mpmath.mpf(sigma0) + mpmath.mpf(r)) ** 2
+            rdf = float(max(mpmath.mpf(0), mpmath.log(square / mpmath.mpf(budget)) / 2))
+            capacity = float(mpmath.log1p(mpmath.mpf(budget) / square) / 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert compound_rdf_scalar(sigma0, r, budget) == pytest.approx(rdf, rel=1e-12, abs=1e-320)
+            assert compound_capacity_scalar(sigma0, r, budget) == pytest.approx(capacity, rel=1e-12, abs=1e-320)
+
+    def test_finite_values_beyond_the_float_range_and_unchanged_bits_within_it(self):
+        assert compound_rdf_scalar(1e200, 0.0, 1.0) == pytest.approx(460.517018599, abs=1e-9)
+        assert compound_capacity_scalar(1e200, 0.0, 1.0) == 0.0  # 5.0e-401
+        assert compound_rdf_scalar(1e-200, 0.0, 1e-300) == 0.0
+        assert compound_capacity_scalar(1e-170, 0.0, 1e300) == pytest.approx(736.827229758, abs=1e-9)
+        rng = np.random.default_rng(8)
+        for sigma0, r, budget in 10.0 ** rng.uniform(-60.0, 60.0, size=(2000, 3)):
+            square = (sigma0 + r) ** 2
+            assert compound_rdf_scalar(sigma0, r, budget) == max(0.0, 0.5 * math.log(square / budget))
+            assert compound_capacity_scalar(sigma0, r, budget) == 0.5 * math.log1p(budget / square)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("closed_form", [compound_rdf_scalar, compound_capacity_scalar])
@@ -507,6 +548,26 @@ class TestTransportCoordinates:
         assert np.array_equal(noise, jittered.entries)
         assert np.all(np.isfinite(g)) and np.abs(g).max() > 1e10
         _assert_symmetric_nsd(g)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("margin", [1e-3, -1e-3])
+    def test_jitter_test_at_the_threshold(self, d, margin):
+        # at y = 0 the noise is diag(lam); with lam_min = t (1 + margin), t =
+        # 0.5e-12 tr N / d, the Cholesky factor of N - t I exists exactly when
+        # margin > 0, and otherwise N is jittered by 2 t, as
+        # _ensure_positive_definite jitters it
+        k = (1.0 + margin) * 0.5e-12 / d
+        rest = np.arange(1.0, d)
+        lam_min = k * rest.sum() / (1.0 - k)
+        center = SpdMatrix.from_diag(np.concatenate([[lam_min], rest]))
+        threshold = 0.5e-12 * center.trace / d
+        assert lam_min == pytest.approx((1.0 + margin) * threshold, rel=1e-12)
+        coords = compound._TransportCoordinates(center, np.eye(d), 1.0)
+        noise = coords.objective(np.zeros((d, d)))[1][1]
+        if margin > 0.0:
+            assert np.array_equal(noise, np.diag(coords.lam))
+        else:
+            assert np.array_equal(noise, np.diag(coords.lam) + 2.0 * threshold * np.eye(d))
 
     def test_general_solve_builds_no_matrix_per_iteration(self, monkeypatch):
         # an evaluation factors the noise once and inverts nothing, so the

@@ -80,13 +80,19 @@ def test_inputs_are_accepted_and_left_unchanged(layout):
     else:
         a, b = np.asfortranarray(cases["spd"]), np.asfortranarray(cases["square"])
     a_before, b_before = a.copy(), b.copy()
-    for call in (_lapack.eigvalsh, _lapack.eigh, _lapack.svd, _lapack.cholesky):
+    for call in (_lapack.eigvalsh, _lapack.eigh, _lapack.svd, _lapack.cholesky, _lapack.positive_definite):
         call(a)
     _lapack.svd(a, compute_uv=False)
     chol = _lapack.cholesky(a)
     for trans in (0, 1):
         _lapack.solve_lower(chol, b, trans=trans)
     assert np.array_equal(a, a_before) and np.array_equal(b, b_before)
+
+
+def test_positive_definite_is_whether_cholesky_succeeds():
+    assert _lapack.positive_definite(_matrices(4)["spd"])
+    assert not _lapack.positive_definite(np.diag([1.0, -1.0]))
+    assert not _lapack.positive_definite(np.diag([1.0, 0.0]))
 
 
 def test_failures_raise_linalg_error():

@@ -73,6 +73,16 @@ class TestEmpiricalW2:
         b = SampleCloud(np.array([[3.0, 4.0]]), 0)
         assert empirical_w2(a, b) == pytest.approx(5.0, abs=1e-12)
 
+    def test_assignment_goes_through_the_module_function(self, monkeypatch):
+        # oracle.linear_sum_assignment is the one name to wrap or replace
+        costs = []
+        monkeypatch.setattr(oracle, "linear_sum_assignment",
+                            lambda cost: costs.append(cost) or linear_sum_assignment(cost))
+        rng = np.random.default_rng(4)
+        a, b = (SampleCloud(rng.standard_normal((6, 2)), 0) for _ in range(2))
+        assert empirical_w2(a, b) > 0.0
+        assert len(costs) == 1 and costs[0].shape == (6, 6)
+
     def test_matches_permutation_enumeration(self):
         # {0, 1} vs {10, 11}: identity matching wins with cost 10
         a = SampleCloud(np.array([[0.0], [1.0]]), 0)
