@@ -17,6 +17,8 @@ Python loop over a batch (a 72-row KKT start, the draws of a sampler check)
 would cost many times the numpy scan. The classical limits and the
 general-channel objective call the one-spectrum cores; the eigen-reductions,
 the oracles and the r = 0 rows of a compound solve call the batch scans.
+Both take a rate whose quotient (eigenvalue over level, or SNR) passes the
+float range in logs, ``_log_quotient``, and keep every other rate's bits.
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ import numpy as np
 from . import _lapack
 from .errors import DegenerateMI
 from .psd_geometry import SpdMatrix, _ensure_positive_definite, _symmetrize, symmetric_eig
+
+# x * _FAR > y for every quotient x / y > 0 that overflows, as x * _FAR is then about 2 y or more
+_FAR = 2.0**-1023
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,8 +137,14 @@ def reverse_waterfill_rows(spectra, distortion):
     levels = (distortion - below) / np.arange(d, 0, -1)
     saturated = (levels[:, :-1] > ordered[:, :-1]).sum(axis=1)
     level = levels[np.arange(m), saturated][:, None]
-    per_mode = np.minimum(lam, level)
-    rate = 0.5 * np.log(np.maximum(lam, level) / level).sum(axis=1)
+    per_mode, top = np.minimum(lam, level), np.maximum(lam, level)
+    try:
+        with np.errstate(over="raise"):
+            ratio = top / level
+    except FloatingPointError:  # a ratio passes the float range
+        rate = 0.5 * _log_quotient(top, level, np.log).sum(axis=1)
+    else:
+        rate = 0.5 * np.log(ratio).sum(axis=1)
     return np.minimum(level[:, 0], ordered[:, -1]), per_mode, rate
 
 
@@ -156,7 +167,11 @@ def waterfill_rows(inverse_gains, power):
     level = levels[np.arange(m), inactive]
     level[np.isinf(level)] = 0.0
     per_mode = np.maximum(level[:, None] - inv, 0.0)
-    snr = np.divide(per_mode, inv, out=np.zeros_like(per_mode), where=per_mode > 0.0)
+    try:
+        with np.errstate(over="raise"):
+            snr = np.divide(per_mode, inv, out=np.zeros_like(per_mode), where=per_mode > 0.0)
+    except FloatingPointError:  # an SNR passes the float range
+        return level, per_mode, 0.5 * _log_quotient(per_mode, inv, np.log1p, per_mode > 0.0).sum(axis=1)
     return level, per_mode, 0.5 * np.log1p(snr).sum(axis=1)
 
 
@@ -168,7 +183,11 @@ def _rdf_core(eigenvalues: np.ndarray, distortion: float):
     below = accumulate(ordered[:-1], initial=0.0)  # the sums of the j smallest, j = 0..d-1
     levels = [(distortion - b) / (d - j) for j, b in enumerate(below)]
     level = levels[sum(a > b for a, b in zip(levels[:-1], ordered))]
-    rate = 0.5 * np.log(np.maximum(eigenvalues, level) / level).sum()
+    top = np.maximum(eigenvalues, level)
+    if ordered[-1] * _FAR > level > 0.0:  # a level of 0 (a subnormal budget) stays inf
+        rate = 0.5 * _log_quotient(top, level, np.log).sum()
+    else:
+        rate = 0.5 * np.log(top / level).sum()
     return min(level, ordered[-1]), np.minimum(eigenvalues, level), float(rate)
 
 
@@ -188,7 +207,24 @@ def _capacity_core(inverse: np.ndarray, power: float):
         level = 0.0
     per_mode = np.maximum(level - inverse, 0.0)
     # a mode without power has a positive (or infinite) inverse gain, so its SNR is exactly 0
+    if level * _FAR > ordered[0]:
+        return level, per_mode, float(0.5 * _log_quotient(per_mode, inverse, np.log1p).sum())
     return level, per_mode, float(0.5 * np.log1p(per_mode / inverse).sum())
+
+
+def _log_quotient(num, den, log, where=True):
+    """``log(num / den)`` elementwise, ``log`` being np.log or np.log1p, for
+    quotients that may overflow (0 where ``where`` is False). An entry whose
+    quotient does is taken in logs, L = log num - log den: as L, or for
+    log1p in the log-sum form L + log1p(exp(-L)). The other entries keep the
+    bits of the plain quotient's log."""
+    num, den = np.broadcast_arrays(num, den)
+    with np.errstate(over="ignore"):
+        terms = log(np.divide(num, den, out=np.zeros(num.shape), where=where))
+    big = terms == math.inf
+    log_q = np.log(num[big]) - np.log(den[big])
+    terms[big] = log_q if log is np.log else log_q + np.log1p(np.exp(-log_q))
+    return terms
 
 
 def rdf_from_spectrum(eigenvalues, distortion: float) -> WaterfillAllocation:

@@ -23,10 +23,11 @@ its side move; a step that leaves it, or that does not halve the last one,
 holds the level while the multiplier settles inside its own bracket. Both
 problems are convex in suitable coordinates, so the KKT point is the
 optimum. The solves work on rows, one per (radius, budget) around a shared
-center, stepped in lock step with the converged rows masked out. Single-shot
-calls and sweeps share one solve path, ``_solve``, which does each set-up
-step once per call, at unit scale: a single-shot call is one row, a sweep
-one batch.
+center: each iteration evaluates the closed forms of every row in one
+lock-step numpy call, and then steps the live rows one by one in Python
+floats. Single-shot calls and sweeps share one solve path, ``_solve``,
+which does each set-up step once per call, at unit scale: a single-shot
+call is one row, a sweep one batch.
 
 A channel that shares no eigenbasis with the center leaves the capacity a
 convex problem (capacity is convex in the noise covariance and the ball is
@@ -49,9 +50,9 @@ Frank-Wolfe gap, whose linear minimization over the ball is a scalar dual
 search, solved by Newton steps that climb onto the root of a trust-region
 secular equation from below, so every step gives a valid bound. For the
 RDF it is the analogous linearization bound in the coordinates where the
-reduced problem is concave. A singular noise center is made positive
-definite by a small diagonal jitter, reported as
-``SolverDiagnostics.jitter``.
+reduced problem is concave; the eigen-reductions start its search at the
+returned point's dual multiplier. A singular noise center is made positive
+definite by a small diagonal jitter, reported as ``SolverDiagnostics.jitter``.
 """
 
 from __future__ import annotations
@@ -315,7 +316,10 @@ def _rowdot(a, b):
 
 
 def _kkt_newton(kkt, level, mult, lo, hi):
-    """Joint Newton steps on the KKT pair of each row, the rows in lock step.
+    """Joint Newton steps on the KKT pair of each row: each iteration
+    evaluates all rows in one lock-step call, then steps the live rows one
+    by one in Python floats with numpy's semantics (NaN wins a maximum or a
+    minimum; ``_divide``).
 
     ``kkt.evaluate(level, mult)`` evaluates every row's modes once at
     (level, multiplier) and returns the multiplier it used (moved into
@@ -341,67 +345,77 @@ def _kkt_newton(kkt, level, mult, lo, hi):
     is within ROOT_STEP_TOL relative. The signs of c bracket the multiplier
     at a level, and as c falls in the level (u - s grows with it) the bound
     on the side the level leaves stays valid at the next one; a multiplier
-    step that leaves a two-sided bracket bisects it. The row stops, and is
-    masked out, once its level step comes with a settled multiplier or a
-    multiplier step within ROOT_STEP_TOL relative: its u is recorded then,
-    and it holds its (level, multiplier) while the live rows step on.
-    Returns (u, evaluations) per row; raises SolverNoConverge after
-    MAX_ITERATIONS evaluations, its ``_row`` the lowest row still live and
-    its jitter NaN for the caller.
+    step that leaves a two-sided bracket bisects it. The row stops once its
+    level step comes with a settled multiplier or a multiplier step within
+    ROOT_STEP_TOL relative: its u is recorded, and it holds its level and
+    the multiplier ``evaluate`` returns. Returns (u, evaluations) per row;
+    raises SolverNoConverge after MAX_ITERATIONS evaluations, its ``_row``
+    the lowest live row and its jitter NaN for the caller.
     """
-    n = level.size
-    steps, found, live = np.zeros(n, dtype=int), None, np.ones(n, dtype=bool)
-    initial_lo, initial_hi, waiting = np.ones(n, dtype=bool), np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
-    mult_lo, mult_hi, last = np.full(n, -math.inf), np.full(n, math.inf), np.full(n, math.inf)
-    for k in range(1, MAX_ITERATIONS + 1):  # every row steps, stopped ones hold
-        mult, b, c, (b_level, b_mult, c_level, c_mult), u = kkt.evaluate(level, mult)
-        if found is None:
-            found = np.empty((n, u.shape[1]))
-        ratio = b_mult / c_mult
-        reduced, estimate = b_level - ratio * c_level, b - ratio * c
-        settled = np.abs(c) <= ROOT_STEP_TOL * np.maximum(1.0, np.abs(mult * c_mult))
-        # the sign of g that the evaluation proves, 0 where it proves none
-        # (c != 0 where the multiplier is not settled)
-        side = np.where(settled, estimate, np.where((b < 0.0) == (kkt.sign * c > 0.0), b, 0.0))
-        low, high = side < 0.0, side > 0.0
-        lo, hi = np.where(low, level, lo), np.where(high, level, hi)
-        initial_lo, initial_hi = initial_lo & ~low, initial_hi & ~high
-        nxt = level - np.divide(estimate, reduced, out=np.full(level.size, math.nan), where=reduced > 0.0)
-        close = (estimate == 0.0) | (np.abs(nxt - level) <= ROOT_STEP_TOL * np.abs(level))
-        out = ~close & ~((lo < nxt) & (nxt < hi))
-        if out.any():
-            cut_lo, cut_hi = out & initial_lo & (nxt <= lo), out & initial_hi & (nxt >= hi)
-            out &= ~(cut_lo | cut_hi)  # the rows that bisect
-            nxt = np.where(cut_lo, lo, np.where(cut_hi, hi, np.where(out, 0.5 * (lo + hi), nxt)))
-        # the joint step's size: relative in the level, and in the multiplier
-        # relative to the larger of the multiplier and its step
-        mult_step = np.abs((c + c_level * (nxt - level)) / c_mult)
-        size = np.abs(nxt - level) / np.abs(level) + mult_step / (np.abs(mult) + mult_step + 1e-300)
-        waiting = (waiting | out | ~(size <= 0.5 * last)) & ~(low | high)
-        hold = close | waiting
-        nxt, last = np.where(hold, level, nxt), np.where(hold, last, size)
-        new_mult = mult - (c + c_level * (nxt - level)) / c_mult
-        mult_tol = ROOT_STEP_TOL * np.abs(mult)
-        # the multiplier's bracket at the next level: c falls in the level, so
-        # a bound on the side the level moves away from stays valid
-        mult_lo = np.where(nxt < level, -math.inf, np.maximum(mult_lo, np.where(c < 0.0, mult, -math.inf)))
-        mult_hi = np.where(nxt > level, math.inf, np.minimum(mult_hi, np.where(c > 0.0, mult, math.inf)))
-        both = np.isfinite(mult_lo) & np.isfinite(mult_hi)
-        halve = both & ~((mult_lo < new_mult) & (new_mult < mult_hi)) & ~(np.abs(new_mult - mult) <= mult_tol)
-        if halve.any():
-            new_mult = np.where(halve, 0.5 * np.add(mult_lo, mult_hi, out=np.zeros_like(mult), where=both), new_mult)
-        done = live & close & (settled | (np.abs(new_mult - mult) <= mult_tol))
-        found[done], steps[done] = u[done], k
-        live &= ~done
-        if not live.any():
+    n, sign = level.size, kkt.sign
+    level, lo, hi = level.tolist(), lo.tolist(), hi.tolist()
+    initial_lo, initial_hi, waiting = [True] * n, [True] * n, [False] * n
+    mult_lo, mult_hi, last = [-math.inf] * n, [math.inf] * n, [math.inf] * n
+    steps, found, live = np.zeros(n, dtype=int), None, list(range(n))
+    for k in range(1, MAX_ITERATIONS + 1):  # every row is evaluated, stopped ones hold
+        mult, b, c, jacobian, u = kkt.evaluate(np.array(level), mult)
+        found = np.empty_like(u) if found is None else found
+        mult, b, c, b_level, b_mult, c_level, c_mult = (a.tolist() for a in (mult, b, c, *jacobian))
+        still = []
+        for i in live:
+            x, m, bi, ci, cm = level[i], mult[i], b[i], c[i], c_mult[i]
+            ratio = _divide(b_mult[i], cm)
+            reduced, estimate = b_level[i] - ratio * c_level[i], bi - ratio * ci
+            settled = abs(ci) <= ROOT_STEP_TOL * max(abs(m * cm), 1.0)  # NaN first, so it wins
+            # the sign of g that the evaluation proves, 0 where it proves none
+            # (c != 0 where the multiplier is not settled)
+            side = estimate if settled else (bi if (bi < 0.0) == (sign * ci > 0.0) else 0.0)
+            if side < 0.0:
+                lo[i], initial_lo[i] = x, False
+            elif side > 0.0:
+                hi[i], initial_hi[i] = x, False
+            nxt = x - estimate / reduced if reduced > 0.0 else math.nan
+            close = estimate == 0.0 or abs(nxt - x) <= ROOT_STEP_TOL * abs(x)
+            out = not close and not lo[i] < nxt < hi[i]
+            if out:  # cut back to a bound still initial, else bisect
+                cut = lo[i] if initial_lo[i] and nxt <= lo[i] else hi[i] if initial_hi[i] and nxt >= hi[i] else None
+                nxt, out = (0.5 * (lo[i] + hi[i]), True) if cut is None else (cut, False)
+            # the joint step's size: relative in the level, and in the multiplier
+            # relative to the larger of the multiplier and its step
+            mult_step = abs(_divide(ci + c_level[i] * (nxt - x), cm))
+            size = _divide(abs(nxt - x), abs(x)) + mult_step / (abs(m) + mult_step + 1e-300)
+            waiting[i] = (waiting[i] or out or not size <= 0.5 * last[i]) and not (side < 0.0 or side > 0.0)
+            nxt, last[i] = (x, last[i]) if close or waiting[i] else (nxt, size)
+            new, tol = m - _divide(ci + c_level[i] * (nxt - x), cm), ROOT_STEP_TOL * abs(m)
+            # the multiplier's bracket at the next level: c falls in the level, so
+            # a bound on the side the level moves away from stays valid
+            mlo, mhi = mult_lo[i], mult_hi[i]  # a NaN bound stays, as in np.maximum
+            mult_lo[i] = mlo = -math.inf if nxt < x else m if ci < 0.0 and not (mlo > m or mlo != mlo) else mlo
+            mult_hi[i] = mhi = math.inf if nxt > x else m if ci > 0.0 and not (mhi < m or mhi != mhi) else mhi
+            if -math.inf < mlo < math.inf and -math.inf < mhi < math.inf and not mlo < new < mhi:
+                new = new if abs(new - m) <= tol else 0.5 * (mlo + mhi)
+            if close and (settled or abs(new - m) <= tol):
+                found[i], steps[i] = u[i], k
+            else:
+                level[i], mult[i] = nxt, new
+                still.append(i)
+        if not still:
             return found, steps
-        level, mult = np.where(live, nxt, level), np.where(live, new_mult, mult)
+        live, mult = still, np.array(mult)
     failure = SolverNoConverge(
         f"KKT search did not converge within {MAX_ITERATIONS} evaluations",
         SolverDiagnostics(MAX_ITERATIONS, "eigen-reduction", math.nan),
     )
-    failure._row = int(np.argmax(live))
+    failure._row = live[0]
     raise failure
+
+
+def _divide(a, b):
+    """a / b of Python floats, and where b is 0 numpy's result: an inf, or
+    for 0/0 and NaN/0 the NaN of a * inf, the hardware's as in numpy."""
+    if b:
+        return a / b
+    return a * math.inf if a == 0.0 or a != a else math.copysign(math.inf, a) * math.copysign(1.0, b)
 
 
 @contextmanager
@@ -573,10 +587,11 @@ def _rdf_gap(lam, level, center_vals, radius, distortion):
     any ball point is at most R(lam) + eta (S - D), where S = max sum c_i
     lambda_i over the ball (bounded by ``_ball_support``) and eta is that
     point's 1/(2 theta), at most d/(2D) as every level is at least D/d. So
-    d (S - D)/(2D) bounds the distance to the optimum.
+    d (S - D)/(2D) bounds the distance to the optimum; S is searched from
+    ``_dual_start`` at lam.
     """
     c = level[:, None] / np.maximum(lam, level[:, None])
-    support = _ball_support(c, center_vals, radius)
+    support = _ball_support(c, center_vals, radius, _dual_start(c, lam, center_vals))
     return lam.shape[1] * (support - distortion) / (2.0 * distortion)
 
 
@@ -923,10 +938,20 @@ def _axis_frank_wolfe_gap(noise, w, center_vars, p, radius):
     per axis with noise variance n, squared channel weight w and the
     waterfilled power p, and it is formed without subtracting two inverses,
     which loses all accuracy once a jittered singular center puts noise
-    variances near 1e-13.
+    variances near 1e-13. The support is searched from ``_dual_start``.
     """
     g = -0.5 * w * p / (noise * (noise + w * p))
-    return _rowdot(g, noise) + _ball_support(-g, center_vars, radius)
+    return _rowdot(g, noise) + _ball_support(-g, center_vars, radius, _dual_start(-g, noise, center_vars))
+
+
+def _dual_start(a, lam, center_vals):
+    """Per row, the least-squares gamma of the maximizer's stationarity a_i
+    u_i = gamma (u_i - s_i) at u = sqrt(lam), s = sqrt(center_vals), from
+    the point alone: <a u, u - s> / ||u - s||^2, NaN where u = s."""
+    u = np.sqrt(lam)
+    shift = u - np.sqrt(center_vals)
+    norm = _rowdot(shift, shift)
+    return np.divide(_rowdot(a * u, shift), norm, out=np.full(norm.size, math.nan), where=norm > 0.0)
 
 
 def _support_dual(a, b, radius, gamma):
@@ -941,9 +966,10 @@ def _support_dual(a, b, radius, gamma):
     return gamma * (radius * radius + np.sum(b * a / (gamma[:, None] - a), axis=1))
 
 
-def _ball_support(a, b, radius):
+def _ball_support(a, b, radius, start=None):
     """Upper bound on max tr(A N) over the ball, U minimized over gamma, for
-    rows of ``a`` and ``radius`` (``b`` one row or one per row).
+    rows of ``a`` and ``radius`` (``b`` one row or one per row), searched
+    from ``start`` (per row, NaN for none) where it is right of the left start.
 
     U is convex with stationary point sum_i b_i a_i^2 / (gamma - a_i)^2 =
     r^2, a trust-region secular equation. Newton on f^{-1/2} = 1/r, which
@@ -953,7 +979,9 @@ def _ball_support(a, b, radius):
     eigenvector, there is no root and U increases from max(a); the search
     then stops at once just above max(a). Every gamma above max(a) bounds
     the maximum, so a row whose Newton denominator underflows to 0 (r^3
-    below the smallest float) stops where it stands. Rows step in lock step.
+    below the smallest float) stops where it stands, as does one started
+    right of the root, off the minimum by the square of its distance to the
+    root. Rows step in lock step.
     """
     top = a.max(axis=1)
     support = np.zeros(top.size)  # 0 where A is negative semidefinite, as N is PSD
@@ -961,6 +989,7 @@ def _ball_support(a, b, radius):
     a, b, radius, top = a[rows], np.broadcast_to(b, a.shape)[rows], radius[rows], top[rows]
     root = np.sqrt(b) * np.abs(a)
     gamma = np.maximum((a + root / radius[:, None]).max(axis=1), top * (1.0 + 1e-12))
+    gamma = gamma if start is None else np.fmax(gamma, start[rows])
     live = np.ones(top.size, dtype=bool)  # every row steps, stopped ones by 0
     for _ in range(MAX_SECULAR_NEWTON):
         shift = gamma[:, None] - a

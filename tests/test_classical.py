@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -159,6 +160,81 @@ class TestExactWaterfill:
                 for row, b, got in zip(spectra, column[:, 0], rows):
                     assert_matches_reference(got, reference_rdf(row, b))
                     assert_same_bits(classical._rdf_core(row, float(b)), got)
+
+
+def _mp_rdf(eigenvalues, distortion):
+    """Reverse waterfilling at 50 digits: the level from the sorted scan,
+    the rate as the sum of half logs."""
+    with mpmath.workdps(50):
+        lam = sorted(mpmath.mpf(x) for x in eigenvalues)
+        if distortion >= sum(lam):
+            return mpmath.mpf(0)
+        below = mpmath.mpf(0)
+        for j, value in enumerate(lam):
+            level = (mpmath.mpf(distortion) - below) / (len(lam) - j)
+            if level <= value:
+                break
+            below += value
+        return sum(mpmath.log(x / level) for x in lam if x > level) / 2
+
+
+def _mp_capacity(gains, power):
+    """Waterfilling at 50 digits over the live modes, the rate as the sum of
+    half logs of level times gain."""
+    with mpmath.workdps(50):
+        inverse = sorted(1 / mpmath.mpf(g) for g in gains if g > 0.0)
+        total = mpmath.mpf(power)
+        for k, value in enumerate(inverse, 1):
+            total += value
+            level = total / k
+            if k == len(inverse) or level <= inverse[k]:
+                break
+        return sum(mpmath.log(level / x) for x in inverse if x < level) / 2
+
+
+# spectra and budgets whose eigenvalue/level or gain * power passes the float range
+RDF_FAR = [([1e300, 1e-300], 1e-300), ([1e300, 1.0, 1e-300], 1e-290), ([1e200, 3e-120], 1e-120)]
+CAPACITY_FAR = [([1e200], 1e200), ([1e200, 1.0, 1e-5], 1e200), ([3e250, 0.0, 2e60], 1e100)]
+
+
+class TestDynamicRange:
+    """Rates whose quotients overflow are taken in logs, and every other
+    rate keeps the bits of the plain quotient's log."""
+
+    @pytest.mark.parametrize("eigenvalues, distortion", RDF_FAR)
+    def test_rdf_beyond_the_float_range(self, eigenvalues, distortion):
+        rate = rdf_from_spectrum(eigenvalues, distortion).rate_nats
+        assert rate == pytest.approx(float(_mp_rdf(eigenvalues, distortion)), rel=1e-12)
+        row = reverse_waterfill_rows(np.array([eigenvalues]), distortion)[2][0]
+        assert row == rate
+
+    @pytest.mark.parametrize("gains, power", CAPACITY_FAR)
+    def test_capacity_beyond_the_float_range(self, gains, power):
+        rate = capacity_from_gains(gains, power).rate_nats
+        assert rate == pytest.approx(float(_mp_capacity(gains, power)), rel=1e-12)
+        with np.errstate(divide="ignore"):
+            row = waterfill_rows(1.0 / np.array([gains]), power)[2][0]
+        assert row == rate
+
+    def test_scalar_values(self):
+        assert capacity_from_gains([1e200], 1e200).rate_nats == pytest.approx(200.0 * math.log(10.0), rel=1e-15)
+        # the level is 5e-301: half log(2e600) plus half log 2
+        expected = math.log(2.0) + 300.0 * math.log(10.0)
+        assert rdf_from_spectrum([1e300, 1e-300], 1e-300).rate_nats == pytest.approx(expected, rel=1e-15)
+
+    def test_other_rows_of_a_batch_keep_their_bits(self):
+        rng = np.random.default_rng(41)
+        for d in (2, 3):
+            spectra = rng.uniform(0.1, 3.0, (6, d))
+            budgets = rng.uniform(0.05, 1.0, (6, 1)) * spectra.sum(axis=1, keepdims=True)
+            far = np.array([[1e300] + [1e-300] * (d - 1)])
+            alone = reverse_waterfill_rows(spectra, budgets)[2]
+            mixed = reverse_waterfill_rows(np.vstack([spectra, far]), np.vstack([budgets, [[1e-300]]]))[2]
+            assert mixed[:-1].tobytes() == alone.tobytes() and math.isfinite(mixed[-1])
+            inverse = 1.0 / spectra
+            alone = waterfill_rows(inverse, budgets)[2]
+            mixed = waterfill_rows(np.vstack([inverse, 1.0 / far]), np.vstack([budgets, [[1e300]]]))[2]
+            assert mixed[:-1].tobytes() == alone.tobytes() and math.isfinite(mixed[-1])
 
 
 class TestReverseWaterfill:

@@ -1003,3 +1003,76 @@ class TestKktSteps:
                 if d == 1:
                     expected = closed_form(math.sqrt(total), point.r, point.budget)
                     assert point.value_nats == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
+def _certified_batteries():
+    """(kind, center spectrum, radii, budgets): sweep-like grids at d = 1, 4
+    and 16 (spectra log-uniform in [0.5, 2], radii 0.1-0.5 sqrt(tr C),
+    8-point budget grids), then the ill-conditioned KKT battery."""
+    rng = np.random.default_rng(17)
+    for d in (1, 4, 16) * 4:
+        vals = np.sort(np.exp(rng.uniform(math.log(0.5), math.log(2.0), d)))[::-1]
+        total = float(vals.sum())
+        radius = np.repeat([0.1, 0.25, 0.5], 8) * math.sqrt(total)
+        yield "rdf", vals, radius, np.tile(np.linspace(0.05 * total, 0.8 * total, 8), 3)
+        yield "capacity", vals, radius, np.tile(np.linspace(0.1 * total, 2.0 * total, 8), 3)
+    for vals, radius, distortion, power in _ill_conditioned_kkt_battery(40):
+        yield "rdf", vals, radius, distortion
+        yield "capacity", vals, radius, power
+
+
+def _gaps_and_rates():
+    gaps, rates = [], []
+    for kind, vals, radius, budget in _certified_batteries():
+        if kind == "rdf":
+            _, (_, _, rate), _, gap = compound._rdf_rows(vals, radius, budget)
+        else:
+            s = np.sqrt(vals)
+            _, (_, _, rate), _, gap = compound._capacity_rows(s, np.ones_like(s), radius, budget)
+        gaps.append(gap)
+        rates.append(rate)
+    return np.concatenate(gaps), np.concatenate(rates)
+
+
+class TestWarmSupport:
+    """The eigen-reduction gaps start their support search at the dual
+    gamma fitted to the returned point."""
+
+    def test_two_secular_steps_reach_the_answer(self, monkeypatch):
+        gaps, _ = _gaps_and_rates()
+        monkeypatch.setattr(compound, "MAX_SECULAR_NEWTON", 2)
+        capped, _ = _gaps_and_rates()
+        assert capped.tobytes() == gaps.tobytes()
+
+    def test_gaps_match_the_cold_start(self, monkeypatch):
+        gaps, rates = _gaps_and_rates()
+        support = compound._ball_support
+        monkeypatch.setattr(compound, "_ball_support", lambda a, b, radius, start=None: support(a, b, radius))
+        cold, cold_rates = _gaps_and_rates()
+        assert cold_rates.tobytes() == rates.tobytes()
+        assert np.all(np.abs(gaps - cold) <= 1e-14 * np.maximum(1.0, np.abs(rates)))
+
+    def test_any_start_gives_a_valid_bound(self):
+        # right of the root the search stops at once, at a larger bound
+        rng = np.random.default_rng(61)
+        for d in (1, 3, 6):
+            a = np.exp(rng.uniform(-2.0, 1.0, (5, d)))
+            b, radius = np.exp(rng.uniform(-2.0, 1.0, d)), np.exp(rng.uniform(-2.0, 0.5, 5))
+            cold = compound._ball_support(a, b, radius)
+            for factor in (0.0, 0.5, 1.0 + 1e-9, 2.0, 1e3):
+                warm = compound._ball_support(a, b, radius, factor * a.max(axis=1))
+                assert np.all(warm >= cold * (1.0 - 1e-13))
+            nan = compound._ball_support(a, b, radius, np.full(5, math.nan))
+            assert nan.tobytes() == cold.tobytes()
+
+    def test_general_channel_gap_starts_cold(self, monkeypatch):
+        starts, support = [], compound._ball_support
+
+        def spy(a, b, radius, start=None):
+            starts.append(start)
+            return support(a, b, radius, start)
+
+        monkeypatch.setattr(compound, "_ball_support", spy)
+        result = compound_capacity(_benchmark_like(np.random.default_rng(53), 4))
+        assert result.diagnostics.solver_path == "projected-gradient"
+        assert starts and all(start is None for start in starts)
