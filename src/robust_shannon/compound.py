@@ -24,8 +24,9 @@ holds the level while the multiplier settles inside its own bracket. Both
 problems are convex in suitable coordinates, so the KKT point is the
 optimum. The solves work on rows, one per (radius, budget) around a shared
 center: each iteration evaluates the closed forms of every row in one
-lock-step numpy call, and then steps the live rows one by one in Python
-floats. Single-shot calls and sweeps share one solve path, ``_solve``,
+lock-step numpy call, and then steps the rows, one by one in Python floats
+in a batch of up to a few dozen rows and in lock step in numpy arrays in a
+larger one. Single-shot calls and sweeps share one solve path, ``_solve``,
 which does each set-up step once per call, at unit scale: a single-shot
 call is one row, a sweep one batch.
 
@@ -315,11 +316,13 @@ def _rowdot(a, b):
     return np.einsum("ij,ij->i", a, b)
 
 
+# the largest batch whose KKT steps are taken in Python floats
+_FLOAT_ROWS = 48
+
+
 def _kkt_newton(kkt, level, mult, lo, hi):
-    """Joint Newton steps on the KKT pair of each row: each iteration
-    evaluates all rows in one lock-step call, then steps the live rows one
-    by one in Python floats with numpy's semantics (NaN wins a maximum or a
-    minimum; ``_divide``).
+    """Joint Newton steps on the KKT pair of each row; each iteration
+    evaluates all rows in one lock-step call, then steps the live rows.
 
     ``kkt.evaluate(level, mult)`` evaluates every row's modes once at
     (level, multiplier) and returns the multiplier it used (moved into
@@ -351,7 +354,74 @@ def _kkt_newton(kkt, level, mult, lo, hi):
     the multiplier ``evaluate`` returns. Returns (u, evaluations) per row;
     raises SolverNoConverge after MAX_ITERATIONS evaluations, its ``_row``
     the lowest live row and its jitter NaN for the caller.
+
+    In Python floats an iteration's steps cost in proportion to the live
+    rows; in numpy arrays, mostly per-call dispatch, they cost about what 50
+    rows cost in floats, nearly whatever the number of rows (sweeps at d = 4
+    and 16 break even there). So a batch of at most _FLOAT_ROWS rows steps
+    in floats (``_float_steps``) and a larger one in arrays
+    (``_array_steps``), with the same bits.
     """
+    steps = _float_steps if level.size <= _FLOAT_ROWS else _array_steps
+    return steps(kkt, level, mult, lo, hi)
+
+
+def _array_steps(kkt, level, mult, lo, hi):
+    """``_kkt_newton`` in numpy arrays: every row steps in lock step, the
+    stopped ones masked out."""
+    n = level.size
+    steps, found, live = np.zeros(n, dtype=int), None, np.ones(n, dtype=bool)
+    initial_lo, initial_hi, waiting = np.ones(n, dtype=bool), np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
+    mult_lo, mult_hi, last = np.full(n, -math.inf), np.full(n, math.inf), np.full(n, math.inf)
+    for k in range(1, MAX_ITERATIONS + 1):  # every row steps, stopped ones hold
+        mult, b, c, (b_level, b_mult, c_level, c_mult), u = kkt.evaluate(level, mult)
+        if found is None:
+            found = np.empty((n, u.shape[1]))
+        ratio = b_mult / c_mult
+        reduced, estimate = b_level - ratio * c_level, b - ratio * c
+        settled = np.abs(c) <= ROOT_STEP_TOL * np.maximum(1.0, np.abs(mult * c_mult))
+        # the sign of g that the evaluation proves, 0 where it proves none
+        # (c != 0 where the multiplier is not settled)
+        side = np.where(settled, estimate, np.where((b < 0.0) == (kkt.sign * c > 0.0), b, 0.0))
+        low, high = side < 0.0, side > 0.0
+        lo, hi = np.where(low, level, lo), np.where(high, level, hi)
+        initial_lo, initial_hi = initial_lo & ~low, initial_hi & ~high
+        nxt = level - np.divide(estimate, reduced, out=np.full(level.size, math.nan), where=reduced > 0.0)
+        close = (estimate == 0.0) | (np.abs(nxt - level) <= ROOT_STEP_TOL * np.abs(level))
+        out = ~close & ~((lo < nxt) & (nxt < hi))
+        if out.any():
+            cut_lo, cut_hi = out & initial_lo & (nxt <= lo), out & initial_hi & (nxt >= hi)
+            out &= ~(cut_lo | cut_hi)  # the rows that bisect
+            nxt = np.where(cut_lo, lo, np.where(cut_hi, hi, np.where(out, 0.5 * (lo + hi), nxt)))
+        # the joint step's size: relative in the level, and in the multiplier
+        # relative to the larger of the multiplier and its step
+        mult_step = np.abs((c + c_level * (nxt - level)) / c_mult)
+        size = np.abs(nxt - level) / np.abs(level) + mult_step / (np.abs(mult) + mult_step + 1e-300)
+        waiting = (waiting | out | ~(size <= 0.5 * last)) & ~(low | high)
+        hold = close | waiting
+        nxt, last = np.where(hold, level, nxt), np.where(hold, last, size)
+        new_mult = mult - (c + c_level * (nxt - level)) / c_mult
+        mult_tol = ROOT_STEP_TOL * np.abs(mult)
+        # the multiplier's bracket at the next level: c falls in the level, so
+        # a bound on the side the level moves away from stays valid
+        mult_lo = np.where(nxt < level, -math.inf, np.maximum(mult_lo, np.where(c < 0.0, mult, -math.inf)))
+        mult_hi = np.where(nxt > level, math.inf, np.minimum(mult_hi, np.where(c > 0.0, mult, math.inf)))
+        both = np.isfinite(mult_lo) & np.isfinite(mult_hi)
+        halve = both & ~((mult_lo < new_mult) & (new_mult < mult_hi)) & ~(np.abs(new_mult - mult) <= mult_tol)
+        if halve.any():
+            new_mult = np.where(halve, 0.5 * np.add(mult_lo, mult_hi, out=np.zeros_like(mult), where=both), new_mult)
+        done = live & close & (settled | (np.abs(new_mult - mult) <= mult_tol))
+        found[done], steps[done] = u[done], k
+        live &= ~done
+        if not live.any():
+            return found, steps
+        level, mult = np.where(live, nxt, level), np.where(live, new_mult, mult)
+    raise _out_of_evaluations(int(np.argmax(live)))
+
+
+def _float_steps(kkt, level, mult, lo, hi):
+    """``_kkt_newton`` in Python floats, one live row at a time, with
+    numpy's semantics (NaN wins a maximum or a minimum; ``_divide``)."""
     n, sign = level.size, kkt.sign
     level, lo, hi = level.tolist(), lo.tolist(), hi.tolist()
     initial_lo, initial_hi, waiting = [True] * n, [True] * n, [False] * n
@@ -402,12 +472,18 @@ def _kkt_newton(kkt, level, mult, lo, hi):
         if not still:
             return found, steps
         live, mult = still, np.array(mult)
+    raise _out_of_evaluations(live[0])
+
+
+def _out_of_evaluations(row):
+    """The SolverNoConverge of a KKT search after MAX_ITERATIONS
+    evaluations, ``row`` the lowest live row."""
     failure = SolverNoConverge(
         f"KKT search did not converge within {MAX_ITERATIONS} evaluations",
         SolverDiagnostics(MAX_ITERATIONS, "eigen-reduction", math.nan),
     )
-    failure._row = live[0]
-    raise failure
+    failure._row = row
+    return failure
 
 
 def _divide(a, b):

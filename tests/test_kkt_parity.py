@@ -1,11 +1,11 @@
-"""The KKT driver steps each row in Python floats; this pins it, bit for bit,
-to a lock-step numpy formulation of the same steps, kept here as the
-reference.
+"""The KKT driver steps a small batch's rows one by one in Python floats
+(``_float_steps``) and a large batch in lock step in numpy arrays
+(``_array_steps``); this pins the two to each other, bit for bit.
 
-Every ``_kkt_newton`` call of the batteries below runs both drivers on the
-same arguments and compares u, the evaluation counts, and on failure the
+Every ``_kkt_newton`` call of the batteries below runs both on the same
+arguments and compares u, the evaluation counts, and on failure the
 message, the diagnostics and ``_row``. Warnings are errors (pyproject), so a
-warning in either driver's bookkeeping fails the comparison too.
+warning in either one's bookkeeping fails the comparison too.
 """
 
 import math
@@ -15,75 +15,23 @@ import pytest
 
 from robust_shannon import SolverNoConverge, SpdMatrix, sweep_compound
 from robust_shannon import compound
-from robust_shannon.compound import ROOT_STEP_TOL, SolverDiagnostics
 
 
-def _numpy_kkt_newton(kkt, level, mult, lo, hi):
-    """The lock-step numpy driver: every row steps, the converged ones masked out."""
-    n = level.size
-    steps, found, live = np.zeros(n, dtype=int), None, np.ones(n, dtype=bool)
-    initial_lo, initial_hi, waiting = np.ones(n, dtype=bool), np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
-    mult_lo, mult_hi, last = np.full(n, -math.inf), np.full(n, math.inf), np.full(n, math.inf)
-    for k in range(1, compound.MAX_ITERATIONS + 1):
-        mult, b, c, (b_level, b_mult, c_level, c_mult), u = kkt.evaluate(level, mult)
-        if found is None:
-            found = np.empty((n, u.shape[1]))
-        ratio = b_mult / c_mult
-        reduced, estimate = b_level - ratio * c_level, b - ratio * c
-        settled = np.abs(c) <= ROOT_STEP_TOL * np.maximum(1.0, np.abs(mult * c_mult))
-        side = np.where(settled, estimate, np.where((b < 0.0) == (kkt.sign * c > 0.0), b, 0.0))
-        low, high = side < 0.0, side > 0.0
-        lo, hi = np.where(low, level, lo), np.where(high, level, hi)
-        initial_lo, initial_hi = initial_lo & ~low, initial_hi & ~high
-        nxt = level - np.divide(estimate, reduced, out=np.full(level.size, math.nan), where=reduced > 0.0)
-        close = (estimate == 0.0) | (np.abs(nxt - level) <= ROOT_STEP_TOL * np.abs(level))
-        out = ~close & ~((lo < nxt) & (nxt < hi))
-        if out.any():
-            cut_lo, cut_hi = out & initial_lo & (nxt <= lo), out & initial_hi & (nxt >= hi)
-            out &= ~(cut_lo | cut_hi)
-            nxt = np.where(cut_lo, lo, np.where(cut_hi, hi, np.where(out, 0.5 * (lo + hi), nxt)))
-        mult_step = np.abs((c + c_level * (nxt - level)) / c_mult)
-        size = np.abs(nxt - level) / np.abs(level) + mult_step / (np.abs(mult) + mult_step + 1e-300)
-        waiting = (waiting | out | ~(size <= 0.5 * last)) & ~(low | high)
-        hold = close | waiting
-        nxt, last = np.where(hold, level, nxt), np.where(hold, last, size)
-        new_mult = mult - (c + c_level * (nxt - level)) / c_mult
-        mult_tol = ROOT_STEP_TOL * np.abs(mult)
-        mult_lo = np.where(nxt < level, -math.inf, np.maximum(mult_lo, np.where(c < 0.0, mult, -math.inf)))
-        mult_hi = np.where(nxt > level, math.inf, np.minimum(mult_hi, np.where(c > 0.0, mult, math.inf)))
-        both = np.isfinite(mult_lo) & np.isfinite(mult_hi)
-        halve = both & ~((mult_lo < new_mult) & (new_mult < mult_hi)) & ~(np.abs(new_mult - mult) <= mult_tol)
-        if halve.any():
-            new_mult = np.where(halve, 0.5 * np.add(mult_lo, mult_hi, out=np.zeros_like(mult), where=both), new_mult)
-        done = live & close & (settled | (np.abs(new_mult - mult) <= mult_tol))
-        found[done], steps[done] = u[done], k
-        live &= ~done
-        if not live.any():
-            return found, steps
-        level, mult = np.where(live, nxt, level), np.where(live, new_mult, mult)
-    failure = SolverNoConverge(
-        f"KKT search did not converge within {compound.MAX_ITERATIONS} evaluations",
-        SolverDiagnostics(compound.MAX_ITERATIONS, "eigen-reduction", math.nan),
-    )
-    failure._row = int(np.argmax(live))
-    raise failure
-
-
-def _outcome(driver, kkt, args):
+def _outcome(steps, kkt, args):
     try:
-        return driver(kkt, *(a.copy() for a in args))
+        return steps(kkt, *(a.copy() for a in args))
     except SolverNoConverge as exc:
         return exc
 
 
 @pytest.fixture
 def compared(monkeypatch):
-    """Runs both drivers on every ``_kkt_newton`` call; counts the calls,
-    the rows and the calls that raised."""
-    driver, counts = compound._kkt_newton, {"calls": 0, "rows": 0, "raised": 0}
+    """Runs both step kernels on every ``_kkt_newton`` call; counts the
+    calls, the rows and the calls that raised."""
+    counts = {"calls": 0, "rows": 0, "raised": 0}
 
     def both(kkt, *args):
-        got, expected = _outcome(driver, kkt, args), _outcome(_numpy_kkt_newton, kkt, args)
+        got, expected = _outcome(compound._float_steps, kkt, args), _outcome(compound._array_steps, kkt, args)
         counts["calls"] += 1
         counts["rows"] += args[0].size
         if isinstance(expected, SolverNoConverge):
@@ -135,6 +83,37 @@ def test_sweep_like_grids(compared, kind):
         center = SpdMatrix((q * np.exp(rng.uniform(math.log(0.5), math.log(2.0), d))) @ q.T)
         sweep_compound(kind, center, _sweep_grid(center.trace, kind))
     assert compared["calls"] == 9 and compared["rows"] == 9 * 24
+
+
+def _dense_grid(total, kind):
+    lo, hi = (0.05, 0.8) if kind == "rdf" else (0.1, 2.0)
+    return [
+        (f * math.sqrt(total), float(b))
+        for f in np.linspace(0.02, 0.5, 12) for b in np.linspace(lo * total, hi * total, 10)
+    ]
+
+
+@pytest.mark.parametrize("kind", ["rdf", "capacity"])
+def test_dense_radius_sweeps(compared, kind):
+    # 120 rows a sweep, more than _FLOAT_ROWS
+    rng = np.random.default_rng(4747)
+    for d in (1, 4, 16):
+        q = _rotation(rng, d)
+        center = SpdMatrix((q * np.exp(rng.uniform(math.log(0.5), math.log(2.0), d))) @ q.T)
+        sweep_compound(kind, center, _dense_grid(center.trace, kind))
+    assert compared["calls"] == 3 and compared["rows"] == 3 * 120
+
+
+def test_batch_size_picks_the_steps(monkeypatch):
+    taken = []
+    for name in ("_float_steps", "_array_steps"):
+        steps = getattr(compound, name)
+        monkeypatch.setattr(compound, name, lambda *args, name=name, steps=steps: taken.append(name) or steps(*args))
+    center = SpdMatrix(np.diag([2.0, 1.0, 0.5, 0.25]))
+    for grid in (_sweep_grid(center.trace, "rdf"), _dense_grid(center.trace, "rdf")):
+        sweep_compound("rdf", center, grid)
+    assert taken == ["_float_steps", "_array_steps"]
+    assert 24 <= compound._FLOAT_ROWS < 120
 
 
 @pytest.mark.parametrize("kind", ["rdf", "capacity"])
