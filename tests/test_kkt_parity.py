@@ -171,6 +171,20 @@ def test_rows_that_run_out_of_evaluations(compared, monkeypatch):
     assert failed == compared["raised"] == 10
 
 
+def test_budgets_below_the_float_range(compared, monkeypatch):
+    # real evaluations that reach the steps' divisions by zero: a level of 0
+    # at a distortion of 5e-324, a c_mult of 0 at 1e-308 (from about the
+    # 980th evaluation on)
+    monkeypatch.setattr(compound, "MAX_ITERATIONS", 1000)
+    for distortion in (5e-324, 1e-308):
+        with np.errstate(all="ignore"):
+            try:
+                compound._rdf_rows(np.array([2.0, 1.0, 0.5]), np.array([0.1, 0.5]), np.full(2, distortion))
+            except SolverNoConverge:
+                pass
+    assert compared["calls"] == 2
+
+
 class _Scripted:
     """A KKT whose evaluations are drawn, per row, from a generator seeded by
     the bits of that row's (level, multiplier): zeros of both signs, NaNs
