@@ -24,6 +24,7 @@ float range in logs, ``_log_quotient``, and keep every other rate's bits.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple
@@ -36,6 +37,8 @@ from .psd_geometry import SpdMatrix, _ensure_positive_definite, _symmetrize, sym
 
 # x * _FAR > y for every quotient x / y > 0 that overflows, as x * _FAR is then about 2 y or more
 _FAR = 2.0**-1023
+# the largest float whose square is finite
+_ROOT_MAX = math.sqrt(sys.float_info.max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,6 +102,20 @@ def _check_distortion(distortion) -> float:
     if not (d > 0.0 and math.isfinite(d)):
         raise ValueError(f"distortion must be positive and finite, got {distortion}")
     return d
+
+
+def _check_rdf_distortion(distortion, d: int) -> float:
+    """The distortion budget of a d-mode RDF as a float; ValueError unless
+    positive and finite, and unless the water level's floor D/d is a normal
+    float: below that range the level cannot be represented (D/3 at D =
+    5e-324 rounds to 0)."""
+    checked = _check_distortion(distortion)
+    if checked / d < sys.float_info.min:
+        raise ValueError(
+            f"distortion {distortion} is too small for {d} modes: the water level, at least "
+            f"distortion / {d}, would be below the normal float range"
+        )
+    return checked
 
 
 def _check_power(power) -> float:
@@ -234,10 +251,12 @@ def rdf_from_spectrum(eigenvalues, distortion: float) -> WaterfillAllocation:
     min(distortion, total variance); the rate is the sum of the active-mode
     half-log ratios. A budget at or above the total variance yields zero rate
     and reports the largest eigenvalue as the level. Eigenvalues that do not
-    form a nonempty vector of finite nonnegative reals raise ValueError.
+    form a nonempty vector of finite nonnegative reals raise ValueError, and
+    so does a distortion that is not positive and finite or whose D/d is
+    below the normal float range (``_check_rdf_distortion``).
     """
     eigenvalues = _check_vector(eigenvalues, "eigenvalues")
-    return WaterfillAllocation(*_rdf_core(eigenvalues, _check_distortion(distortion)))
+    return WaterfillAllocation(*_rdf_core(eigenvalues, _check_rdf_distortion(distortion, eigenvalues.size)))
 
 
 def capacity_from_gains(gains, power: float) -> WaterfillAllocation:
@@ -254,17 +273,17 @@ def capacity_from_gains(gains, power: float) -> WaterfillAllocation:
 
 def reverse_waterfill(cov: SpdMatrix, distortion: float) -> WaterfillAllocation:
     """Reverse-waterfilled distortion allocation for a Gaussian source covariance."""
-    return WaterfillAllocation(*_rdf_core(cov._eigvals, _check_distortion(distortion)))
+    return WaterfillAllocation(*_rdf_core(cov._eigvals, _check_rdf_distortion(distortion, cov.dim)))
 
 
 def gaussian_rdf(cov: SpdMatrix, distortion: float) -> float:
     """Rate-distortion function of a Gaussian vector source, in nats.
 
-    Validates only the distortion, which must be positive and finite
-    (ValueError otherwise); the spectrum is the covariance's own, which
-    ``SpdMatrix`` checked at construction.
+    Validates only the distortion, which must be positive and finite with
+    D/d a normal float (ValueError otherwise); the spectrum is the
+    covariance's own, which ``SpdMatrix`` checked at construction.
     """
-    return _rdf_core(cov._eigvals, _check_distortion(distortion))[2]
+    return _rdf_core(cov._eigvals, _check_rdf_distortion(distortion, cov.dim))[2]
 
 
 def rdf_realization(cov: SpdMatrix, distortion: float) -> TestChannel:
@@ -275,7 +294,7 @@ def rdf_realization(cov: SpdMatrix, distortion: float) -> TestChannel:
     information equals the rate and its distortion meets the budget.
     """
     vals, vecs = symmetric_eig(cov)
-    _, per_mode, _ = _rdf_core(vals, _check_distortion(distortion))
+    _, per_mode, _ = _rdf_core(vals, _check_rdf_distortion(distortion, cov.dim))
     with np.errstate(divide="ignore", invalid="ignore"):
         gains = np.where(vals > 0.0, 1.0 - per_mode / np.maximum(vals, 1e-300), 0.0)
     gains = np.maximum(gains, 0.0)
@@ -359,8 +378,6 @@ def _whitened_gains(h: np.ndarray, noise: np.ndarray):
     """
     chol = _lapack.cholesky(noise)
     u, svals, vt = _lapack.svd(_lapack.solve_lower(chol, h))
-    with np.errstate(over="ignore"):
-        gains = svals * svals
-    if not np.isfinite(gains).all():
+    if not svals[0] <= _ROOT_MAX:  # the largest comes first; NaN fails too
         raise ValueError("whitened channel gain is not finite: noise too small for the channel")
-    return gains, vt, u, chol
+    return svals * svals, vt, u, chol

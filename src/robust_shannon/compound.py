@@ -51,9 +51,12 @@ Frank-Wolfe gap, whose linear minimization over the ball is a scalar dual
 search, solved by Newton steps that climb onto the root of a trust-region
 secular equation from below, so every step gives a valid bound. For the
 RDF it is the analogous linearization bound in the coordinates where the
-reduced problem is concave; the eigen-reductions start its search at the
-returned point's dual multiplier. A singular noise center is made positive
-definite by a small diagonal jitter, reported as ``SolverDiagnostics.jitter``.
+reduced problem is concave. Every search starts at the dual multiplier
+fitted to the returned point: the eigen-reductions' at its spectrum, in
+lock step over the rows in numpy, and the general channel's at its
+transport map, on its one row in Python floats. A singular noise center is
+made positive definite by a small diagonal jitter, reported as
+``SolverDiagnostics.jitter``.
 """
 
 from __future__ import annotations
@@ -224,7 +227,7 @@ def _log_sum(a: float, b: float) -> float:
 def _project_ball(x, radius):
     """Euclidean projection onto the ball of ``radius`` around 0; a point
     inside is returned as is."""
-    norm = float(np.linalg.norm(x))
+    norm = math.sqrt(float(np.vdot(x, x)))
     if norm > radius:
         return x * (radius / norm)
     return x
@@ -257,7 +260,7 @@ def _minimize(objective, gradient, gap, x0, radius):
     grad = None
     for iteration in range(1, MAX_ITERATIONS + 1):
         new_grad = gradient(x, inner)
-        norm = float(np.linalg.norm(x))
+        norm = math.sqrt(float(np.vdot(x, x)))
         if norm >= radius * (1.0 - 1e-12) and np.vdot(new_grad, x) < 0.0:
             unit = x / norm  # on the sphere, heading out: step along it
             new_grad = new_grad - np.vdot(new_grad, unit) * unit
@@ -831,6 +834,7 @@ class _TransportCoordinates:
 
     def __init__(self, center: SpdMatrix, channel: np.ndarray, power: float):
         self.lam, self.basis = symmetric_eig(center)
+        self.eye = np.eye(self.lam.size)
         self.weight = np.sqrt(0.5 * (self.lam[:, None] + self.lam[None, :]))
         self.channel = self.basis.T @ channel @ self.basis
         self.power = power
@@ -858,7 +862,7 @@ class _TransportCoordinates:
         the second of two triangular solves on L, after the L^{-1} H of the
         whitening. The waterfill is ``_capacity_core``, the one-spectrum
         scan."""
-        eye = np.eye(self.lam.size)
+        eye = self.eye
         s = eye + y / self.weight
         noise = self.noise(s)
         threshold = 0.5e-12 * noise.trace() / self.lam.size
@@ -877,8 +881,15 @@ class _TransportCoordinates:
         return (m + m.T) / self.weight
 
     def gap(self, inner, radius) -> float:
-        """``_gradient_gap`` at the noise of an inner solve."""
-        return _gradient_gap(inner[2], inner[1], self.lam, radius)
+        """``_gradient_gap`` at the noise of an inner solve, its search
+        started at the least-squares dual multiplier of the map S there:
+        <A S, S - I> / ||S - I||^2 with A = -G, from A T = gamma (T - I) at
+        the maximizer's map T; NaN, so the cold start, at S = I."""
+        s, g = inner[0], inner[2]
+        move = s - self.eye
+        norm = float(np.vdot(move, move))
+        start = -float(np.vdot(g @ s, move)) / norm if norm > 0.0 else math.nan
+        return _gradient_gap(g, inner[1], self.lam, radius, start)
 
 
 def compound_capacity(req: CompoundCapacityRequest) -> CompoundResult:
@@ -914,10 +925,12 @@ def _solve(kind, center, channel, radius, budget):
     a center whose gains are not finite (ValueError). The rows are solved in
     lock step by ``_rdf_rows`` or ``_capacity_rows``, or for any other
     channel by ``_minimize`` one by one, whose first evaluation whitens the
-    center. A row at r = 0 is the classical limit at the center. A
-    ``SolverNoConverge`` carries in ``_row`` the lowest row that failed: the
-    first in order on the general path, the lowest still unconverged when a
-    lock-step search ran out of steps.
+    center. A row at r = 0 is the classical limit at the center. An RDF
+    row whose distortion is too small at unit scale for its water level
+    (``_check_unit_distortion``) raises ValueError before any row is
+    solved. A ``SolverNoConverge``, and that ValueError, carry in ``_row``
+    the lowest row that failed: the first in order on the general path,
+    the lowest still unconverged when a lock-step search ran out of steps.
 
     The solve runs at unit scale: with 4^e the power of four nearest tr C/d,
     (C, r, budget) become (C/4^e, r/2^e, budget/4^e), and the worst cases,
@@ -928,7 +941,7 @@ def _solve(kind, center, channel, radius, budget):
     radius would overflow at unit scale.
     """
     m, zero, jitter, covs = radius.size, radius == 0.0, 0.0, None
-    unit, e = center, math.frexp(center.trace / center.dim)[1] // 2
+    unit, e, given = center, math.frexp(center.trace / center.dim)[1] // 2, budget
     if e != 0:
         with np.errstate(over="ignore"):
             scaled = np.ldexp(radius, -e), np.ldexp(budget, -2 * e)
@@ -936,6 +949,8 @@ def _solve(kind, center, channel, radius, budget):
             unit, (radius, budget) = SpdMatrix(np.ldexp(center.entries, -2 * e)), scaled
         else:
             e = 0  # budgets or radii beyond the float range at unit scale
+    if kind == "rdf":
+        _check_unit_distortion(given, budget, center.dim)
     try:
         if kind == "rdf":
             basis = unit._eigvecs
@@ -989,21 +1004,38 @@ def _solve(kind, center, channel, radius, budget):
     return trace, alloc, diagnostics, worst
 
 
-def _gradient_gap(g, noise, center_vals, radius):
+def _check_unit_distortion(given, unit, d):
+    """ValueError, its ``_row`` the first such row, where a distortion's
+    ``unit``-scale D/d is below the normal float range: there the water
+    level cannot be represented, and the KKT steps would divide by a level
+    of 0 or by a vanishing partial."""
+    small = np.flatnonzero(unit / d < sys.float_info.min)
+    if small.size:
+        failure = ValueError(
+            f"distortion {given[small[0]]} is too small for this center: at unit scale the water "
+            f"level, at least distortion / {d}, would be below the normal float range"
+        )
+        failure._row = int(small[0])
+        raise failure
+
+
+def _gradient_gap(g, noise, center_vals, radius, start=math.nan):
     """Frank-Wolfe duality gap of the capacity at the noise W, in nats, from
     the Danskin gradient G there, both in the center's eigenbasis.
 
     The capacity is convex in the noise covariance and the ball is convex,
     so the optimum is at least C(W) - tr(G W) - max over the ball of
-    tr(-G N). The maximum is bounded from above by ``_ball_support``, so the
-    gap bounds C(W) - C* from above, and so does its positive part, which is
-    returned: a reading below zero is rounding at a converged point. The
-    center is diag(center_vals) in this basis, so with -G = Q diag(a) Q^T,
-    b_i = sum_k Q_ki^2 center_vals_k.
+    tr(-G N). The maximum is bounded from above by ``_row_support``, the
+    secular search of ``_ball_support`` on this one row in Python floats,
+    searched from ``start`` (NaN for the cold start). So the gap bounds
+    C(W) - C* from above, and so does its positive part, which is returned:
+    a reading below zero is rounding at a converged point. The center is
+    diag(center_vals) in this basis, so with -G = Q diag(a) Q^T, b_i =
+    sum_k Q_ki^2 center_vals_k.
     """
     a, q = _lapack.eigh(-g)
-    support = _ball_support(a[None], (q * q).T @ center_vals, np.array([radius]))
-    return max(0.0, float(np.sum(g * noise)) + float(support[0]))
+    support = _row_support(a.tolist(), ((q * q).T @ center_vals).tolist(), radius, start)
+    return max(0.0, float(np.sum(g * noise)) + support)
 
 
 def _axis_frank_wolfe_gap(noise, w, center_vars, p, radius):
@@ -1082,6 +1114,56 @@ def _ball_support(a, b, radius, start=None):
     return support
 
 
+def _row_support(a, b, radius, start):
+    """``_ball_support`` of one row, the lists ``a`` and ``b``, in Python
+    floats, searched from ``start``.
+
+    The cold start and the Newton steps are ``_ball_support``'s, and so is
+    the root; sums run in order, so the bound can differ from it in the
+    last bits. A start right of the cold one is taken as it is where
+    f(start) > r^2, left of the root. Right of the root, one Newton step on
+    f^{-1/2}, which is concave, lands left of it, and is taken where it
+    stays right of the cold start (else the cold start is). Any other start,
+    NaN or not right of the cold start, is replaced by the cold one. So
+    every iterate is a valid gamma, and the search climbs onto the root
+    from below, as from the cold start.
+    """
+    top = max(a)
+    if not top > 0.0:
+        return 0.0  # A is negative semidefinite, and N is PSD
+    r2 = radius * radius
+    root = [math.sqrt(bi) * abs(ai) for ai, bi in zip(a, b)]
+    cold = max(max(ai + ri / radius for ai, ri in zip(a, root)), top * (1.0 + 1e-12))
+    gamma, warm = (start, True) if start > cold else (cold, False)
+    for _ in range(MAX_SECULAR_NEWTON):
+        f, rise = _secular_pass(a, root, gamma)
+        step = f * (math.sqrt(f) / radius - 1.0) / rise if rise > 0.0 else 0.0
+        if warm and not f > r2:  # a start right of the root: one step back
+            gamma = gamma + step if gamma + step > cold else cold
+        elif not f > r2:  # at the root, or past it in the hard case
+            break
+        else:
+            gamma += step
+            if not step > 1e-15 * gamma:
+                break
+        warm = False
+    return gamma * (r2 + sum(bi * ai / (gamma - ai) for ai, bi in zip(a, b)))
+
+
+def _secular_pass(a, root, gamma):
+    """f(gamma) = sum_i (root_i / (gamma - a_i))^2, the secular function of
+    ``_ball_support``, and sum_i (root_i / (gamma - a_i))^2 / (gamma - a_i),
+    -f'(gamma)/2."""
+    f = rise = 0.0
+    for ai, ri in zip(a, root):
+        shift = gamma - ai
+        term = ri / shift
+        term *= term
+        f += term
+        rise += term / shift
+    return f, rise
+
+
 def sweep_compound(
     kind: str,
     center: SpdMatrix,
@@ -1121,8 +1203,8 @@ def sweep_compound(
         radius, budgets = np.array(rows).T
         try:
             trace, (_, _, value), diagnostics, _ = _solve(kind, center, channel, radius, budgets)
-        except SolverNoConverge as exc:
-            index = exc._row
+        except (ValueError, SolverNoConverge) as exc:
+            index = getattr(exc, "_row", 0)
             raise
         columns = (a.tolist() for a in (radius, budgets, value, trace))
         return [SweepPoint(r, b, v, t, diag) for r, b, v, t, diag in zip(*columns, diagnostics)]

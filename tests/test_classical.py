@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -235,6 +236,34 @@ class TestDynamicRange:
             alone = waterfill_rows(inverse, budgets)[2]
             mixed = waterfill_rows(np.vstack([inverse, 1.0 / far]), np.vstack([budgets, [[1e300]]]))[2]
             assert mixed[:-1].tobytes() == alone.tobytes() and math.isfinite(mixed[-1])
+
+
+class TestSubnormalDistortion:
+    """A distortion whose water level floor D/d is below the normal float
+    range is rejected, naming the budget, before any waterfill."""
+
+    def test_level_that_rounds_to_zero(self):
+        # D/3 rounds to 0: the rate read inf, after a divide-by-zero warning
+        with pytest.raises(ValueError, match="distortion 5e-324 is too small for 3 modes"):
+            rdf_from_spectrum([1.0, 1.0, 1.0], 5e-324)
+
+    def test_level_that_rounds_to_a_subnormal(self):
+        # D/3 rounds to 5e-324: the rate read 1116.660 where it is 1117.268
+        with pytest.raises(ValueError, match="distortion 1e-323 is too small for 3 modes"):
+            rdf_from_spectrum([1.0, 1.0, 1.0], 1e-323)
+
+    @pytest.mark.parametrize("call", [gaussian_rdf, reverse_waterfill, rdf_realization])
+    def test_every_classical_entry_point(self, call):
+        with pytest.raises(ValueError, match="distortion 1e-310 is too small for 3 modes"):
+            call(SpdMatrix.identity(3), 1e-310)
+
+    def test_the_floor_is_the_level_not_the_budget(self):
+        # D = 3 min gives the level min; D = 2 min is normal, but D/3 is not
+        distortion = 3.0 * sys.float_info.min
+        rate = rdf_from_spectrum([1.0, 1.0, 1.0], distortion).rate_nats
+        assert rate == pytest.approx(float(_mp_rdf([1.0, 1.0, 1.0], distortion)), rel=1e-14)
+        with pytest.raises(ValueError, match="too small for 3 modes"):
+            rdf_from_spectrum([1.0, 1.0, 1.0], 2.0 * sys.float_info.min)
 
 
 class TestReverseWaterfill:
@@ -485,6 +514,13 @@ class TestGaussianCapacity:
         assert gaussian_capacity(np.eye(1), SpdMatrix([[1e-308]]), 1.0).rate_nats == 354.59810432108304
         with pytest.raises(ValueError, match="gain is not finite"):
             gaussian_capacity(np.eye(1), SpdMatrix([[1e-310]]), 1.0)
+
+    def test_whitened_gain_at_the_edge_of_the_float_range(self):
+        # the largest singular value whose square is finite passes, the next float fails
+        edge = math.sqrt(sys.float_info.max)
+        assert classical._whitened_gains(np.array([[edge]]), np.eye(1))[0][0] == edge * edge
+        with pytest.raises(ValueError, match="gain is not finite"):
+            classical._whitened_gains(np.array([[math.nextafter(edge, math.inf)]]), np.eye(1))
 
     def test_accepts_channel_matrix_wrapper(self):
         rate, _, _ = gaussian_capacity(

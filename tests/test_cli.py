@@ -239,6 +239,15 @@ def test_rejected_input_exit_code(tmp_path, capsys, center_text, argv, message):
     assert message in err
 
 
+def test_subnormal_distortion_exits_2(capsys):
+    # it ran 10000 KKT evaluations after overflow warnings and exited 3
+    argv = ("compound-rdf", "--sigma0-scalar", "1", "--radius", "0.1", "--distortion", "1e-310")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "distortion 1e-310 is too small" in err
+
+
 SWEEP_RDF_TWO_RADII = ("sweep", "--kind", "rdf", "--sigma0-scalar", "1", "--radii", "0,0.5")
 
 

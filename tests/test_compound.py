@@ -199,6 +199,29 @@ class TestCompoundRdf:
         expected_trace = (math.sqrt(center.trace) + 0.5) ** 2
         assert result.worst_case_cov.trace == pytest.approx(expected_trace, rel=1e-9)
 
+    @pytest.mark.parametrize("distortion", [1e-308, 5e-324])
+    def test_distortion_below_the_float_range_rejected_before_any_kkt_step(self, monkeypatch, distortion):
+        # the level's bracket started at D/d, 0 or subnormal: the KKT steps
+        # divided by a level of 0 or a vanishing partial until MAX_ITERATIONS
+        monkeypatch.setattr(compound, "_kkt_newton", None)
+        center = SpdMatrix.from_diag([2.0, 1.0, 0.5])
+        with pytest.raises(ValueError, match=f"distortion {distortion} is too small for this center"):
+            compound_rdf(CompoundRdfRequest(BwBall(center, 0.1), distortion))
+        with pytest.raises(ValueError, match=f"grid point 1 \\(r=0.2, budget={distortion}\\)"):
+            sweep_compound("rdf", center, [(0.1, 1.0), (0.2, distortion), (0.3, distortion)])
+
+    def test_distortion_floor_is_taken_at_unit_scale(self):
+        # 1e-310 around a center of scale 2^-1000 is solved as 1e-310 2^1000
+        # around the unscaled one; 1e-10 around 2^1000 times it is too small
+        def request(scale, distortion):
+            center = SpdMatrix(np.ldexp(np.diag([2.0, 1.0, 0.5]), 2 * scale))
+            return CompoundRdfRequest(BwBall(center, math.ldexp(0.1, scale)), distortion)
+
+        small, unit = compound_rdf(request(-500, 1e-310)), compound_rdf(request(0, math.ldexp(1e-310, 1000)))
+        assert small.value_nats == unit.value_nats and small.diagnostics == unit.diagnostics
+        with pytest.raises(ValueError, match="distortion 1e-10 is too small for this center"):
+            compound_rdf(request(500, 1e-10))
+
     def test_dominance_over_sampler(self):
         rng = np.random.default_rng(33)
         ball = BwBall(random_spd(rng, 2), 0.6)
@@ -568,6 +591,14 @@ class TestTransportCoordinates:
             assert np.array_equal(noise, np.diag(coords.lam))
         else:
             assert np.array_equal(noise, np.diag(coords.lam) + 2.0 * threshold * np.eye(d))
+
+    def test_projection_keeps_the_bits_of_the_frobenius_norm(self):
+        rng = np.random.default_rng(73)
+        for d in range(1, 33):
+            x = rng.standard_normal((d, d))
+            x = x + x.T
+            norm = float(np.linalg.norm(x))
+            assert compound._project_ball(x, 0.5 * norm).tobytes() == (x * (0.5 * norm / norm)).tobytes()
 
     def test_general_solve_builds_no_matrix_per_iteration(self, monkeypatch):
         # an evaluation factors the noise once and inverts nothing, so the
@@ -1065,14 +1096,120 @@ class TestWarmSupport:
             nan = compound._ball_support(a, b, radius, np.full(5, math.nan))
             assert nan.tobytes() == cold.tobytes()
 
-    def test_general_channel_gap_starts_cold(self, monkeypatch):
-        starts, support = [], compound._ball_support
 
-        def spy(a, b, radius, start=None):
-            starts.append(start)
-            return support(a, b, radius, start)
+def _support_rows():
+    """Rows (a, b, radius) of the general-channel support search: a >= 0,
+    as -G is positive semidefinite, with zeros among it, d = 1..32; each
+    also in the hard case (b about 0 on the top eigenvector) and at a radius
+    whose cube underflows."""
+    rng = np.random.default_rng(71)
+    for d in range(1, 33):
+        a = np.exp(rng.uniform(-3.0, 1.0, d)) * (rng.uniform(size=d) < 0.8)
+        a[rng.integers(d)] = math.exp(rng.uniform(-1.0, 1.0))
+        b = np.exp(rng.uniform(-3.0, 1.0, d))
+        radius = math.exp(rng.uniform(-3.0, 1.0))
+        hard = b.copy()
+        hard[np.argmax(a)] = 1e-30
+        yield a, b, radius
+        yield a, hard, radius
+        yield a, b, 1e-110
 
-        monkeypatch.setattr(compound, "_ball_support", spy)
-        result = compound_capacity(_benchmark_like(np.random.default_rng(53), 4))
-        assert result.diagnostics.solver_path == "projected-gradient"
-        assert starts and all(start is None for start in starts)
+
+def _secular_root(a, b, radius):
+    """The root of sum_i b_i a_i^2 / (gamma - a_i)^2 = r^2 right of max(a), by
+    bisection."""
+    top = float(a.max())
+    lo, hi = top, top + math.sqrt(float(np.sum(b * a * a))) / radius
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        with np.errstate(divide="ignore"):
+            f = float(np.sum(b * a * a / (mid - a) ** 2))
+        lo, hi = (mid, hi) if f > radius * radius else (lo, mid)
+    return hi
+
+
+class TestRowSupport:
+    """The general-channel gap's support search, in Python floats from the
+    dual multiplier of the returned map."""
+
+    def test_equals_the_numpy_search_from_the_same_start(self):
+        # from the cold start, and from a start left of the root, which both
+        # searches take as it is
+        for a, b, radius in _support_rows():
+            cold = compound._ball_support(a[None], b, np.array([radius]))[0]
+            got = compound._row_support(a.tolist(), b.tolist(), radius, math.nan)
+            assert got == pytest.approx(cold, rel=1e-15, abs=0.0)
+            start = float(a.max() + 0.5 * (_secular_root(a, b, radius) - a.max()))
+            numpy = compound._ball_support(a[None], b, np.array([radius]), np.array([start]))[0]
+            got = compound._row_support(a.tolist(), b.tolist(), radius, start)
+            assert got == pytest.approx(numpy, rel=1e-15, abs=0.0)
+
+    def test_negative_semidefinite_support_is_zero(self):
+        for a in ([0.0], [-1.0, -0.5, 0.0], [-2.0, -1e-300]):
+            assert compound._row_support(a, [1.0] * len(a), 0.5, 1.0) == 0.0
+
+    def test_any_start_gives_a_valid_bound(self):
+        # NaN and a start below max(a) give the cold search; left of the
+        # root the search climbs from the start; right of it one step back
+        # lands left of it, so the search ends on the cold one's root
+        for a, b, radius in _support_rows():
+            cold = compound._row_support(a.tolist(), b.tolist(), radius, math.nan)
+            root, top = _secular_root(a, b, radius), float(a.max())
+            for start in (0.5 * top, top):
+                assert compound._row_support(a.tolist(), b.tolist(), radius, start) == cold
+            for start in (top + 0.5 * (root - top), root * (1.0 + 1e-9), root * 1.5, root * 1e3):
+                warm = compound._row_support(a.tolist(), b.tolist(), radius, start)
+                assert warm >= cold * (1.0 - 1e-15)
+                if start > root:
+                    assert warm == pytest.approx(cold, rel=1e-15, abs=0.0)
+
+    def test_general_channel_gaps_match_the_cold_numpy_search(self, monkeypatch):
+        # on the PD batteries, against _ball_support from the cold start: the
+        # same values, iterations and failures, and the same gaps to rounding
+        monkeypatch.setattr(compound, "MAX_ITERATIONS", 3000)
+        requests = [request for seed in (2024, 2025, 2026, 2027) for request in _pd_battery(seed)]
+        warm = [_capacity_outcome(request) for request in requests]
+        support = compound._ball_support
+        monkeypatch.setattr(
+            compound, "_row_support",
+            lambda a, b, radius, start: float(support(np.array([a]), np.array(b), np.array([radius]))[0]),
+        )
+        cold = [_capacity_outcome(request) for request in requests]
+        assert [w[:-1] for w in warm] == [c[:-1] for c in cold]
+        for (value, _, worst, gap), (*_, cold_gap) in zip(warm, cold):
+            assert abs(gap - cold_gap) <= 1e-15 * (1.0 if worst is None else max(1.0, abs(value)))
+
+    def test_general_channel_certificates_take_few_secular_passes(self, monkeypatch):
+        # a pass evaluates f and its slope once: here the search takes 2 or 3
+        # passes (2.3 on average) from the returned map's multiplier and 4 or
+        # 5 from the cold start, so a wrong start or slope shows
+        passes, search, secular = [], compound._row_support, compound._secular_pass
+
+        def counted_search(a, b, radius, start):
+            passes.append(0)
+            return search(a, b, radius, start)
+
+        def counted_pass(a, root, gamma):
+            passes[-1] += 1
+            return secular(a, root, gamma)
+
+        monkeypatch.setattr(compound, "_row_support", counted_search)
+        monkeypatch.setattr(compound, "_secular_pass", counted_pass)
+        rng = np.random.default_rng(53)
+        for d in (4, 8, 16, 32) * 5:
+            compound_capacity(_benchmark_like(rng, d))
+        assert max(passes) <= 3 and sum(passes) <= 2.6 * len(passes)
+
+
+def _capacity_outcome(request):
+    """(value, iterations, worst-case bytes, gap) of a compound capacity, or
+    (the failure's message, its iterations, None, its gap)."""
+    try:
+        result = compound_capacity(request)
+    except SolverNoConverge as exc:
+        return str(exc), exc.diagnostics.iterations, None, exc.diagnostics.certificate_gap
+    diagnostics = result.diagnostics
+    worst = result.worst_case_cov.entries.tobytes()
+    return result.value_nats, diagnostics.iterations, worst, diagnostics.certificate_gap
