@@ -1123,7 +1123,8 @@ def _row_support(a, b, radius, start):
     last bits. A start right of the cold one is taken as it is where
     f(start) > r^2, left of the root. Right of the root, one Newton step on
     f^{-1/2}, which is concave, lands left of it, and is taken where it
-    stays right of the cold start (else the cold start is). Any other start,
+    moves left and stays right of the cold start (else the cold start is:
+    a start so far right that f underflows gives no step). Any other start,
     NaN or not right of the cold start, is replaced by the cold one. So
     every iterate is a valid gamma, and the search climbs onto the root
     from below, as from the cold start.
@@ -1139,7 +1140,8 @@ def _row_support(a, b, radius, start):
         f, rise = _secular_pass(a, root, gamma)
         step = f * (math.sqrt(f) / radius - 1.0) / rise if rise > 0.0 else 0.0
         if warm and not f > r2:  # a start right of the root: one step back
-            gamma = gamma + step if gamma + step > cold else cold
+            back = gamma + step
+            gamma = back if cold < back < gamma else cold
         elif not f > r2:  # at the root, or past it in the hard case
             break
         else:

@@ -1153,13 +1153,14 @@ class TestRowSupport:
     def test_any_start_gives_a_valid_bound(self):
         # NaN and a start below max(a) give the cold search; left of the
         # root the search climbs from the start; right of it one step back
-        # lands left of it, so the search ends on the cold one's root
+        # lands left of it, so the search ends on the cold one's root, and
+        # so it does from a start where f underflows to 0
         for a, b, radius in _support_rows():
             cold = compound._row_support(a.tolist(), b.tolist(), radius, math.nan)
             root, top = _secular_root(a, b, radius), float(a.max())
             for start in (0.5 * top, top):
                 assert compound._row_support(a.tolist(), b.tolist(), radius, start) == cold
-            for start in (top + 0.5 * (root - top), root * (1.0 + 1e-9), root * 1.5, root * 1e3):
+            for start in (top + 0.5 * (root - top), root * (1.0 + 1e-9), root * 1.5, root * 1e3, 1e300, math.inf):
                 warm = compound._row_support(a.tolist(), b.tolist(), radius, start)
                 assert warm >= cold * (1.0 - 1e-15)
                 if start > root:
