@@ -77,17 +77,23 @@ class ChannelMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        h = np.array(self.entries, dtype=float)
-        if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] == 0:
-            raise ValueError("entries must be a nonempty square matrix")
-        if not np.isfinite(h).all():
-            raise ValueError("entries must be finite")
+        h = _check_channel(np.array(self.entries, dtype=float))
         h.setflags(write=False)
         object.__setattr__(self, "entries", h)
 
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
+
+
+def _check_channel(h: np.ndarray) -> np.ndarray:
+    """The float array ``h``, unchanged; ValueError unless it is a nonempty,
+    square and finite matrix."""
+    if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] == 0:
+        raise ValueError("entries must be a nonempty square matrix")
+    if not np.isfinite(h).all():
+        raise ValueError("entries must be finite")
+    return h
 
 
 class GaussianCapacity(NamedTuple):
@@ -104,18 +110,32 @@ def _check_distortion(distortion) -> float:
     return d
 
 
-def _check_rdf_distortion(distortion, d: int) -> float:
-    """The distortion budget of a d-mode RDF as a float; ValueError unless
-    positive and finite, and unless the water level's floor D/d is a normal
-    float: below that range the level cannot be represented (D/3 at D =
-    5e-324 rounds to 0)."""
-    checked = _check_distortion(distortion)
-    if checked / d < sys.float_info.min:
+def _rdf(eigenvalues: np.ndarray, distortion, trace: float):
+    """``_rdf_core`` on a checked spectrum of total ``trace`` and an unchecked
+    distortion budget, which must be positive and finite (ValueError).
+
+    Where the water level's floor D/d is below the normal float range, the
+    level cannot be represented (D/3 at D = 5e-324 rounds to 0), and the
+    spectrum is waterfilled at the unit scale of ``compound._solve``: with
+    4^e the power of four nearest tr/d, on (eigenvalues / 4^e, D / 4^e),
+    with the level and the per-mode distortions scaled back by 4^e. Scaling
+    by a power of two is exact, so this is the value a compound solve at
+    r = 0 gives. A budget whose D/d is below the normal range at unit scale
+    too raises ValueError. Every other budget is waterfilled as given.
+    """
+    checked, d = _check_distortion(distortion), eigenvalues.size
+    if checked / d >= sys.float_info.min:
+        return _rdf_core(eigenvalues, checked)
+    e = math.frexp(trace / d)[1] // 2
+    unit = math.ldexp(checked, -2 * e)
+    if unit / d < sys.float_info.min:
         raise ValueError(
             f"distortion {distortion} is too small for {d} modes: the water level, at least "
-            f"distortion / {d}, would be below the normal float range"
+            f"distortion / {d}, would be below the normal float range, in the units of the "
+            "data and at unit scale"
         )
-    return checked
+    level, per_mode, rate = _rdf_core(np.ldexp(eigenvalues, -2 * e), unit)
+    return math.ldexp(level, 2 * e), np.ldexp(per_mode, 2 * e), rate
 
 
 def _check_power(power) -> float:
@@ -252,11 +272,13 @@ def rdf_from_spectrum(eigenvalues, distortion: float) -> WaterfillAllocation:
     half-log ratios. A budget at or above the total variance yields zero rate
     and reports the largest eigenvalue as the level. Eigenvalues that do not
     form a nonempty vector of finite nonnegative reals raise ValueError, and
-    so does a distortion that is not positive and finite or whose D/d is
-    below the normal float range (``_check_rdf_distortion``).
+    so does a distortion that is not positive and finite. A distortion whose
+    D/d is below the normal float range is waterfilled at unit scale, and
+    raises ValueError only where D/d is below that range there too
+    (``_rdf``).
     """
     eigenvalues = _check_vector(eigenvalues, "eigenvalues")
-    return WaterfillAllocation(*_rdf_core(eigenvalues, _check_rdf_distortion(distortion, eigenvalues.size)))
+    return WaterfillAllocation(*_rdf(eigenvalues, distortion, float(eigenvalues.sum())))
 
 
 def capacity_from_gains(gains, power: float) -> WaterfillAllocation:
@@ -273,17 +295,18 @@ def capacity_from_gains(gains, power: float) -> WaterfillAllocation:
 
 def reverse_waterfill(cov: SpdMatrix, distortion: float) -> WaterfillAllocation:
     """Reverse-waterfilled distortion allocation for a Gaussian source covariance."""
-    return WaterfillAllocation(*_rdf_core(cov._eigvals, _check_rdf_distortion(distortion, cov.dim)))
+    return WaterfillAllocation(*_rdf(cov._eigvals, distortion, cov.trace))
 
 
 def gaussian_rdf(cov: SpdMatrix, distortion: float) -> float:
     """Rate-distortion function of a Gaussian vector source, in nats.
 
-    Validates only the distortion, which must be positive and finite with
-    D/d a normal float (ValueError otherwise); the spectrum is the
-    covariance's own, which ``SpdMatrix`` checked at construction.
+    Validates only the distortion, which must be positive and finite, with
+    D/d a normal float in the units of the data or at unit scale
+    (ValueError otherwise, see ``_rdf``); the spectrum is the covariance's
+    own, which ``SpdMatrix`` checked at construction.
     """
-    return _rdf_core(cov._eigvals, _check_rdf_distortion(distortion, cov.dim))[2]
+    return _rdf(cov._eigvals, distortion, cov.trace)[2]
 
 
 def rdf_realization(cov: SpdMatrix, distortion: float) -> TestChannel:
@@ -294,7 +317,7 @@ def rdf_realization(cov: SpdMatrix, distortion: float) -> TestChannel:
     information equals the rate and its distortion meets the budget.
     """
     vals, vecs = symmetric_eig(cov)
-    _, per_mode, _ = _rdf_core(vals, _check_rdf_distortion(distortion, cov.dim))
+    _, per_mode, _ = _rdf(vals, distortion, cov.trace)
     with np.errstate(divide="ignore", invalid="ignore"):
         gains = np.where(vals > 0.0, 1.0 - per_mode / np.maximum(vals, 1e-300), 0.0)
     gains = np.maximum(gains, 0.0)
@@ -350,19 +373,24 @@ def gaussian_capacity(channel, noise_cov: SpdMatrix, power: float) -> GaussianCa
     nonnegative and descending with the gains, in the right singular vectors,
     so it is not decomposed again.
 
-    Validates, in this order: a raw array channel as a ``ChannelMatrix``
-    (square, finite), the channel's shape against the noise, the whitened
+    Validates, in this order: a raw array channel as ``ChannelMatrix``
+    does and with its messages (square, nonempty, finite), in place, as the
+    array is only read; the channel's shape against the noise, the whitened
     gains (finite; ValueError for a noise too small for the channel) and
     the power, which must be nonnegative and finite. The gains then go to
-    the waterfill without being checked again.
+    the waterfill without being checked again. The allocation's read-only
+    ``per_mode`` is also the input covariance's spectrum.
     """
-    h = (channel if isinstance(channel, ChannelMatrix) else ChannelMatrix(channel)).entries
+    if isinstance(channel, ChannelMatrix):
+        h = channel.entries
+    else:
+        h = _check_channel(np.asarray(channel, dtype=float))
     if h.shape != (noise_cov.dim, noise_cov.dim):
         raise ValueError("channel shape does not match noise covariance")
     gains, vt, _, _ = _whitened_gains(h, _ensure_positive_definite(noise_cov)[0].entries)
-    level, per_mode, rate = _capacity_core(_inverse_gains(gains), _check_power(power))
-    input_cov = SpdMatrix._from_spectrum(vt.T, per_mode)
-    return GaussianCapacity(rate, input_cov, WaterfillAllocation(level, per_mode, rate))
+    allocation = WaterfillAllocation(*_capacity_core(_inverse_gains(gains), _check_power(power)))
+    input_cov = SpdMatrix._from_spectrum(vt.T, allocation.per_mode)
+    return GaussianCapacity(allocation.rate_nats, input_cov, allocation)
 
 
 def _whitened_gains(h: np.ndarray, noise: np.ndarray):

@@ -115,11 +115,16 @@ def empirical_w2(a: SampleCloud, b: SampleCloud) -> float:
     and column constants, so they have the same optimal assignments. Half
     the new cost is the Fenchel-Young gap of the Gaussian Brenier
     potentials, near 0 along the optimal pairing, which keeps the
-    shortest augmenting paths short. Subtracting the column minima, then the
-    row minima, changes the cost by more row and column constants and starts
-    the assignment from a reduced matrix with a zero in every row and
-    column, as in Jonker and Volgenant's column reduction. The returned value
-    is the mean squared distance of the assigned pairs of original points.
+    shortest augmenting paths short. The cost is built as |x~_i|² + |y~_j|²
+    - 2<x~_i, y~_j>: one matrix product into one n x n array, with the two
+    norm columns added to it. The norms are row and column constants too,
+    but without them the column reduction below puts its zeros at far
+    points, and the assignment took about seven times as long. Subtracting
+    the column minima, then the row minima, changes the cost by more row
+    and column constants and starts the assignment from a reduced matrix
+    with a zero in every row and column, as in Jonker and Volgenant's
+    column reduction. The returned value is the mean squared distance of
+    the assigned pairs of original points.
     When either fit is singular or nearly so (n <= d, repeated points, a
     rank-one cloud) or A is ill-conditioned, A = I: rounding in a badly
     conditioned transform could otherwise pick a worse assignment.
@@ -140,13 +145,9 @@ def empirical_w2(a: SampleCloud, b: SampleCloud) -> float:
     axes, scale = _brenier_axes(x, y)
     x = (x @ axes) * scale
     y = (y @ axes) / scale
-    cost = np.subtract.outer(x[:, 0], y[:, 0])
-    cost *= cost
-    step = np.empty_like(cost)
-    for k in range(1, a.dim):
-        np.subtract.outer(x[:, k], y[:, k], out=step)
-        step *= step
-        cost += step
+    cost = x @ (-2.0 * y.T)
+    cost += np.einsum("ij,ij->i", x, x)[:, None]
+    cost += np.einsum("ij,ij->i", y, y)
     cost -= cost.min(axis=0)
     cost -= cost.min(axis=1)[:, None]
     rows, cols = linear_sum_assignment(cost)

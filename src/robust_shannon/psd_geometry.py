@@ -33,7 +33,9 @@ BW_RADICAND_TOL = 1e-9
 
 
 def _symmetrize(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.T)
+    s = a + a.T
+    s *= 0.5
+    return s
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,6 +61,22 @@ class SpdMatrix:
         a = np.array(self.entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
             raise ValueError("entries must be a nonempty square matrix")
+        self._settle(a)
+
+    @classmethod
+    def _from_square(cls, a: np.ndarray) -> "SpdMatrix":
+        """The matrix of ``a``, a nonempty square float array the caller made
+        and does not keep: checked, clamped and stored as the constructor
+        does, without its copy and shape test."""
+        m = object.__new__(cls)
+        m._settle(a)
+        return m
+
+    def _settle(self, a: np.ndarray):
+        """The constructor's value checks on the square float array ``a``:
+        symmetrize, reject entries or eigenvalues that are not finite and a
+        matrix negative beyond ``PSD_TOL``, clamp smaller negative round-off
+        and rebuild; then store the entries, eigenvalues and trace read-only."""
         a = _symmetrize(a)
         if not np.isfinite(a).all():
             raise ValueError("entries must be finite")
@@ -68,7 +86,7 @@ class SpdMatrix:
             raise ValueError(f"eigenvalues must be finite (largest {hi:.3e})")
         if lo < -PSD_TOL * max(1.0, hi):
             raise ValueError(f"matrix is not positive semidefinite (min eigenvalue {lo:.3e})")
-        if w[0] < 0.0:
+        if lo < 0.0:
             w, v = _lapack.eigh(a)
             w = np.maximum(w, 0.0)
             a = _symmetrize(v @ np.diag(w) @ v.T)
@@ -110,15 +128,14 @@ class SpdMatrix:
         """The matrix vecs diag(vals) vecs^T, built without an eigendecomposition.
 
         The caller vouches that the columns of ``vecs`` are orthonormal and
-        that ``vals`` is finite, nonnegative and descending; these become the
-        eigenvalues as given, and nothing is checked. The eigenvectors stay
-        lazy, as for any instance.
+        that ``vals`` is a read-only float array, finite, nonnegative and
+        descending; it becomes the eigenvalues as given, shared and not
+        copied, and nothing is checked. The eigenvectors stay lazy, as for
+        any instance.
         """
         m = object.__new__(cls)
         a = _symmetrize((vecs * vals) @ vecs.T)
-        vals = np.array(vals, dtype=float)
-        for arr in (a, vals):
-            arr.setflags(write=False)
+        a.setflags(write=False)
         object.__setattr__(m, "entries", a)
         object.__setattr__(m, "_eigvals", vals)
         object.__setattr__(m, "_trace", float(a.trace()))
@@ -252,9 +269,10 @@ def _geodesic_ends(center: SpdMatrix, factor: np.ndarray):
 def _gram_point(x0: np.ndarray, x1: np.ndarray, t: float) -> SpdMatrix:
     """The geodesic point F F^T with F = (1 - t) X0 + t X1: PSD by
     construction, where the product mix C mix^T of a map's mix
-    (1 - t) I + t T rounds to negative eigenvalues once T is large."""
+    (1 - t) I + t T rounds to negative eigenvalues once T is large. The
+    fresh product goes to the constructor's value checks directly."""
     f = (1.0 - t) * x0 + t * x1
-    return SpdMatrix(f @ f.T)
+    return SpdMatrix._from_square(f @ f.T)
 
 
 def transport_map(source: SpdMatrix, target: SpdMatrix) -> np.ndarray:
@@ -321,6 +339,8 @@ def random_psd_in_ball(ball: BwBall, seed: int) -> SpdMatrix:
     center, radii below about 1e-8 sqrt(tr C) are not resolved, as the stored
     center's null eigenvalues, of order eps ||C||, have square roots above
     such a radius (``bw_distance`` reads up to 1e3 r from the center to itself).
+    The draw is checked once, by ``SpdMatrix._from_square``: the
+    constructor's value checks, without its copy and shape test.
     """
     if ball.radius == 0.0:
         return ball.center

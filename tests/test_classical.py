@@ -266,6 +266,69 @@ class TestSubnormalDistortion:
             rdf_from_spectrum([1.0, 1.0, 1.0], 2.0 * sys.float_info.min)
 
 
+class TestUnitScaleDistortion:
+    """A distortion whose D/d is below the normal float range in the units of
+    the data but normal at unit scale is waterfilled there, so the classical
+    entry points give the CLI's and the r = 0 compound solve's answer."""
+
+    @staticmethod
+    def _cli_value(capsys, sigma, distortion):
+        from robust_shannon.cli import main
+
+        assert main(["rdf", "--sigma0-scalar", sigma, "--distortion", distortion]) == 0
+        return float(capsys.readouterr().out.splitlines()[1].split(",")[2])
+
+    def test_scalar_agrees_with_the_cli(self, capsys):
+        cov = SpdMatrix([[1e-300]])
+        value = self._cli_value(capsys, "1e-150", "1e-310")
+        assert value == 11.51292546497023
+        assert gaussian_rdf(cov, 1e-310) == value
+        assert reverse_waterfill(cov, 1e-310).rate_nats == value
+        assert rdf_from_spectrum([1e-300], 1e-310).rate_nats == value
+        channel = rdf_realization(cov, 1e-310)
+        assert channel.gain[0, 0] == pytest.approx(1.0 - 1e-10, rel=1e-15)
+        assert channel.noise_cov.entries[0, 0] == pytest.approx(1e-310 * (1.0 - 1e-10), rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "spectrum, distortion",
+        [([3e-300, 1e-300, 2e-301], 1e-310), ([1e-290, 4e-300], 3e-309), ([2e-305, 2e-305, 1e-306, 5e-307], 5e-324)],
+    )
+    def test_agrees_with_the_compound_solve_at_r_0(self, spectrum, distortion):
+        cov = SpdMatrix.from_diag(spectrum)
+        from robust_shannon import BwBall, CompoundRdfRequest, compound_rdf
+
+        solved = compound_rdf(CompoundRdfRequest(BwBall(cov, 0.0), distortion)).inner_allocation
+        for alloc in (reverse_waterfill(cov, distortion), rdf_from_spectrum(spectrum, distortion)):
+            assert alloc.rate_nats == solved.rate_nats
+            assert alloc.level == solved.level
+            assert np.array_equal(np.sort(alloc.per_mode), np.sort(solved.per_mode))
+        assert gaussian_rdf(cov, distortion) == solved.rate_nats
+        assert math.isfinite(solved.rate_nats) and solved.rate_nats > 0.0
+        z = rdf_realization(cov, distortion).noise_cov
+        assert np.all(np.isfinite(z.entries))
+
+    def test_rate_against_mpmath(self):
+        spectrum, distortion = [3e-300, 1e-300, 2e-301], 1e-310
+        assert gaussian_rdf(SpdMatrix.from_diag(spectrum), distortion) == pytest.approx(
+            float(_mp_rdf(spectrum, distortion)), rel=1e-14
+        )
+
+    def test_normal_budgets_are_waterfilled_as_given(self, monkeypatch):
+        # the scaled path runs only where D/d is below the normal range
+        cov = SpdMatrix.from_diag([3e-300, 1e-300, 2e-301])
+        seen, core = [], classical._rdf_core
+        monkeypatch.setattr(classical, "_rdf_core", lambda vals, d: seen.append((vals, d)) or core(vals, d))
+        gaussian_rdf(cov, 3e-301)
+        gaussian_rdf(cov, 1e-310)
+        assert seen[0][0] is cov._eigvals and seen[0][1] == 3e-301
+        assert seen[1][0] is not cov._eigvals and seen[1][1] > 1e-310
+
+    @pytest.mark.parametrize("call", [gaussian_rdf, reverse_waterfill, rdf_realization])
+    def test_below_the_range_at_unit_scale_too(self, call):
+        with pytest.raises(ValueError, match="distortion 1e-310 is too small for 3 modes.*at unit scale"):
+            call(SpdMatrix.from_diag([1e10, 1e10, 1e10]), 1e-310)
+
+
 class TestReverseWaterfill:
     def test_scalar_boundary(self):
         alloc = reverse_waterfill(SpdMatrix.from_diag([1.0]), 1.0)
@@ -576,6 +639,52 @@ def test_rejects_malformed_input(call, message):
 def test_classical_entry_points_reject_bad_vectors(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+RAW_CHANNELS = {
+    "not_square": (np.zeros((2, 3)), "entries must be a nonempty square matrix"),
+    "empty": (np.zeros((0, 0)), "entries must be a nonempty square matrix"),
+    "one_dimensional": (np.ones(2), "entries must be a nonempty square matrix"),
+    "nan": (np.array([[1.0, math.nan], [0.0, 1.0]]), "entries must be finite"),
+    "inf": (np.array([[1.0, 0.0], [-math.inf, 1.0]]), "entries must be finite"),
+}
+
+
+@pytest.mark.parametrize("name", list(RAW_CHANNELS))
+def test_raw_channel_rejected_with_the_channel_matrix_message(name):
+    h, message = RAW_CHANNELS[name]
+    with pytest.raises(ValueError) as wrapped:
+        ChannelMatrix(h)
+    assert str(wrapped.value) == message
+    with pytest.raises(ValueError) as raw:
+        gaussian_capacity(h, SpdMatrix.identity(2), 1.0)
+    assert str(raw.value) == message
+
+
+def test_raw_channel_is_read_in_place_and_left_as_given():
+    rng = np.random.default_rng(26)
+    h = rng.standard_normal((3, 3))
+    before = h.copy()
+    noise = random_spd(rng, 3)
+    raw = gaussian_capacity(h, noise, 2.0)
+    wrapped = gaussian_capacity(ChannelMatrix(h), noise, 2.0)
+    assert np.array_equal(h, before) and h.flags.writeable
+    assert raw.rate_nats == wrapped.rate_nats
+    assert np.array_equal(raw.input_cov.entries, wrapped.input_cov.entries)
+    listed = gaussian_capacity(h.tolist(), noise, 2.0)
+    assert listed.rate_nats == raw.rate_nats
+
+
+def test_capacity_shares_one_read_only_per_mode():
+    rng = np.random.default_rng(27)
+    for d in (1, 3, 8):
+        result = gaussian_capacity(rng.standard_normal((d, d)), random_spd(rng, d), 1.5)
+        per_mode = result.allocation.per_mode
+        assert result.input_cov._eigvals is per_mode
+        assert not per_mode.flags.writeable
+        with pytest.raises(ValueError):
+            per_mode[0] = 1.0
+        assert result.rate_nats == result.allocation.rate_nats
 
 
 def _lean_path_cases():

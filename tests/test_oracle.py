@@ -417,10 +417,27 @@ def _w2_on_zeros_and_add_cost(a, b):
     return math.sqrt(float(np.einsum("ij,ij->i", gaps, gaps).mean()))
 
 
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [2, 3, 4])
 def test_empirical_w2_equals_the_zeros_and_add_cost(d):
     rng = np.random.default_rng(40 + d)
     for n in (8, 16, 64, 128, 512):
         p, q = random_law(rng, d), random_law(rng, d)
         a, b = sample_gaussian(p, n, 2 * n), sample_gaussian(q, n, 2 * n + 1)
+        assert empirical_w2(a, b) == _w2_on_zeros_and_add_cost(a, b)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_empirical_w2_equals_the_zeros_and_add_cost_on_means_3_apart(d):
+    # the Gelbrich checks' pairs: spectra in [0.5, 2], means 3 apart, n = 512
+    rng = np.random.default_rng(70 + d)
+    for k in range(4):
+        laws = []
+        mean = rng.standard_normal(d)
+        direction = rng.standard_normal(d)
+        for m in (mean, mean + 3.0 * direction / np.linalg.norm(direction)):
+            q, r = np.linalg.qr(rng.standard_normal((d, d)))
+            q *= np.sign(np.diag(r))
+            cov = (q * np.exp(rng.uniform(math.log(0.5), math.log(2.0), d))) @ q.T
+            laws.append(GaussianLaw(m, SpdMatrix(cov)))
+        a, b = sample_gaussian(laws[0], 512, 100 + k), sample_gaussian(laws[1], 512, 200 + k)
         assert empirical_w2(a, b) == _w2_on_zeros_and_add_cost(a, b)

@@ -478,6 +478,98 @@ def test_construction_rejects_overflow():
         SpdMatrix(np.full((4, 4), 0.5e308))
 
 
+def _built_or_message(build, a):
+    """The matrix ``build`` makes of a copy of ``a``, or its ValueError's message."""
+    try:
+        with np.errstate(over="ignore"):
+            return build(a.copy())
+    except ValueError as exc:
+        return str(exc)
+
+
+def _assert_same_matrix(m, expected):
+    """Bit-identical entries, eigenvalues and trace, all read-only, and the
+    eigenvalues those of the entries: the reversed, clamped eigvalsh, or for a
+    clamped matrix the reversed, clamped eigh of the matrix before the rebuild."""
+    assert np.array_equal(m.entries, expected.entries)
+    assert np.array_equal(m._eigvals, expected._eigvals)
+    assert np.array_equal(np.signbit(m._eigvals), np.signbit(expected._eigvals))
+    assert m.trace == expected.trace
+    assert ("_eigvecs" in vars(m)) == ("_eigvecs" in vars(expected))
+    assert not m.entries.flags.writeable and not m._eigvals.flags.writeable
+    if "_eigvecs" not in vars(m):
+        assert np.array_equal(m._eigvals, np.maximum(psd_geometry._lapack.eigvalsh(m.entries)[::-1], 0.0))
+
+
+SETTLE_CASES = {
+    "nan": np.array([[1.0, math.nan], [math.nan, 1.0]]),
+    "inf": np.array([[math.inf, 0.0], [0.0, 1.0]]),
+    "entries_overflow_when_symmetrized": np.full((2, 2), 1e308),
+    "eigenvalues_overflow": np.full((4, 4), 0.5e308),
+    "negative_beyond_psd_tol": np.array([[1.0, 2.0], [2.0, 1.0]]),
+    "negative_just_beyond_psd_tol": np.array([[1.0, 1.0 + 1e-9], [1.0 + 1e-9, 1.0]]),
+    "round_off_clamped": np.array([[1.0, 1.0 + 1e-12], [1.0 + 1e-12, 1.0]]),
+    "zero": np.zeros((3, 3)),
+    "negative_zero": np.full((2, 2), -0.0),
+    "positive_definite": np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.2], [0.0, 0.2, 0.5]]),
+    "asymmetric": np.array([[1.0, 0.5], [0.1, 2.0]]),
+}
+
+
+@pytest.mark.parametrize("name", list(SETTLE_CASES))
+def test_from_square_raises_or_clamps_as_the_constructor(name):
+    a = SETTLE_CASES[name]
+    expected = _built_or_message(SpdMatrix, a)
+    got = _built_or_message(SpdMatrix._from_square, a)
+    if isinstance(expected, str):
+        assert got == expected
+        return
+    assert not isinstance(got, str), got
+    _assert_same_matrix(got, expected)
+    _assert_same_matrix(expected, expected)
+    assert ("_eigvecs" in vars(got)) == (name == "round_off_clamped")
+
+
+def test_from_square_keeps_the_given_array_out_of_the_instance():
+    a = SETTLE_CASES["positive_definite"].copy()
+    m = SpdMatrix._from_square(a)
+    a[0, 0] = 7.0
+    assert m.entries[0, 0] == 2.0
+    with pytest.raises(ValueError):
+        m.entries[0, 0] = 3.0
+
+
+def _gram_factors():
+    """Factors F whose Gram F F^T is finite, clamped (rank one), NaN, inf, or
+    has an eigenvalue that overflows."""
+    rng = np.random.default_rng(12)
+    for k in range(40):
+        d = 2 + k % 3
+        yield rng.standard_normal((d, d))
+        yield rng.standard_normal((d, 1)) @ rng.standard_normal((1, d))
+    yield np.array([[1.0, math.nan], [0.0, 1.0]])
+    yield np.array([[math.inf, 0.0], [0.0, 1.0]])
+    yield np.full((4, 4), math.sqrt(0.125e308))
+
+
+def test_draw_path_raises_or_clamps_as_the_constructor():
+    clamped = raised = 0
+    for f in _gram_factors():
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = f @ f.T
+        expected = _built_or_message(SpdMatrix, gram)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _built_or_message(lambda _: psd_geometry._gram_point(f, np.zeros_like(f), 0.0), gram)
+        if isinstance(expected, str):
+            assert got == expected
+            raised += 1
+            continue
+        _assert_same_matrix(got, expected)
+        clamped += "_eigvecs" in vars(got)
+    assert raised == 3
+    assert clamped >= 10
+
+
 def _eigen_root(m):
     """The square root built from the eigendecomposition, symmetrized."""
     vals, vecs = symmetric_eig(m)
