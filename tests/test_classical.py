@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 
 from robust_shannon import (
+    BwBall,
     ChannelMatrix,
+    CompoundRdfRequest,
     DegenerateMI,
     SpdMatrix,
     capacity_from_gains,
+    compound_rdf,
     gaussian_capacity,
     gaussian_mi,
     gaussian_rdf,
@@ -20,6 +23,7 @@ from robust_shannon import (
 )
 from robust_shannon import classical
 from robust_shannon.classical import reverse_waterfill_rows, waterfill_rows
+from robust_shannon.cli import main
 
 HALF_LOG4 = 0.6931471805599453
 HALF_LOG6 = 0.8958797346140275
@@ -273,8 +277,6 @@ class TestUnitScaleDistortion:
 
     @staticmethod
     def _cli_value(capsys, sigma, distortion):
-        from robust_shannon.cli import main
-
         assert main(["rdf", "--sigma0-scalar", sigma, "--distortion", distortion]) == 0
         return float(capsys.readouterr().out.splitlines()[1].split(",")[2])
 
@@ -295,8 +297,6 @@ class TestUnitScaleDistortion:
     )
     def test_agrees_with_the_compound_solve_at_r_0(self, spectrum, distortion):
         cov = SpdMatrix.from_diag(spectrum)
-        from robust_shannon import BwBall, CompoundRdfRequest, compound_rdf
-
         solved = compound_rdf(CompoundRdfRequest(BwBall(cov, 0.0), distortion)).inner_allocation
         for alloc in (reverse_waterfill(cov, distortion), rdf_from_spectrum(spectrum, distortion)):
             assert alloc.rate_nats == solved.rate_nats
