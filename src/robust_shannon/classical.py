@@ -332,20 +332,23 @@ def gaussian_mi(gain, input_cov: SpdMatrix, noise_cov: SpdMatrix) -> float:
 
     ``0.5 * log det(gain input gain^T + noise) / det(noise)``. A singular
     noise covariance is handled on its range via pseudo-determinants when the
-    output signal vanishes on the null space; otherwise DegenerateMI. A gain
-    not finite or not of shape (noise dim, input dim) raises ValueError.
+    output signal vanishes on the null space; otherwise DegenerateMI. Both
+    tests are relative, so the value does not depend on the units of the
+    data: a noise eigenvalue at most 1e-12 of the largest is null, and the
+    signal vanishes there when it is at most 1e-9 of its trace. A gain not
+    finite or not of shape (noise dim, input dim) raises ValueError.
     """
     a = np.asarray(gain, dtype=float)
     if a.shape != (noise_cov.dim, input_cov.dim) or not np.all(np.isfinite(a)):
         raise ValueError(f"gain must be a finite {noise_cov.dim} x {input_cov.dim} matrix")
     signal = _symmetrize(a @ input_cov.entries @ a.T)
     w, v = _lapack.eigh(noise_cov.entries)
-    null_tol = 1e-12 * max(1.0, float(w[-1]))
+    null_tol = 1e-12 * float(w[-1])
     in_range = w > null_tol
     if not np.all(in_range):
         nullspace = v[:, ~in_range]
         leak = float(np.abs(nullspace.T @ signal @ nullspace).max(initial=0.0))
-        if leak > 1e-9 * max(1.0, float(np.trace(signal))):
+        if leak > 1e-9 * float(np.trace(signal)):
             raise DegenerateMI(
                 "noise covariance is singular and the output signal does not "
                 f"vanish on its null space (leakage {leak:.3e})"

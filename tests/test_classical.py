@@ -459,6 +459,33 @@ class TestGaussianMi:
         )
         assert got == pytest.approx(0.5 * math.log(2.0), abs=1e-12)
 
+    def test_small_scale(self):
+        # a noise far below 1 is not null: its floor is relative to its largest eigenvalue
+        got = gaussian_mi(np.eye(1), SpdMatrix([[1e-11]]), SpdMatrix([[1e-13]]))
+        assert got == pytest.approx(0.5 * math.log(101.0), rel=1e-12)
+        cov = SpdMatrix([[1e-11]])
+        channel = rdf_realization(cov, 1e-13)
+        mi = gaussian_mi(channel.gain, cov, channel.noise_cov)
+        assert mi == pytest.approx(math.log(10.0), rel=1e-12)
+        assert mi == pytest.approx(gaussian_rdf(cov, 1e-13), rel=1e-12)
+
+    def test_does_not_depend_on_units(self):
+        # scaling (input, noise) by 4^k leaves the mutual information as it
+        # is, with singular noises (the zero-rate modes of a realization) too
+        rng = np.random.default_rng(62)
+        for i in range(24):
+            d = 1 + i % 4
+            if i % 2:
+                gain, cov, noise = rng.standard_normal((d, d)), random_spd(rng, d), random_spd(rng, d, floor=1e-3)
+            else:
+                cov = random_spd(rng, d)
+                channel = rdf_realization(cov, float(rng.uniform(0.1, 1.2) * cov.trace))
+                gain, noise = channel.gain, channel.noise_cov
+            base = gaussian_mi(gain, cov, noise)
+            for k in range(-100, 101, 5):
+                scaled = (SpdMatrix(np.ldexp(m.entries, 2 * k)) for m in (cov, noise))
+                assert abs(gaussian_mi(gain, *scaled) - base) <= 1e-12 * abs(base)
+
 
 class TestGaussianCapacity:
     def test_zero_power(self):

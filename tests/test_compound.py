@@ -100,6 +100,9 @@ class TestScalarClosedForms:
         assert compound_capacity_scalar(1e200, 0.0, 1.0) == 0.0  # 5.0e-401
         assert compound_rdf_scalar(1e-200, 0.0, 1e-300) == 0.0
         assert compound_capacity_scalar(1e-170, 0.0, 1e300) == pytest.approx(736.827229758, abs=1e-9)
+        # no power where (sigma0 + r)^2 is not a normal float
+        assert compound_capacity_scalar(1e200, 0.0, 0.0) == 0.0
+        assert compound_capacity_scalar(1e-200, 0.0, 0.0) == 0.0
         rng = np.random.default_rng(8)
         for sigma0, r, budget in 10.0 ** rng.uniform(-60.0, 60.0, size=(2000, 3)):
             square = (sigma0 + r) ** 2
@@ -782,7 +785,7 @@ def _frank_wolfe_gap(h, center, noise, input_cov, radius):
     noise, _ = compound._ensure_positive_definite(noise)
     g = _inverse_difference(h, noise.entries, input_cov.entries)
     lam, basis = symmetric_eig(center)
-    return compound._gradient_gap(basis.T @ g @ basis, basis.T @ noise.entries @ basis, lam, radius)
+    return compound._gradient_gap(basis.T @ g @ basis, basis.T @ noise.entries @ basis, lam, radius, math.nan)
 
 
 def _inverse_difference(h, noise, input_cov):
@@ -872,20 +875,20 @@ class TestCertificate:
             for gamma in (1.01 * top, 2.0 * top, top + 10.0):
                 radius = np.array([ball.radius])
                 bound = compound._support_dual(a[None], b, radius, np.array([gamma]))[0]
-                assert bound >= compound._ball_support(a[None], b, radius)[0] - 1e-12
+                assert bound >= compound._ball_support(a[None], b, radius, np.full(1, math.nan))[0] - 1e-12
                 for seed in range(100):
                     draw = random_psd_in_ball(ball, seed).entries
                     assert bound >= float(np.sum((q * a) @ q.T * draw)) - 1e-12
 
     def test_support_is_exact_in_closed_forms(self):
         # scalar ball around sigma^2: max a N = a (sigma + r)^2
-        support = compound._ball_support(np.array([[3.0]]), np.array([4.0]), np.array([0.5]))[0]
+        support = compound._ball_support(np.array([[3.0]]), np.array([4.0]), np.array([0.5]), np.full(1, math.nan))[0]
         assert support == pytest.approx(3.0 * 2.5**2, rel=1e-12)
         # hard case, b = 0 on the top eigenvector: around diag(0, 1) with
         # r = 2, max 2 N11 + N22 is 10, at N = diag(3, 4)
         for b_top in (0.0, 1e-30, 1e-20):
             a, b = np.array([[2.0, 1.0]]), np.array([b_top, 1.0])
-            support = compound._ball_support(a, b, np.array([2.0]))[0]
+            support = compound._ball_support(a, b, np.array([2.0]), np.full(1, math.nan))[0]
             assert support == pytest.approx(10.0, rel=1e-9)
 
     def test_gap_matches_scalar_closed_form(self):
@@ -1078,7 +1081,9 @@ class TestWarmSupport:
     def test_gaps_match_the_cold_start(self, monkeypatch):
         gaps, rates = _gaps_and_rates()
         support = compound._ball_support
-        monkeypatch.setattr(compound, "_ball_support", lambda a, b, radius, start=None: support(a, b, radius))
+        monkeypatch.setattr(
+            compound, "_ball_support", lambda a, b, radius, start: support(a, b, radius, np.full(a.shape[0], math.nan))
+        )
         cold, cold_rates = _gaps_and_rates()
         assert cold_rates.tobytes() == rates.tobytes()
         assert np.all(np.abs(gaps - cold) <= 1e-14 * np.maximum(1.0, np.abs(rates)))
@@ -1089,12 +1094,13 @@ class TestWarmSupport:
         for d in (1, 3, 6):
             a = np.exp(rng.uniform(-2.0, 1.0, (5, d)))
             b, radius = np.exp(rng.uniform(-2.0, 1.0, d)), np.exp(rng.uniform(-2.0, 0.5, 5))
-            cold = compound._ball_support(a, b, radius)
+            cold = compound._ball_support(a, b, radius, np.full(5, math.nan))
             for factor in (0.0, 0.5, 1.0 + 1e-9, 2.0, 1e3):
                 warm = compound._ball_support(a, b, radius, factor * a.max(axis=1))
                 assert np.all(warm >= cold * (1.0 - 1e-13))
-            nan = compound._ball_support(a, b, radius, np.full(5, math.nan))
-            assert nan.tobytes() == cold.tobytes()
+            # a NaN start is the cold start, as is one left of it
+            left = compound._ball_support(a, b, radius, np.zeros(5))
+            assert left.tobytes() == cold.tobytes()
 
 
 def _support_rows():
@@ -1138,7 +1144,7 @@ class TestRowSupport:
         # from the cold start, and from a start left of the root, which both
         # searches take as it is
         for a, b, radius in _support_rows():
-            cold = compound._ball_support(a[None], b, np.array([radius]))[0]
+            cold = compound._ball_support(a[None], b, np.array([radius]), np.full(1, math.nan))[0]
             got = compound._row_support(a.tolist(), b.tolist(), radius, math.nan)
             assert got == pytest.approx(cold, rel=1e-15, abs=0.0)
             start = float(a.max() + 0.5 * (_secular_root(a, b, radius) - a.max()))
@@ -1175,7 +1181,7 @@ class TestRowSupport:
         support = compound._ball_support
         monkeypatch.setattr(
             compound, "_row_support",
-            lambda a, b, radius, start: float(support(np.array([a]), np.array(b), np.array([radius]))[0]),
+            lambda a, b, radius, start: float(support(np.array([a]), np.array(b), np.array([radius]), np.full(1, math.nan))[0]),
         )
         cold = [_capacity_outcome(request) for request in requests]
         assert [w[:-1] for w in warm] == [c[:-1] for c in cold]

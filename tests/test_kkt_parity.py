@@ -1,11 +1,14 @@
-"""The KKT driver steps a small batch's rows one by one in Python floats
-(``_float_steps``) and a large batch in lock step in numpy arrays
-(``_array_steps``); this pins the two to each other, bit for bit.
+"""The KKT driver ``_kkt_newton`` of the eigen-reductions, on batteries of
+sweep-like and dense grids, rank-deficient, ill-conditioned and repeated
+spectra, commuting channels, rows that run out of evaluations, budgets
+below the float range and scripted special values.
 
-Every ``_kkt_newton`` call of the batteries below runs both on the same
-arguments and compares u, the evaluation counts, and on failure the
-message, the diagnostics and ``_row``. Warnings are errors (pyproject), so a
-warning in either one's bookkeeping fails the comparison too.
+Every ``_kkt_newton`` call of the batteries is counted and checked: a
+returned batch has one u row and a step count in [1, MAX_ITERATIONS] per
+row, and a failure is a SolverNoConverge after MAX_ITERATIONS evaluations
+whose ``_row`` is a row of the batch. Warnings are errors (pyproject), so a
+warning in the driver's bookkeeping fails too. The batteries that solve
+check every row's certificate gap.
 """
 
 import math
@@ -13,42 +16,58 @@ import math
 import numpy as np
 import pytest
 
-from robust_shannon import SolverNoConverge, SpdMatrix, sweep_compound
+from robust_shannon import (
+    BwBall,
+    ChannelMatrix,
+    CompoundCapacityRequest,
+    CompoundRdfRequest,
+    SolverNoConverge,
+    SpdMatrix,
+    compound_capacity,
+    compound_rdf,
+    sweep_compound,
+)
 from robust_shannon import compound
 
 
-def _outcome(steps, kkt, args):
-    try:
-        return steps(kkt, *(a.copy() for a in args))
-    except SolverNoConverge as exc:
-        return exc
-
-
 @pytest.fixture
-def compared(monkeypatch):
-    """Runs both step kernels on every ``_kkt_newton`` call; counts the
-    calls, the rows and the calls that raised."""
+def counted(monkeypatch):
+    """Checks every ``_kkt_newton`` call; counts the calls, the rows and the
+    calls that raised."""
     counts = {"calls": 0, "rows": 0, "raised": 0}
+    newton = compound._kkt_newton
 
-    def both(kkt, *args):
-        got, expected = _outcome(compound._float_steps, kkt, args), _outcome(compound._array_steps, kkt, args)
+    def checked(kkt, level, *args):
+        n = level.size
         counts["calls"] += 1
-        counts["rows"] += args[0].size
-        if isinstance(expected, SolverNoConverge):
-            assert isinstance(got, SolverNoConverge)
-            assert str(got) == str(expected)
-            assert got._row == expected._row
-            assert repr(got.diagnostics) == repr(expected.diagnostics)
+        counts["rows"] += n
+        try:
+            u, steps = newton(kkt, level, *args)
+        except SolverNoConverge as exc:
+            assert str(exc) == f"KKT search did not converge within {compound.MAX_ITERATIONS} evaluations"
+            assert 0 <= exc._row < n
+            assert exc.diagnostics.iterations == compound.MAX_ITERATIONS
+            assert exc.diagnostics.solver_path == "eigen-reduction"
+            assert math.isnan(exc.diagnostics.jitter) and exc.diagnostics.certificate_gap is None
             counts["raised"] += 1
-            raise got
-        assert not isinstance(got, SolverNoConverge), str(got)
-        (u, steps), (u_ref, steps_ref) = got, expected
-        assert u.tobytes() == u_ref.tobytes()
-        assert steps.dtype == steps_ref.dtype and steps.tolist() == steps_ref.tolist()
-        return got
+            raise
+        assert u.shape[0] == n and steps.shape == (n,)
+        assert np.all((1 <= steps) & (steps <= compound.MAX_ITERATIONS))
+        return u, steps
 
-    monkeypatch.setattr(compound, "_kkt_newton", both)
+    monkeypatch.setattr(compound, "_kkt_newton", checked)
     return counts
+
+
+def _assert_certified(gaps, values):
+    """Every row's certificate gap is finite and at most 1e-10 max(1, |value|)."""
+    gaps, values = np.asarray(gaps), np.asarray(values)
+    assert np.all(np.isfinite(gaps))
+    assert np.all(gaps <= 1e-10 * np.maximum(1.0, np.abs(values)))
+
+
+def _assert_sweep_certified(points):
+    _assert_certified([p.diagnostics.certificate_gap for p in points], [p.value_nats for p in points])
 
 
 def _rotation(rng, d):
@@ -76,13 +95,13 @@ def _rows(vals, rng, count=12):
 
 
 @pytest.mark.parametrize("kind", ["rdf", "capacity"])
-def test_sweep_like_grids(compared, kind):
+def test_sweep_like_grids(counted, kind):
     rng = np.random.default_rng(2121)
     for d in (1, 4, 16) * 3:
         q = _rotation(rng, d)
         center = SpdMatrix((q * np.exp(rng.uniform(math.log(0.5), math.log(2.0), d))) @ q.T)
-        sweep_compound(kind, center, _sweep_grid(center.trace, kind))
-    assert compared["calls"] == 9 and compared["rows"] == 9 * 24
+        _assert_sweep_certified(sweep_compound(kind, center, _sweep_grid(center.trace, kind)))
+    assert counted["calls"] == 9 and counted["rows"] == 9 * 24
 
 
 def _dense_grid(total, kind):
@@ -93,31 +112,33 @@ def _dense_grid(total, kind):
     ]
 
 
+def _single_shot(kind, center, r, budget):
+    ball = BwBall(center, r)
+    if kind == "rdf":
+        return compound_rdf(CompoundRdfRequest(ball, budget))
+    return compound_capacity(CompoundCapacityRequest(ball, ChannelMatrix(np.eye(center.dim)), budget))
+
+
 @pytest.mark.parametrize("kind", ["rdf", "capacity"])
-def test_dense_radius_sweeps(compared, kind):
-    # 120 rows a sweep, more than _FLOAT_ROWS
+def test_dense_radius_sweeps(counted, kind):
+    # 120 rows in one batch; each row is the bits of its one-row batch
     rng = np.random.default_rng(4747)
+    sweeps = []
     for d in (1, 4, 16):
         q = _rotation(rng, d)
         center = SpdMatrix((q * np.exp(rng.uniform(math.log(0.5), math.log(2.0), d))) @ q.T)
-        sweep_compound(kind, center, _dense_grid(center.trace, kind))
-    assert compared["calls"] == 3 and compared["rows"] == 3 * 120
-
-
-def test_batch_size_picks_the_steps(monkeypatch):
-    taken = []
-    for name in ("_float_steps", "_array_steps"):
-        steps = getattr(compound, name)
-        monkeypatch.setattr(compound, name, lambda *args, name=name, steps=steps: taken.append(name) or steps(*args))
-    center = SpdMatrix(np.diag([2.0, 1.0, 0.5, 0.25]))
-    for grid in (_sweep_grid(center.trace, "rdf"), _dense_grid(center.trace, "rdf")):
-        sweep_compound("rdf", center, grid)
-    assert taken == ["_float_steps", "_array_steps"]
-    assert 24 <= compound._FLOAT_ROWS < 120
+        sweeps.append((center, sweep_compound(kind, center, _dense_grid(center.trace, kind))))
+    assert counted["calls"] == 3 and counted["rows"] == 3 * 120
+    for center, points in sweeps:
+        _assert_sweep_certified(points)
+        for point in points:
+            single = _single_shot(kind, center, point.r, point.budget)
+            assert np.array([single.value_nats]).tobytes() == np.array([point.value_nats]).tobytes()
+            assert repr(single.diagnostics) == repr(point.diagnostics)
 
 
 @pytest.mark.parametrize("kind", ["rdf", "capacity"])
-def test_rank_deficient_rotated_centers(compared, kind):
+def test_rank_deficient_rotated_centers(counted, kind):
     # the RDF's hard case: modes with s = 0 share the radius at omega = 0
     rng = np.random.default_rng(5)
     for _ in range(40):
@@ -126,23 +147,25 @@ def test_rank_deficient_rotated_centers(compared, kind):
         center = SpdMatrix(g @ g.T)
         total = center.trace
         grid = [(f * math.sqrt(total), b * total) for f in (0.01, 0.1, 0.5) for b in (0.01, 0.1, 0.5)]
-        sweep_compound(kind, center, grid)
-    assert compared["calls"] == 40
+        _assert_sweep_certified(sweep_compound(kind, center, grid))
+    assert counted["calls"] == 40
 
 
-def test_ill_conditioned_and_repeated_spectra(compared):
+def test_ill_conditioned_and_repeated_spectra(counted):
     rng = np.random.default_rng(3)
     spectra = [np.sort(np.exp(rng.uniform(math.log(1e-6), 0.0, int(rng.integers(2, 17)))))[::-1] for _ in range(30)]
     spectra += [np.array([2.0, 2.0, 2.0, 1.0, 1.0, 0.5]), np.array([1.0] * 5), np.array([3.0, 1e-9, 1e-9, 0.0, 0.0])]
     for vals in spectra:
         radius, distortion, power = _rows(vals, rng)
         s = np.sqrt(vals)
-        compound._rdf_rows(vals, radius, distortion)
-        compound._capacity_rows(s[s > 0.0], np.ones(int((s > 0.0).sum())), radius, power)
-    assert compared["calls"] == 2 * len(spectra)
+        _, (_, _, rate), _, gap = compound._rdf_rows(vals, radius, distortion)
+        _assert_certified(gap, rate)
+        _, (_, _, rate), _, gap = compound._capacity_rows(s[s > 0.0], np.ones(int((s > 0.0).sum())), radius, power)
+        _assert_certified(gap, rate)
+    assert counted["calls"] == 2 * len(spectra)
 
 
-def test_commuting_channels(compared):
+def test_commuting_channels(counted):
     # squared channel weights other than one, dead modes among them
     rng = np.random.default_rng(11)
     for i in range(30):
@@ -151,11 +174,12 @@ def test_commuting_channels(compared):
         w = np.exp(rng.uniform(math.log(0.05), math.log(20.0), d))
         w[: i % 3] = 0.0
         radius, _, power = _rows(s * s, rng)
-        compound._capacity_rows(s, w, radius, power)
-    assert compared["calls"] == 30
+        _, (_, _, rate), _, gap = compound._capacity_rows(s, w, radius, power)
+        _assert_certified(gap, rate)
+    assert counted["calls"] == 30
 
 
-def test_rows_that_run_out_of_evaluations(compared, monkeypatch):
+def test_rows_that_run_out_of_evaluations(counted, monkeypatch):
     monkeypatch.setattr(compound, "MAX_ITERATIONS", 2)
     rng = np.random.default_rng(23)
     failed = 0
@@ -168,10 +192,10 @@ def test_rows_that_run_out_of_evaluations(compared, monkeypatch):
             except SolverNoConverge as exc:
                 assert str(exc).startswith(f"grid point {exc._row}")
                 failed += 1
-    assert failed == compared["raised"] == 10
+    assert failed == counted["raised"] == 10
 
 
-def test_budgets_below_the_float_range(compared, monkeypatch):
+def test_budgets_below_the_float_range(counted, monkeypatch):
     # real evaluations that reach the steps' divisions by zero: a level of 0
     # at a distortion of 5e-324, a c_mult of 0 at 1e-308 (from about the
     # 980th evaluation on)
@@ -182,7 +206,7 @@ def test_budgets_below_the_float_range(compared, monkeypatch):
                 compound._rdf_rows(np.array([2.0, 1.0, 0.5]), np.array([0.1, 0.5]), np.full(2, distortion))
             except SolverNoConverge:
                 pass
-    assert compared["calls"] == 2
+    assert counted["calls"] == 2
 
 
 class _Scripted:
@@ -214,9 +238,11 @@ class _Scripted:
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_special_values_follow_numpy(compared, monkeypatch, sign):
-    # numpy warns where it divides by zero or compares NaNs; the values are
-    # what is compared here, so its warnings are silenced
+def test_special_values_follow_numpy(counted, monkeypatch, sign):
+    # each call returns step counts in [1, MAX_ITERATIONS] or raises
+    # SolverNoConverge naming a row of the batch (``counted``): a division
+    # by zero takes numpy's value, so no ZeroDivisionError escapes, and the
+    # steps in Python floats warn nowhere
     monkeypatch.setattr(compound, "MAX_ITERATIONS", 40)
     rng = np.random.default_rng(31)
     for _ in range(60):
@@ -225,12 +251,11 @@ def test_special_values_follow_numpy(compared, monkeypatch, sign):
         hi = lo + np.exp(rng.uniform(-1.0, 2.0, n))
         level = np.where(rng.random(n) < 0.2, lo, lo + rng.random(n) * (hi - lo))
         mult = np.where(rng.random(n) < 0.3, math.nan, rng.standard_normal(n))
-        with np.errstate(all="ignore"):
-            try:
-                compound._kkt_newton(_Scripted(sign), level, mult, lo, hi)
-            except SolverNoConverge:
-                pass
-    assert 0 < compared["raised"] < compared["calls"] == 60
+        try:
+            compound._kkt_newton(_Scripted(sign), level, mult, lo, hi)
+        except SolverNoConverge:
+            pass
+    assert 0 < counted["raised"] < counted["calls"] == 60
 
 
 @pytest.mark.parametrize("a", [1.5, -1.5, 0.0, -0.0, math.inf, -math.inf, math.nan])

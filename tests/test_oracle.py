@@ -156,6 +156,8 @@ def exactness_clouds(kind, n, d, rng):
         spread = 3 if n % 2 else 1
         x = x * np.logspace(-spread, spread, d) + 1e4
         y = x[rng.permutation(n)]
+    elif kind == "full_against_rank_one":  # a full-rank fit of x, so the map A has the rank of y's, one
+        y = np.outer(rng.standard_normal(n), rng.standard_normal(d)) + 1.0
     return x, y
 
 
@@ -164,7 +166,7 @@ class TestEmpiricalW2Exactness:
 
     KINDS = (
         "gaussian", "equal_points", "rank_one", "integer_ties",
-        "axis_scales", "offsets", "permuted_copy",
+        "axis_scales", "offsets", "permuted_copy", "full_against_rank_one",
     )
 
     @pytest.mark.parametrize("d", [2, 3, 4])
