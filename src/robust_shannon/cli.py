@@ -45,7 +45,8 @@ EXIT_IO = 4
 
 
 def load_covariance(path: str) -> SpdMatrix:
-    """Load {"dim": d, "rows": [[...], ...]} as a covariance matrix.
+    """Load {"dim": d, "rows": [[...], ...]}, d a positive integer and every
+    entry a JSON number (not true or false), as a covariance matrix.
 
     Relative asymmetry above 1e-6 is rejected; below it ``SpdMatrix``
     averages the rows with their transpose.
@@ -73,11 +74,14 @@ def _load_matrix(path: str) -> np.ndarray:
         raise ValueError(f"cannot parse {path}: {exc}") from exc
     if not isinstance(payload, dict) or "dim" not in payload or "rows" not in payload:
         raise ValueError(f'{path}: expected an object with "dim" and "rows"')
-    rows = np.asarray(payload["rows"], dtype=float)
-    dim = payload["dim"]
-    if rows.ndim != 2 or rows.shape != (dim, dim):
-        raise ValueError(f"{path}: rows must form a {dim}x{dim} matrix")
-    return rows
+    dim, rows = payload["dim"], payload["rows"]
+    if type(dim) is not int or dim < 1:  # a JSON true loads as a bool, a subclass of int
+        raise ValueError(f'{path}: "dim" must be a positive integer, got {json.dumps(dim)}')
+    square = type(rows) is list and len(rows) == dim and all(type(row) is list and len(row) == dim for row in rows)
+    top = sys.float_info.max  # a larger JSON integer is beyond the float range
+    if not square or any(type(v) is not float and not (type(v) is int and abs(v) <= top) for row in rows for v in row):
+        raise ValueError(f"{path}: rows must form a {dim}x{dim} matrix of numbers in the float range")
+    return np.array(rows, dtype=float)
 
 
 def _parse_number(text: str, flag: str, kind=float):

@@ -84,6 +84,7 @@ from .errors import RobustShannonError, SolverNoConverge
 from .psd_geometry import (
     BwBall,
     SpdMatrix,
+    _check_radius,
     _ensure_positive_definite,
     _symmetrize,
     symmetric_eig,
@@ -203,9 +204,7 @@ def _check_scalar_domain(sigma0, r):
     """(sigma0, r) as floats; ValueError unless sigma0 > 0 and r >= 0, both finite."""
     if not (float(sigma0) > 0.0 and math.isfinite(sigma0)):
         raise ValueError(f"sigma0 must be positive and finite, got {sigma0}")
-    if not (float(r) >= 0.0 and math.isfinite(r)):
-        raise ValueError(f"r must be nonnegative and finite, got {r}")
-    return float(sigma0), float(r)
+    return float(sigma0), _check_radius(r)
 
 
 def _normal_square(s: float):
@@ -268,21 +267,16 @@ def _minimize(objective, gradient, gap, x0, radius):
         step = _line_search(objective, x, value, grad, radius, alpha)
         if step is None and alpha != 1.0:
             step = _line_search(objective, x, value, grad, radius, 1.0)
-        if step is None:
-            # The iterate did not move; every further iteration would repeat
-            # this line search verbatim.
+        if step is not None:
+            candidate, cand_value, cand_inner = step
+            stagnant = abs(cand_value - value) < VALUE_STAGNATION_TOL * max(1.0, abs(value))
+            move, x, value, inner = candidate - x, candidate, cand_value, cand_inner
+        if step is None or stagnant:
             diagnostics = SolverDiagnostics(iteration, label, math.nan, gap(inner, radius))
             if diagnostics.certificate_gap <= VALUE_STAGNATION_TOL * max(1.0, abs(value)):
                 return x, value, inner, diagnostics
-            raise SolverNoConverge("line search cannot move an iterate whose gap is above tolerance", diagnostics)
-        candidate, cand_value, cand_inner = step
-        stagnant = abs(cand_value - value) < VALUE_STAGNATION_TOL * max(1.0, abs(value))
-        move, x, value, inner = candidate - x, candidate, cand_value, cand_inner
-        if stagnant:
-            certificate = gap(inner, radius)
-            if certificate <= VALUE_STAGNATION_TOL * max(1.0, abs(value)):
-                diagnostics = SolverDiagnostics(iteration, label, math.nan, certificate)
-                return x, value, inner, diagnostics
+            if step is None:  # every further iteration would repeat this line search verbatim
+                raise SolverNoConverge("line search cannot move an iterate whose gap is above tolerance", diagnostics)
     raise SolverNoConverge(
         f"value did not stagnate within {MAX_ITERATIONS} iterations",
         SolverDiagnostics(MAX_ITERATIONS, label, math.nan, gap(inner, radius)),
@@ -1102,14 +1096,15 @@ def sweep_compound(
     """Evaluate a compound problem around ``center`` over (radius, budget) pairs.
 
     Capacity sweeps use ``channel`` (the identity when None); RDF sweeps take
-    none. Every grid point is validated first; then the points are the rows
-    of one ``_solve``, which finds the jitter and the shared axes once per
-    sweep. Pointwise equal to the single-shot solvers, in input order, each
-    point with its diagnostics. A failure, a bad budget or radius included,
-    is re-raised as the same exception, diagnostics included, with a grid
-    index prefixed to its message: the first bad point, the lowest failing
-    row that ``_solve`` names, or 0 for the set-up every point shares. No
-    row is solved twice.
+    none. The grid is checked in one pass by the rules the request types run,
+    and its points are the rows of one ``_solve``, which does the set-up once.
+    In input order, each point has the single-shot value and diagnostics, bit
+    for bit; an eigen-reduction point's ``worst_case_trace`` sums its spectrum
+    and can differ from ``worst_case_cov.trace`` in the last bits. A failure
+    is re-raised, diagnostics included, with a grid index prefixed to its
+    message: the first point that is not a (radius, budget) pair or is out of
+    domain, the lowest failing row that ``_solve`` names, or 0 for the set-up
+    every point shares (the channel's size among it). No row is solved twice.
     """
     if kind not in ("rdf", "capacity"):
         raise ValueError(f"kind must be 'rdf' or 'capacity', got {kind!r}")
@@ -1120,24 +1115,20 @@ def sweep_compound(
         raise ValueError("grid must be non-empty")
     if kind == "capacity" and channel is None:
         channel = ChannelMatrix(np.eye(center.dim))
-    index, rows = 0, []
+    check = _check_distortion if kind == "rdf" else _check_power
+    index, radius, budgets = 0, [], []
     try:
+        if kind == "capacity" and channel.dim != center.dim:
+            raise ValueError("channel and ball center dimensions do not match")
         for index, (r, budget) in enumerate(points):
-            ball = BwBall(center, r)
-            if kind == "rdf":
-                rows.append((ball.radius, CompoundRdfRequest(ball, budget).distortion))
-            else:
-                rows.append((ball.radius, CompoundCapacityRequest(ball, channel, budget).power))
+            radius.append(_check_radius(r))
+            budgets.append(check(budget))
         index = 0  # a failure of the work shared by every point is reported at the first
-        radius, budgets = np.array(rows).T
-        try:
-            trace, (_, _, value), diagnostics, _ = _solve(kind, center, channel, radius, budgets)
-        except (ValueError, SolverNoConverge) as exc:
-            index = getattr(exc, "_row", 0)
-            raise
-        columns = (a.tolist() for a in (radius, budgets, value, trace))
-        return [SweepPoint(r, b, v, t, diag) for r, b, v, t, diag in zip(*columns, diagnostics)]
+        trace, (_, _, value), diagnostics, _ = _solve(kind, center, channel, np.array(radius), np.array(budgets))
+        return [SweepPoint(*row) for row in zip(radius, budgets, value.tolist(), trace.tolist(), diagnostics)]
     except (ValueError, RobustShannonError) as exc:
-        r, budget = points[index]
-        exc.args = (f"grid point {index} (r={r}, budget={budget}): {exc}",)
+        index = getattr(exc, "_row", index)
+        point = points[index]
+        where = "r={}, budget={}".format(*point) if len(point) == 2 else repr(point)
+        exc.args = (f"grid point {index} ({where}): {exc}",)
         raise

@@ -37,6 +37,7 @@ from .psd_geometry import (
     BwBall,
     GaussianLaw,
     SpdMatrix,
+    _check_radius,
     gaussian_w2,
     random_psd_in_ball,
 )
@@ -267,8 +268,7 @@ def brute_force_compound(
         raise ValueError("center must be diagonal")
     if not (float(grid_step) > 0.0 and math.isfinite(grid_step)):
         raise ValueError(f"grid_step must be positive and finite, got {grid_step}")
-    if not (float(r) >= 0.0 and math.isfinite(r)):
-        raise ValueError(f"r must be nonnegative and finite, got {r}")
+    r = _check_radius(r)
     budget = _check_distortion(budget) if kind == "rdf" else _check_power(budget)
     s = np.sqrt(diag)
     axes = [

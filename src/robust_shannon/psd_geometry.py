@@ -182,10 +182,15 @@ class BwBall:
     radius: float
 
     def __post_init__(self):
-        r = float(self.radius)
-        if not (r >= 0.0 and math.isfinite(r)):
-            raise ValueError("radius must be a finite nonnegative real")
-        object.__setattr__(self, "radius", r)
+        object.__setattr__(self, "radius", _check_radius(self.radius))
+
+
+def _check_radius(radius) -> float:
+    """The ball radius as a float; ValueError unless finite and nonnegative."""
+    r = float(radius)
+    if not (r >= 0.0 and math.isfinite(r)):
+        raise ValueError("radius must be a finite nonnegative real")
+    return r
 
 
 def symmetric_eig(m: SpdMatrix):

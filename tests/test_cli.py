@@ -222,12 +222,37 @@ SWEEP_CAPACITY = ("sweep", "--kind", "capacity", "--sigma0-scalar", "1", "--radi
          "sweep --kind rdf does not take --channel"),
         (None, SWEEP_CAPACITY + ("--power", "1", "--distortion", "7"),
          "sweep --kind capacity does not take --distortion"),
+        # a matrix file holds a positive integer dim and dim x dim JSON numbers, or is
+        # rejected by name: rows {"a": 1} raised TypeError (exit 1), "2" and true read as numbers
+        ('{"dim": 1, "rows": {"a": 1}}', ("rdf", "--center", "FILE", "--distortion", "1"),
+         "FILE: rows must form a 1x1 matrix of numbers in the float range"),
+        ('{"dim": 2, "rows": [[1.0, 0.0], 7]}', ("rdf", "--center", "FILE", "--distortion", "1"),
+         "FILE: rows must form a 2x2 matrix of numbers in the float range"),
+        ('{"dim": 1, "rows": [["2"]]}', ("rdf", "--center", "FILE", "--distortion", "1"),
+         "FILE: rows must form a 1x1 matrix of numbers in the float range"),
+        ('{"dim": 1, "rows": [[true]]}', ("rdf", "--center", "FILE", "--distortion", "1"),
+         "FILE: rows must form a 1x1 matrix of numbers in the float range"),
+        ('{"dim": 1, "rows": [[null]]}', ("rdf", "--center", "FILE", "--distortion", "1"),
+         "FILE: rows must form a 1x1 matrix of numbers in the float range"),
+        ('{"dim": true, "rows": [[1.0]]}', ("rdf", "--center", "FILE", "--distortion", "1"),
+         'FILE: "dim" must be a positive integer, got true'),
+        ('{"dim": 1.0, "rows": [[1.0]]}', ("rdf", "--center", "FILE", "--distortion", "1"),
+         'FILE: "dim" must be a positive integer, got 1.0'),
+        ('{"dim": 0, "rows": []}', ("rdf", "--center", "FILE", "--distortion", "1"),
+         'FILE: "dim" must be a positive integer, got 0'),
+        ('{"dim": 1, "rows": [[1%s]]}' % ("0" * 400), ("rdf", "--center", "FILE", "--distortion", "1"),
+         "FILE: rows must form a 1x1 matrix of numbers in the float range"),
+        ('{"dim": 1, "rows": [[true]]}',
+         ("capacity", "--sigma0-scalar", "1", "--channel", "FILE", "--power", "1"),
+         "FILE: rows must form a 1x1 matrix of numbers in the float range"),
     ],
     ids=["malformed_json", "no_dim_or_rows", "rows_dim_mismatch", "grid_two_fields",
          "grid_count_zero", "negative_sigma0", "overflowing_sigma0", "sweep_no_distortion",
          "sweep_no_power", "subnormal_noise", "empty_channel_path", "center_and_sigma0_missing_file",
          "center_and_sigma0_valid_file", "sweep_rdf_power", "sweep_rdf_channel",
-         "sweep_capacity_distortion"],
+         "sweep_capacity_distortion", "rows_object", "row_not_a_list", "string_entry", "bool_entry",
+         "null_entry", "bool_dim", "float_dim", "zero_dim", "integer_beyond_float_range",
+         "bool_channel_entry"],
 )
 def test_rejected_input_exit_code(tmp_path, capsys, center_text, argv, message):
     path = tmp_path / "center.json"
@@ -236,7 +261,7 @@ def test_rejected_input_exit_code(tmp_path, capsys, center_text, argv, message):
     code, out, err = run_cli(capsys, *(str(path) if arg == "FILE" else arg for arg in argv))
     assert code == 2
     assert out == ""
-    assert message in err
+    assert message.replace("FILE", str(path)) in err
 
 
 def test_subnormal_distortion_exits_2(capsys):

@@ -114,7 +114,7 @@ class TestScalarClosedForms:
     def test_non_finite_sigma0_or_radius_rejected(self, closed_form, bad):
         with pytest.raises(ValueError, match="finite"):
             closed_form(bad, 0.5, 1.0)
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match="radius must be a finite nonnegative real"):
             closed_form(1.0, bad, 1.0)
 
 
@@ -721,6 +721,90 @@ class TestSweep:
         center = SpdMatrix.identity(1)
         with pytest.raises(ValueError, match="no channel"):
             sweep_compound("rdf", center, [(0.1, 1.0)], ChannelMatrix(np.eye(1)))
+
+    def test_grid_is_checked_without_balls_or_requests(self, monkeypatch):
+        center = SpdMatrix([[2.0, 0.3, 0.0], [0.3, 1.0, 0.2], [0.0, 0.2, 0.5]])
+        general = ChannelMatrix([[1.0, 0.5, 0.0], [0.2, 1.0, 0.3], [0.0, -0.4, 0.8]])
+        sweeps = [("rdf", [(0.0, 0.5), (0.3, 1.0)], None), ("capacity", [(0.0, 1.0), (0.3, 2.0)], None),
+                  ("capacity", [(0.0, 1.0), (0.3, 2.0)], general)]
+        expected = [repr(sweep_compound(kind, center, grid, h)) for kind, grid, h in sweeps]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sweep builds no ball and no request")
+
+        for name in ("BwBall", "CompoundRdfRequest", "CompoundCapacityRequest"):
+            monkeypatch.setattr(compound, name, refuse)
+        assert [repr(sweep_compound(kind, center, grid, h)) for kind, grid, h in sweeps] == expected
+
+    @pytest.mark.parametrize(
+        "kind, center, grid, channel, max_iterations, error, message",
+        [
+            ("rdf", None, [(0.1, 1.0), (-1.0, 1.0)], None, None, ValueError,
+             "grid point 1 (r=-1.0, budget=1.0): radius must be a finite nonnegative real"),
+            ("capacity", None, [(math.nan, 1.0)], None, None, ValueError,
+             "grid point 0 (r=nan, budget=1.0): radius must be a finite nonnegative real"),
+            ("rdf", None, [(0.1, 1.0), (0.2, 0.5), (math.inf, 1.0)], None, None, ValueError,
+             "grid point 2 (r=inf, budget=1.0): radius must be a finite nonnegative real"),
+            ("rdf", None, [(0.1, 0.0)], None, None, ValueError,
+             "grid point 0 (r=0.1, budget=0.0): distortion must be positive and finite, got 0.0"),
+            ("rdf", None, [(0.1, 1.0), (0.1, math.nan)], None, None, ValueError,
+             "grid point 1 (r=0.1, budget=nan): distortion must be positive and finite, got nan"),
+            ("capacity", None, [(0.1, 1.0), (0.1, -1.0)], None, None, ValueError,
+             "grid point 1 (r=0.1, budget=-1.0): power must be nonnegative and finite, got -1.0"),
+            ("capacity", None, [(0.1, math.inf)], None, None, ValueError,
+             "grid point 0 (r=0.1, budget=inf): power must be nonnegative and finite, got inf"),
+            ("capacity", None, [(0.1, 1.0), (0.2, 1.0)], np.eye(2), None, ValueError,
+             "grid point 0 (r=0.1, budget=1.0): channel and ball center dimensions do not match"),
+            ("rdf", None, [(0.1, 1.0), (0.2, 1e-308), (0.3, 1e-308)], None, None, ValueError,
+             "grid point 1 (r=0.2, budget=1e-308): distortion 1e-308 is too small for this center: at unit "
+             "scale the water level, at least distortion / 3, would be below the normal float range"),
+            ("capacity", [[1e-310]], [(0.1, 1.0), (0.2, 1.0)], None, None, ValueError,
+             "grid point 0 (r=0.1, budget=1.0): whitened channel gain is not finite: noise too small for "
+             "the channel"),
+            ("capacity", None, [(0.0, 1.0), (0.5, 2.0), (0.5, 1.0)], None, 1, SolverNoConverge,
+             "grid point 1 (r=0.5, budget=2.0): KKT search did not converge within 1 evaluations"),
+            ("capacity", None, [(0.0, 1.0), (0.5, 2.0)], [[1.0, 0.5, 0.0], [0.2, 1.0, 0.3], [0.0, -0.4, 0.8]],
+             1, SolverNoConverge, "grid point 1 (r=0.5, budget=2.0): value did not stagnate within 1 iterations"),
+        ],
+        ids=["negative_radius", "nan_radius", "infinite_radius", "zero_distortion", "nan_distortion",
+             "negative_power", "infinite_power", "channel_size", "distortion_below_float_range",
+             "subnormal_noise_center", "kkt_out_of_iterations", "projected_gradient_out_of_iterations"],
+    )
+    def test_one_defect_names_its_grid_point(
+        self, monkeypatch, kind, center, grid, channel, max_iterations, error, message
+    ):
+        center = SpdMatrix(center or [[2.0, 0.3, 0.0], [0.3, 1.0, 0.2], [0.0, 0.2, 0.5]])
+        if max_iterations is not None:
+            monkeypatch.setattr(compound, "MAX_ITERATIONS", max_iterations)
+        with pytest.raises(error) as info:
+            sweep_compound(kind, center, grid, None if channel is None else ChannelMatrix(channel))
+        assert type(info.value) is error and str(info.value) == message
+
+    @pytest.mark.parametrize("point", [(0.2,), (0.2, 1.0, 3.0)])
+    def test_point_that_is_not_a_pair_names_its_grid_point(self, point):
+        # the handler unpacked the point again and raised from inside itself
+        with pytest.raises(ValueError, match=r"^grid point 1 \(\(0\.2,.*unpack"):
+            sweep_compound("rdf", SpdMatrix.identity(2), [(0.1, 1.0), point])
+
+    def test_points_equal_single_shot_and_traces_to_rounding(self):
+        # on the eigen-reductions a point's trace is the sum of the worst-case
+        # spectrum, the single shot's the trace of the assembled matrix
+        rng = np.random.default_rng(29)
+        for i in range(120):
+            kind, d = ("rdf", "capacity")[i % 2], 2 + (i // 2) % 6
+            q, upper = np.linalg.qr(rng.standard_normal((d, d)))
+            q = q * np.sign(np.diag(upper))
+            center = SpdMatrix((q * np.exp(rng.uniform(math.log(0.5), math.log(2.0), d))) @ q.T)
+            r, budget = 0.3 * math.sqrt(center.trace), float(rng.uniform(0.1, 1.0)) * center.trace
+            (point,) = sweep_compound(kind, center, [(r, budget)])
+            if kind == "rdf":
+                single = compound_rdf(CompoundRdfRequest(BwBall(center, r), budget))
+            else:
+                single = compound_capacity(CompoundCapacityRequest(BwBall(center, r), ChannelMatrix(np.eye(d)), budget))
+            assert point.value_nats == single.value_nats
+            assert point.diagnostics == single.diagnostics
+            trace = single.worst_case_cov.trace
+            assert abs(point.worst_case_trace - trace) <= 2e-15 * trace
 
 
 class TestTinyRadius:

@@ -254,7 +254,7 @@ class TestBruteForceCompound:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_radius_or_step(self, bad):
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match="radius must be a finite nonnegative real"):
             brute_force_compound("rdf", SpdMatrix.identity(2), bad, 1.0, 1e-2)
         with pytest.raises(ValueError, match="finite"):
             brute_force_compound("rdf", SpdMatrix.identity(2), 0.1, 1.0, bad)
