@@ -33,12 +33,17 @@ import numpy as np
 
 from . import _lapack
 from .errors import DegenerateMI
-from .psd_geometry import SpdMatrix, _ensure_positive_definite, _symmetrize, symmetric_eig
+from .psd_geometry import SpdMatrix, _ensure_positive_definite, _real, _symmetrize, symmetric_eig
 
 # x * _FAR > y for every quotient x / y > 0 that overflows, as x * _FAR is then about 2 y or more
 _FAR = 2.0**-1023
 # the largest float whose square is finite
 _ROOT_MAX = math.sqrt(sys.float_info.max)
+# the least ratio of whitened gains that ``_gram_whitened_gains`` takes from the Gram product, whose
+# eigendecomposition squares the condition number of the SVD: against 30-digit values on 40 rotated
+# channels each at d = 4, 8 and 16, its least gain erred by up to 2.5e-13 relative at a spread of
+# 1e3, 7.7e-13 at 3e3 and 3.3e-12 at 9e3 (about 1.7 eps times the spread), the SVD's by under 1e-14
+_GRAM_SPREAD = 1e-3
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,7 +109,7 @@ class GaussianCapacity(NamedTuple):
 
 def _check_distortion(distortion) -> float:
     """The distortion budget as a float; ValueError unless positive and finite."""
-    d = float(distortion)
+    d = _real(distortion)
     if not (d > 0.0 and math.isfinite(d)):
         raise ValueError(f"distortion must be positive and finite, got {distortion}")
     return d
@@ -140,7 +145,7 @@ def _rdf(eigenvalues: np.ndarray, distortion, trace: float):
 
 def _check_power(power) -> float:
     """The power budget as a float; ValueError unless nonnegative and finite."""
-    p = float(power)
+    p = _real(power)
     if not (p >= 0.0 and math.isfinite(p)):
         raise ValueError(f"power must be nonnegative and finite, got {power}")
     return p
@@ -408,7 +413,37 @@ def _whitened_gains(h: np.ndarray, noise: np.ndarray):
     raises ValueError.
     """
     chol = _lapack.cholesky(noise)
-    u, svals, vt = _lapack.svd(_lapack.solve_lower(chol, h))
+    return (*_singular_gains(_lapack.solve_lower(chol, h)), chol)
+
+
+def _singular_gains(a: np.ndarray):
+    """Squared singular values, V^T and U of the whitened channel ``a``, by
+    its SVD; ValueError for a gain that is not finite."""
+    u, svals, vt = _lapack.svd(a)
     if not svals[0] <= _ROOT_MAX:  # the largest comes first; NaN fails too
         raise ValueError("whitened channel gain is not finite: noise too small for the channel")
-    return svals * svals, vt, u, chol
+    return svals * svals, vt, u
+
+
+def _gram_whitened_gains(h: np.ndarray, noise: np.ndarray):
+    """The gains, U and L of ``_whitened_gains``, without V^T: from one
+    eigendecomposition of the Gram product A A^T = U diag(gains) U^T, A =
+    L^{-1} H, which costs less than the SVD of A at d >= 8.
+
+    That route squares the condition number, so it is taken only where the
+    gains are finite, not all 0 and spread at most 1 / _GRAM_SPREAD apart:
+    where the sum of squares of A, the Gram product's trace, lies in (0,
+    half the float range] (every entry of the product is at most that sum,
+    up to rounding, so none overflows) and the least gain is at least
+    _GRAM_SPREAD times the largest. Otherwise, as for a rank-deficient or
+    ill-conditioned channel, it takes the SVD of the same A and returns
+    ``_whitened_gains``' result, bits and errors included.
+    """
+    chol = _lapack.cholesky(noise)
+    a = _lapack.solve_lower(chol, h)
+    if 0.0 < np.vdot(a, a) <= 0.5 * sys.float_info.max:  # NaN fails too
+        gains, u = _lapack.eigh(a @ a.T)
+        if gains[0] >= _GRAM_SPREAD * gains[-1]:
+            return gains[::-1], u[:, ::-1], chol
+    gains, _, u = _singular_gains(a)
+    return gains, u, chol

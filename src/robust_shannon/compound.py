@@ -34,14 +34,18 @@ convex problem (capacity is convex in the noise covariance and the ball is
 convex) without a closed-form reduction. It is solved by projected gradient
 in optimal-transport-map coordinates, where the ball is an exact Euclidean
 ball and PSD-ness is automatic, from one start, the center, using the
-Danskin envelope gradient, a Gram product of the Cholesky factor and SVD
-each evaluation takes for its inner waterfill. On the sphere an outward
-gradient loses its radial part, so the rescale acts as a retraction. Each
-line search starts from the Barzilai-Borwein step (and from 1 again if that
-finds no descent), and the solve stops on its certificate: once a step
-leaves the value unchanged to VALUE_STAGNATION_TOL (relative) and the
-Frank-Wolfe gap below is at most VALUE_STAGNATION_TOL max(1, |value|). An
-iterate that no step moves is returned only if its gap meets that bound.
+Danskin envelope gradient, a Gram product of the Cholesky factor and the
+left singular vectors of the whitened channel that each evaluation takes
+for its inner waterfill. Those come from one symmetric eigendecomposition
+of the whitened channel's Gram product, or from its SVD where the gains
+spread too far apart for that (``classical._gram_whitened_gains``). On the
+sphere an outward gradient loses its radial part, so the rescale acts as a
+retraction. Each line search starts from the Barzilai-Borwein step (and
+from 1 again if that finds no descent), and the solve stops on its
+certificate: once a step leaves the value unchanged to VALUE_STAGNATION_TOL
+(relative) and the Frank-Wolfe gap below is at most VALUE_STAGNATION_TOL
+max(1, |value|). An iterate that no step moves is returned only if its gap
+meets that bound.
 
 Every compound result carries a duality gap
 (``SolverDiagnostics.certificate_gap``), an upper bound in nats on the
@@ -75,6 +79,7 @@ from .classical import (
     _capacity_core,
     _check_distortion,
     _check_power,
+    _gram_whitened_gains,
     _inverse_gains,
     _whitened_gains,
     reverse_waterfill_rows,
@@ -86,6 +91,7 @@ from .psd_geometry import (
     SpdMatrix,
     _check_radius,
     _ensure_positive_definite,
+    _real,
     _symmetrize,
     symmetric_eig,
 )
@@ -202,9 +208,10 @@ def compound_capacity_scalar(sigma0: float, r: float, power: float) -> float:
 
 def _check_scalar_domain(sigma0, r):
     """(sigma0, r) as floats; ValueError unless sigma0 > 0 and r >= 0, both finite."""
-    if not (float(sigma0) > 0.0 and math.isfinite(sigma0)):
+    s = _real(sigma0)
+    if not (s > 0.0 and math.isfinite(s)):
         raise ValueError(f"sigma0 must be positive and finite, got {sigma0}")
-    return float(sigma0), _check_radius(r)
+    return s, _check_radius(r)
 
 
 def _normal_square(s: float):
@@ -779,17 +786,20 @@ class _TransportCoordinates:
         N = L L^T and L^{-1} H = U diag(sqrt(g)) V^T give N + H Q H^T = L U
         diag(1 + g p) U^T L^T at Q = V diag(p) V^T, so G = 0.5 ((N + H Q
         H^T)^{-1} - N^{-1}) is exactly the Gram product -0.5 B^T diag(g p /
-        (1 + g p)) B, B = U^T L^{-1}: nothing is inverted. B^T = L^{-T} U is
-        the second of two triangular solves on L, after the L^{-1} H of the
-        whitening. The waterfill is ``_capacity_core``, the one-spectrum
-        scan."""
+        (1 + g p)) B, B = U^T L^{-1}: nothing is inverted, and V is never
+        needed. So g and U come from ``_gram_whitened_gains``, one
+        eigendecomposition of L^{-1} H (L^{-1} H)^T = U diag(g) U^T, or the
+        SVD of L^{-1} H where the gains spread more than 1e3 apart. B^T =
+        L^{-T} U is the second of two triangular solves on L, after the
+        L^{-1} H of the whitening. The waterfill is ``_capacity_core``, the
+        one-spectrum scan."""
         eye = self.eye
         s = eye + y / self.weight
         noise = self.noise(s)
         threshold = 0.5e-12 * noise.trace() / self.lam.size
         if not (threshold > 0.0 and _lapack.positive_definite(noise - threshold * eye)):
             noise = _ensure_positive_definite(SpdMatrix(noise))[0].entries
-        gains, _, u, chol = _whitened_gains(self.channel, noise)
+        gains, u, chol = _gram_whitened_gains(self.channel, noise)
         inverse = _inverse_gains(gains)
         level, per_mode, rate = _capacity_core(inverse, self.power)
         b = _lapack.solve_lower(chol, u, trans=1) * np.sqrt(per_mode / (inverse + per_mode))  # B^T diag(...)^{1/2}
@@ -892,7 +902,7 @@ def _solve(kind, center, channel, radius, budget):
                     coords = _TransportCoordinates(center_pd, h, budget[i])
                     try:
                         _, _, (s_map, _, _, found), diag = _minimize(
-                            coords.objective, coords.gradient, coords.gap, np.zeros(h.shape), radius[i]
+                            coords.objective, coords.gradient, coords.gap, np.zeros(h.shape), float(radius[i])
                         )
                     except SolverNoConverge as exc:
                         exc._row = int(i)
@@ -1120,7 +1130,11 @@ def sweep_compound(
     try:
         if kind == "capacity" and channel.dim != center.dim:
             raise ValueError("channel and ball center dimensions do not match")
-        for index, (r, budget) in enumerate(points):
+        for index, point in enumerate(points):
+            try:
+                r, budget = point
+            except TypeError as exc:  # not iterable: a ValueError, as for a point of another length
+                raise ValueError(str(exc)) from None
             radius.append(_check_radius(r))
             budgets.append(check(budget))
         index = 0  # a failure of the work shared by every point is reported at the first
@@ -1128,7 +1142,15 @@ def sweep_compound(
         return [SweepPoint(*row) for row in zip(radius, budgets, value.tolist(), trace.tolist(), diagnostics)]
     except (ValueError, RobustShannonError) as exc:
         index = getattr(exc, "_row", index)
-        point = points[index]
-        where = "r={}, budget={}".format(*point) if len(point) == 2 else repr(point)
-        exc.args = (f"grid point {index} ({where}): {exc}",)
+        exc.args = (f"grid point {index} ({_describe_point(points[index])}): {exc}",)
         raise
+
+
+def _describe_point(point) -> str:
+    """A grid point as a failure names it: "r=..., budget=..." for a pair,
+    else its repr."""
+    try:
+        r, budget = point
+    except (TypeError, ValueError):
+        return repr(point)
+    return f"r={r}, budget={budget}"

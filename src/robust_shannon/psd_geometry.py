@@ -185,9 +185,19 @@ class BwBall:
         object.__setattr__(self, "radius", _check_radius(self.radius))
 
 
+def _real(value) -> float:
+    """``float(value)``, or NaN where float() rejects the value (None, a
+    sequence, text that is not a number, an int beyond the float range), so
+    that a domain check rejects it with its own ValueError."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        return math.nan
+
+
 def _check_radius(radius) -> float:
     """The ball radius as a float; ValueError unless finite and nonnegative."""
-    r = float(radius)
+    r = _real(radius)
     if not (r >= 0.0 and math.isfinite(r)):
         raise ValueError("radius must be a finite nonnegative real")
     return r

@@ -756,3 +756,85 @@ def test_capacity_checks_the_gains_before_the_power():
         gaussian_capacity(np.eye(1), SpdMatrix([[1e-310]]), -1.0)
     with pytest.raises(ValueError, match="power must be nonnegative"):
         gaussian_capacity(np.eye(1), SpdMatrix([[1.0]]), -1.0)
+
+
+def _rotation(rng, d):
+    q, r = np.linalg.qr(rng.standard_normal((d, d)))
+    return q * np.sign(np.diag(r))
+
+
+def _rotated(rng, singular_values):
+    d = len(singular_values)
+    return (_rotation(rng, d) * np.asarray(singular_values, dtype=float)) @ _rotation(rng, d).T
+
+
+class TestGramWhitenedGains:
+    def test_gains_match_the_svd_where_they_spread_little(self):
+        # noise spectrum in [1/4, 4] and channel singular values in [1, 10],
+        # gains spread within the Gram route's cut of 1e3: the Gram product's
+        # eigenvalues are within 1e-12 of the SVD's gains
+        rng = np.random.default_rng(30)
+        for k in range(200):
+            d = 2 + k % 31
+            g = _rotated(rng, np.exp(rng.uniform(math.log(0.5), math.log(2.0), d)))
+            noise, h = g @ g.T, _rotated(rng, np.exp(rng.uniform(0.0, math.log(10.0), d)))
+            gains, u, chol = classical._gram_whitened_gains(h, noise)
+            svd_gains, _, _, svd_chol = classical._whitened_gains(h, noise)
+            assert svd_gains[-1] >= 1e-3 * svd_gains[0]
+            assert np.array_equal(chol, svd_chol)
+            assert np.all(np.abs(gains - svd_gains) <= 1e-12 * svd_gains)
+            # U diagonalizes the whitened Gram product, columns in the order of the gains
+            a = np.linalg.solve(chol, h)
+            assert np.allclose(u.T @ a @ a.T @ u, np.diag(gains), rtol=0.0, atol=1e-12 * gains[0])
+
+    @pytest.mark.parametrize(
+        "case", ["spread 2e3", "spread 1e6", "rank one", "jittered singular noise", "dead channel", "edge"]
+    )
+    def test_widely_spread_gains_are_the_svds_bit_for_bit(self, case):
+        rng = np.random.default_rng(31)
+        noise = np.eye(3)
+        if case == "spread 2e3":  # just beyond the Gram route's cut
+            h, noise = _rotated(rng, [1.0, math.sqrt(2e3)]), np.eye(2)
+        elif case == "spread 1e6":  # singular values {1, 1e-3}
+            h, noise = _rotated(rng, [1.0, 1e-3]), np.eye(2)
+        elif case == "rank one":
+            h = rng.standard_normal((3, 1)) @ rng.standard_normal((1, 3))
+        elif case == "jittered singular noise":
+            noise = classical._ensure_positive_definite(SpdMatrix.from_diag([0.0, 1.0, 2.0]))[0].entries
+            h = _rotated(rng, [2.0, 1.0, 0.5])
+        elif case == "dead channel":
+            h = np.zeros((3, 3))
+        else:  # the largest singular value whose square is finite
+            h, noise = np.array([[math.sqrt(sys.float_info.max)]]), np.eye(1)
+        gains, u, chol = classical._gram_whitened_gains(h, noise)
+        svd_gains, _, svd_u, svd_chol = classical._whitened_gains(h, noise)
+        assert gains.tobytes() == svd_gains.tobytes()
+        assert u.tobytes() == svd_u.tobytes() and chol.tobytes() == svd_chol.tobytes()
+
+    @pytest.mark.parametrize(
+        "h, noise",
+        [
+            (np.eye(1), np.array([[1e-310]])),  # a subnormal noise variance
+            (np.array([[math.nextafter(math.sqrt(sys.float_info.max), math.inf)]]), np.eye(1)),
+            (np.array([[1e200, 1.0], [0.0, 1.0]]), np.eye(2)),  # the Gram product would overflow
+        ],
+    )
+    def test_gains_that_are_not_finite_raise_the_svds_error(self, h, noise):
+        # raised by the SVD route, without an overflow warning from the Gram product
+        with pytest.raises(ValueError, match="whitened channel gain is not finite"):
+            classical._gram_whitened_gains(h, noise)
+
+    @pytest.mark.parametrize("spread", [9e2, 9e3])
+    def test_gains_match_mpmath_up_to_a_spread_of_9e3(self, spread):
+        # the Gram route squares the condition number, so it is cut at a
+        # spread of 1e3: just below the cut, and with the SVD above it, every
+        # gain holds 1e-12 relative against 40-digit values
+        rng = np.random.default_rng(32)
+        for d in (8, 16, 8, 16, 8, 16):
+            h = _rotated(rng, np.sqrt(np.geomspace(1.0, spread, d)))
+            gains = classical._gram_whitened_gains(h, np.eye(d))[0]
+            assert (gains[-1] >= classical._GRAM_SPREAD * gains[0]) == (spread < 1e3)  # the Gram route
+            with mpmath.workdps(40):
+                singular = mpmath.svd_r(mpmath.matrix(h.tolist()), compute_uv=False)
+                reference = np.array(sorted((float(s * s) for s in singular), reverse=True))
+            assert np.all(np.abs(gains - reference) <= 1e-12 * reference)

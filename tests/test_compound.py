@@ -118,6 +118,24 @@ class TestScalarClosedForms:
             closed_form(1.0, bad, 1.0)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: BwBall(SpdMatrix.identity(2), None), "radius must be a finite nonnegative real"),
+        (lambda: CompoundRdfRequest(BwBall(SpdMatrix.identity(2), 0.1), None),
+         "distortion must be positive and finite, got None"),
+        (lambda: CompoundCapacityRequest(BwBall(SpdMatrix.identity(2), 0.1), ChannelMatrix(np.eye(2)), [1.0]),
+         "power must be nonnegative and finite, got [1.0]"),
+        (lambda: compound_rdf_scalar(None, 0.5, 1.0), "sigma0 must be positive and finite, got None"),
+        (lambda: compound_capacity_scalar(1.0, 0.5, "x"), "power must be nonnegative and finite, got x"),
+    ],
+    ids=["ball_radius", "rdf_distortion", "capacity_power", "scalar_sigma0", "scalar_power"],
+)
+def test_value_float_cannot_read_is_a_value_error(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError and str(info.value) == message
+
 class TestCompoundRdf:
     def test_zero_radius_reduces_to_classical(self):
         rng = np.random.default_rng(30)
@@ -301,6 +319,16 @@ class TestCompoundCapacity:
         gap = info.value.diagnostics.certificate_gap  # at the last iterate
         assert math.isfinite(gap) and gap >= -1e-12
 
+    def test_general_channel_no_convergence_gap_is_a_float(self, monkeypatch):
+        # as in every returned diagnostics, not the np.float64 of a radius read from an array
+        monkeypatch.setattr(compound, "MAX_ITERATIONS", 2)
+        rng = np.random.default_rng(36)
+        request = CompoundCapacityRequest(BwBall(random_spd(rng, 3), 0.5), ChannelMatrix(rng.standard_normal((3, 3))), 2.0)
+        with pytest.raises(SolverNoConverge) as info:
+            compound_capacity(request)
+        assert info.value.diagnostics.solver_path == "projected-gradient"
+        assert type(info.value.diagnostics.certificate_gap) is float
+
     def test_general_channel_worst_case_holds_no_eigenvectors(self):
         # the solve never reads the worst case's eigenvectors, so the result
         # does not hold them until asked
@@ -481,9 +509,9 @@ class TestCompoundCapacity:
         assert jitter > 0.0
         assert compound._ensure_positive_definite(jittered) == (jittered, 0.0)
         noises = []
-        whiten = compound._whitened_gains
+        whiten = compound._gram_whitened_gains
         monkeypatch.setattr(
-            compound, "_whitened_gains", lambda h, noise: noises.append(noise) or whiten(h, noise)
+            compound, "_gram_whitened_gains", lambda h, noise: noises.append(noise) or whiten(h, noise)
         )
         c, s = math.cos(0.4), math.sin(0.4)
         h = ChannelMatrix(np.diag([2.0, 0.5]) @ np.array([[c, -s], [s, c]]))
@@ -555,6 +583,34 @@ class TestTransportCoordinates:
             reference = _inverse_difference(coords.channel, noise, (vt.T * per_mode) @ vt)
             assert np.linalg.norm(g - reference) <= 1e-10 * np.linalg.norm(reference)
             _assert_symmetric_nsd(g)
+
+    def test_gram_route_evaluates_as_the_svd(self, monkeypatch):
+        # the objective whitens by the Gram product's eigendecomposition; at
+        # gains spread within its cut its value and gradient are the SVD's
+        # to 1e-12 relative
+        rng = np.random.default_rng(30)
+        points = []
+        for k in range(200):
+            d = 2 + k % 31
+            request = _benchmark_like(rng, d)
+            h = (_rotation(rng, d) * np.exp(rng.uniform(0.0, math.log(10.0), d))) @ _rotation(rng, d).T
+            coords = compound._TransportCoordinates(request.ball.center, h, request.power)
+            y = rng.standard_normal((d, d))
+            y = (y + y.T) * (float(rng.uniform()) * request.ball.radius / np.linalg.norm(y + y.T))
+            value, inner = coords.objective(y)
+            gains = compound._whitened_gains(coords.channel, inner[1])[0]
+            assert gains[-1] >= 1e-3 * gains[0]
+            points.append((coords, y, value, coords.gradient(y, inner)))
+        def svd_route(h, noise):
+            gains, _, u, chol = compound._whitened_gains(h, noise)
+            return gains, u, chol
+
+        monkeypatch.setattr(compound, "_gram_whitened_gains", svd_route)
+        for coords, y, value, gradient in points:
+            svd_value, inner = coords.objective(y)
+            svd_gradient = coords.gradient(y, inner)
+            assert abs(value - svd_value) <= 1e-12 * abs(svd_value)
+            assert np.linalg.norm(gradient - svd_gradient) <= 1e-12 * np.linalg.norm(svd_gradient)
 
     def test_factored_gradient_at_a_jittered_singular_noise(self):
         # S = I - e1 e1^T leaves the noise a null eigenvalue; the objective
@@ -785,6 +841,36 @@ class TestSweep:
         # the handler unpacked the point again and raised from inside itself
         with pytest.raises(ValueError, match=r"^grid point 1 \(\(0\.2,.*unpack"):
             sweep_compound("rdf", SpdMatrix.identity(2), [(0.1, 1.0), point])
+
+    @pytest.mark.parametrize(
+        "kind, grid, message",
+        [
+            ("rdf", [(0.1, 1.0), 0.5], "grid point 1 (0.5): cannot unpack non-iterable float object"),
+            ("capacity", [None], "grid point 0 (None): cannot unpack non-iterable NoneType object"),
+            ("rdf", [(None, 1.0)], "grid point 0 (r=None, budget=1.0): radius must be a finite nonnegative real"),
+            ("rdf", [(0.1, 1.0), (0.1, None)],
+             "grid point 1 (r=0.1, budget=None): distortion must be positive and finite, got None"),
+            ("capacity", [(0.1, "1 W")], "grid point 0 (r=0.1, budget=1 W): power must be nonnegative and finite, got 1 W"),
+            ("capacity", [(0.1, 1.0), ([0.2], 1.0)],
+             "grid point 1 (r=[0.2], budget=1.0): radius must be a finite nonnegative real"),
+            ("rdf", [(10**400, 1.0)], f"grid point 0 (r={10**400}, budget=1.0): radius must be a finite nonnegative real"),
+        ],
+        ids=["float_point", "none_point", "none_radius", "none_distortion", "text_power", "list_radius", "huge_int_radius"],
+    )
+    def test_malformed_point_names_its_grid_point(self, kind, grid, message):
+        # a point float() cannot read, or that is not iterable, raised an unprefixed TypeError
+        with pytest.raises(ValueError) as info:
+            sweep_compound(kind, SpdMatrix.identity(2), grid)
+        assert type(info.value) is ValueError and str(info.value) == message
+
+    def test_type_error_inside_the_solve_propagates_unchanged(self, monkeypatch):
+        def broken(*args):
+            raise TypeError("inside the solve")
+
+        monkeypatch.setattr(compound, "_rdf_rows", broken)
+        with pytest.raises(TypeError) as info:
+            sweep_compound("rdf", SpdMatrix.identity(2), [(0.1, 1.0)])
+        assert str(info.value) == "inside the solve"
 
     def test_points_equal_single_shot_and_traces_to_rounding(self):
         # on the eigen-reductions a point's trace is the sum of the worst-case
