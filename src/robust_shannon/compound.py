@@ -34,13 +34,14 @@ convex problem (capacity is convex in the noise covariance and the ball is
 convex) without a closed-form reduction. It is solved by projected gradient
 in optimal-transport-map coordinates, where the ball is an exact Euclidean
 ball and PSD-ness is automatic, from one start, the center, using the
-Danskin envelope gradient, a Gram product of the Cholesky factor and the
-left singular vectors of the whitened channel that each evaluation takes
-for its inner waterfill. Those come from one symmetric eigendecomposition
-of the whitened channel's Gram product, or from its SVD where the gains
-spread too far apart for that (``classical._gram_whitened_gains``). On the
-sphere an outward gradient loses its radial part, so the rescale acts as a
-retraction. Each line search starts from the Barzilai-Borwein step (and
+Danskin envelope gradient. Each evaluation runs two Cholesky factorizations
+(the jitter test on N - tI, then N = L L^T), one triangular solve for the
+whitened channel L^{-1} H, one symmetric eigendecomposition of its Gram
+product for the gains and left singular vectors U (its SVD where the gains
+spread too far apart, ``classical._gram_whitened_gains``), the waterfill,
+and a second triangular solve, L^{-T} U, whose Gram product is the
+gradient. On the sphere an outward gradient loses its radial part, so the
+rescale acts as a retraction. Each line search starts from the Barzilai-Borwein step (and
 from 1 again if that finds no descent), and the solve stops on its
 certificate: once a step leaves the value unchanged to VALUE_STAGNATION_TOL
 (relative) and the Frank-Wolfe gap below is at most VALUE_STAGNATION_TOL
@@ -93,7 +94,6 @@ from .psd_geometry import (
     _ensure_positive_definite,
     _real,
     _symmetrize,
-    symmetric_eig,
 )
 
 VALUE_STAGNATION_TOL = 1e-10
@@ -230,12 +230,13 @@ def _log_sum(a: float, b: float) -> float:
 
 
 def _project_ball(x, radius):
-    """Euclidean projection onto the ball of ``radius`` around 0; a point
-    inside is returned as is."""
+    """Euclidean projection onto the ball of ``radius`` around 0, with its
+    norm; a point inside is returned as is, with the norm just taken."""
     norm = math.sqrt(float(np.vdot(x, x)))
     if norm > radius:
-        return x * (radius / norm)
-    return x
+        x = x * (radius / norm)
+        return x, math.sqrt(float(np.vdot(x, x)))
+    return x, norm
 
 
 def _minimize(objective, gradient, gap, x0, radius):
@@ -260,12 +261,11 @@ def _minimize(objective, gradient, gap, x0, radius):
     The jitter, which only the caller knows, reads NaN.
     """
     label = "projected-gradient"
-    x = x0
+    x, norm = x0, math.sqrt(float(np.vdot(x0, x0)))
     value, inner = objective(x)
     grad = None
     for iteration in range(1, MAX_ITERATIONS + 1):
         new_grad = gradient(x, inner)
-        norm = math.sqrt(float(np.vdot(x, x)))
         if norm >= radius * (1.0 - 1e-12) and np.vdot(new_grad, x) < 0.0:
             unit = x / norm  # on the sphere, heading out: step along it
             new_grad = new_grad - np.vdot(new_grad, unit) * unit
@@ -275,9 +275,9 @@ def _minimize(objective, gradient, gap, x0, radius):
         if step is None and alpha != 1.0:
             step = _line_search(objective, x, value, grad, radius, 1.0)
         if step is not None:
-            candidate, cand_value, cand_inner = step
+            x, move, norm, cand_value, inner = step
             stagnant = abs(cand_value - value) < VALUE_STAGNATION_TOL * max(1.0, abs(value))
-            move, x, value, inner = candidate - x, candidate, cand_value, cand_inner
+            value = cand_value
         if step is None or stagnant:
             diagnostics = SolverDiagnostics(iteration, label, math.nan, gap(inner, radius))
             if diagnostics.certificate_gap <= VALUE_STAGNATION_TOL * max(1.0, abs(value)):
@@ -300,17 +300,20 @@ def _barzilai_borwein(move, grad_change):
 def _line_search(objective, x, value, grad, radius, alpha):
     """The first projected step from x, starting at alpha and halving at
     most MAX_HALVINGS times, that meets the Armijo condition, as (candidate,
-    its value, its inner solve); None if the step underflows first (the
-    projected step no longer moves x) or the halvings run out."""
+    its move from x, its norm, its value, its inner solve); None if the step
+    underflows first (the projected step no longer moves x) or the halvings
+    run out. A move with <grad, move> < 0 is not zero, so only the others
+    are tested for one."""
     for _ in range(MAX_HALVINGS):
-        candidate = _project_ball(x - alpha * grad, radius)
-        if np.array_equal(candidate, x):
-            return None
-        descent = float(np.vdot(grad, candidate - x))
+        candidate, norm = _project_ball(x - alpha * grad, radius)
+        move = candidate - x
+        descent = float(np.vdot(grad, move))
         if descent < 0.0:
             cand_value, cand_inner = objective(candidate)
             if cand_value <= value + ARMIJO * descent:
-                return candidate, cand_value, cand_inner
+                return candidate, move, norm, cand_value, cand_inner
+        elif not move.any():
+            return None
         alpha *= 0.5
     return None
 
@@ -610,12 +613,29 @@ def _commuting_channel_axes(center: SpdMatrix, h: np.ndarray):
     irrational multiple of ||C|| / ||H||, kept if both are diagonal in them
     (an accidental tie only loses the reduction). Returns (basis, center
     stddevs per axis, channel weight per axis), paired axis-wise, unsorted.
+
+    A channel too far from symmetric for either basis returns None from
+    one asymmetry test first. With M = fl(V^T H V), V^T V = I + F for the
+    computed V, ||F|| <= eta (of order d eps), the rounding E = M - V^T H V
+    has ||E||_F <= gamma_2d ||V||_F^2 ||H||_F ~ 2 d^2 eps ||H||_F (Higham,
+    Accuracy and Stability, 3.5). M passing ``_is_diagonal`` leaves its
+    off-diagonal entries at most delta = 1e-10 max(1, max|M|), max|M| <=
+    ||H||_F (1 + O(d^2 eps)), so ||M - M^T||_F <= 2 d delta; as V^T (H -
+    H^T) V = M - M^T - (E - E^T), max|H - H^T| <= (2 d delta + 2 ||E||_F)
+    / (1 - eta) <= 2 d max(1, ||H||_F) (1e-10 + 2 d eps) (1 + O(d^2 eps)).
+    The test allows twice that, a margin for the O(d^2 eps) factors and
+    for an eta far above its usual size; the symmetric channel's test,
+    1e-10 max(1, max|H|), lies below it too. A Frobenius norm that
+    overflows makes the bound infinite, and the search runs in full.
     """
-    _, vecs = symmetric_eig(center)
+    d, asymmetry = h.shape[0], float(np.abs(h - h.T).max())
+    if asymmetry > 4.0 * d * max(1.0, math.sqrt(float(np.vdot(h, h)))) * (1e-10 + 2.0 * d * sys.float_info.epsilon):
+        return None
+    vecs = center._eigvecs
     mixed = vecs.T @ h @ vecs
     if _is_diagonal(mixed):
         return vecs, np.sqrt(center._eigvals), np.diag(mixed).copy()
-    if float(np.abs(h - h.T).max()) <= 1e-10 * max(1.0, float(np.abs(h).max())):
+    if asymmetry <= 1e-10 * max(1.0, float(np.abs(h).max())):
         t = (math.sqrt(5.0) - 1.0) / 2.0 * np.linalg.norm(center.entries) / np.linalg.norm(h)
         _, vecs = _lapack.eigh(center.entries + t * _symmetrize(h))
         mixed_center = vecs.T @ center.entries @ vecs
@@ -757,11 +777,12 @@ class _TransportCoordinates:
     ||Y|| <= radius, and the projection is a rescale. Every ball point is
     reached (the optimal map of any feasible noise is such an S), and every
     Y in the ball is feasible (its map is an admissible coupling, so it can
-    only overestimate the distance).
+    only overestimate the distance). ``lam`` and ``basis`` are the center's
+    cached read-only eigenvalues and eigenvectors, shared, not copied.
     """
 
     def __init__(self, center: SpdMatrix, channel: np.ndarray, power: float):
-        self.lam, self.basis = symmetric_eig(center)
+        self.lam, self.basis = center._eigvals, center._eigvecs
         self.eye = np.eye(self.lam.size)
         self.weight = np.sqrt(0.5 * (self.lam[:, None] + self.lam[None, :]))
         self.channel = self.basis.T @ channel @ self.basis
@@ -773,15 +794,17 @@ class _TransportCoordinates:
 
     def objective(self, y: np.ndarray):
         """Capacity at the noise N of y, with the inner solve behind it: S =
-        I + Y / W, N, the Danskin gradient G there and the waterfill (level,
-        per_mode, rate) over the whitened gains g.
+        I + Y / W, N, the Danskin gradient G there, the waterfill (level,
+        per_mode, rate) over the whitened gains g, and the ball point S
+        diag(lam) S, which is N itself unless N is its jittered copy.
 
-        N is kept when tr N > 0 and the Cholesky factorization of N - t I,
-        t = 0.5e-12 tr N / d, succeeds, that is when lambda_min(N) > t up to
-        rounding; otherwise it goes through ``_ensure_positive_definite``,
-        which keeps it when lambda_min(N) >= t and else adds 2t to the
-        diagonal. The test costs one Cholesky factorization, not an
-        eigendecomposition.
+        N is the ball point when tr N > 0 and the Cholesky factorization of
+        N - t I, t = 0.5e-12 tr N / d, succeeds, that is when lambda_min(N) >
+        t up to rounding; otherwise the point goes through
+        ``_ensure_positive_definite``, which keeps it when lambda_min >= t
+        and else adds 2t to the diagonal. The test costs one Cholesky
+        factorization, not an eigendecomposition; the whitening factors N
+        again.
 
         N = L L^T and L^{-1} H = U diag(sqrt(g)) V^T give N + H Q H^T = L U
         diag(1 + g p) U^T L^T at Q = V diag(p) V^T, so G = 0.5 ((N + H Q
@@ -795,15 +818,16 @@ class _TransportCoordinates:
         one-spectrum scan."""
         eye = self.eye
         s = eye + y / self.weight
-        noise = self.noise(s)
+        noise = point = self.noise(s)
         threshold = 0.5e-12 * noise.trace() / self.lam.size
         if not (threshold > 0.0 and _lapack.positive_definite(noise - threshold * eye)):
             noise = _ensure_positive_definite(SpdMatrix(noise))[0].entries
         gains, u, chol = _gram_whitened_gains(self.channel, noise)
-        inverse = _inverse_gains(gains)
+        # the least gain comes last; when it is positive, as on the Gram route, none divides by 0
+        inverse = 1.0 / gains if gains[-1] > 0.0 else _inverse_gains(gains)
         level, per_mode, rate = _capacity_core(inverse, self.power)
         b = _lapack.solve_lower(chol, u, trans=1) * np.sqrt(per_mode / (inverse + per_mode))  # B^T diag(...)^{1/2}
-        return rate, (s, noise, -0.5 * (b @ b.T), (level, per_mode, rate))
+        return rate, (s, noise, -0.5 * (b @ b.T), (level, per_mode, rate), point)
 
     def gradient(self, y: np.ndarray, inner) -> np.ndarray:
         """Danskin envelope gradient pulled back to the Y coordinates: through
@@ -898,16 +922,17 @@ def _solve(kind, center, channel, radius, budget):
             else:
                 covs, steps, gap = [center] * m, np.zeros(m, dtype=int), np.zeros(m)
                 alloc = (np.zeros(m), np.zeros((m, center.dim)), np.zeros(m))
-                for i in np.flatnonzero(~zero):
-                    coords = _TransportCoordinates(center_pd, h, budget[i])
+                for i in np.flatnonzero(~zero).tolist():
+                    coords = _TransportCoordinates(center_pd, h, float(budget[i]))
                     try:
-                        _, _, (s_map, _, _, found), diag = _minimize(
+                        _, _, (_, _, _, found, point), diag = _minimize(
                             coords.objective, coords.gradient, coords.gap, np.zeros(h.shape), float(radius[i])
                         )
                     except SolverNoConverge as exc:
-                        exc._row = int(i)
+                        exc._row = i
                         raise
-                    covs[i] = SpdMatrix(np.ldexp(coords.basis @ coords.noise(s_map) @ coords.basis.T, 2 * e))
+                    worst = coords.basis @ point @ coords.basis.T
+                    covs[i] = SpdMatrix._from_square(np.ldexp(worst, 2 * e) if e else worst)
                     alloc[0][i], alloc[1][i], alloc[2][i] = found
                     steps[i], gap[i] = diag.iterations, diag.certificate_gap
             if zero.any():
@@ -924,8 +949,8 @@ def _solve(kind, center, channel, radius, budget):
     trace = spectra.sum(axis=1) if covs is None else np.array([c.trace for c in covs])
     trace[zero], steps[zero], gap[zero] = center.trace, 0, 0.0
     path = "eigen-reduction" if covs is None else "projected-gradient"
-    columns = (a.tolist() for a in (steps, np.where(zero, "classical", path), gap))
-    diagnostics = [SolverDiagnostics(k, p, jitter, g) for k, p, g in zip(*columns)]
+    paths = ["classical" if z else path for z in zero.tolist()]
+    diagnostics = [SolverDiagnostics(k, p, jitter, g) for k, p, g in zip(steps.tolist(), paths, gap.tolist())]
 
     def worst(i):
         if covs is not None:

@@ -543,6 +543,92 @@ class TestCompoundCapacity:
             )
 
 
+def _full_axes_search(center, h):
+    """``_commuting_channel_axes`` without its asymmetry pre-filter: the
+    center's eigenbasis, then for a symmetric channel that of C + t H."""
+    vecs = center._eigvecs
+    mixed = vecs.T @ h @ vecs
+    if compound._is_diagonal(mixed):
+        return vecs, np.sqrt(center._eigvals), np.diag(mixed).copy()
+    if float(np.abs(h - h.T).max()) <= 1e-10 * max(1.0, float(np.abs(h).max())):
+        t = (math.sqrt(5.0) - 1.0) / 2.0 * np.linalg.norm(center.entries) / np.linalg.norm(h)
+        _, vecs = compound._lapack.eigh(center.entries + t * compound._symmetrize(h))
+        mixed_center, mixed = vecs.T @ center.entries @ vecs, vecs.T @ h @ vecs
+        if compound._is_diagonal(mixed_center) and compound._is_diagonal(mixed):
+            return vecs, np.sqrt(np.maximum(np.diag(mixed_center), 0.0)), np.diag(mixed).copy()
+    return None
+
+
+def _prefilter_bound(h):
+    """The asymmetry above which ``_commuting_channel_axes`` returns None at once."""
+    d = h.shape[0]
+    return 4.0 * d * max(1.0, float(np.linalg.norm(h))) * (1e-10 + 2.0 * d * np.finfo(float).eps)
+
+
+class TestCommutingAxes:
+    @staticmethod
+    def _assert_same_decision(center, h):
+        found, full = compound._commuting_channel_axes(center, h), _full_axes_search(center, h)
+        assert (found is None) == (full is None)
+        if found is not None:
+            for a, b in zip(found, full):
+                assert np.array_equal(a, b)
+        return found
+
+    def test_prefilter_keeps_the_full_search_decision(self):
+        # commuting, symmetric but not commuting, and asymmetric channels
+        # (their center's eigenvectors, and where the center repeats its
+        # eigenvalues those of C + t H)
+        rng = np.random.default_rng(97)
+        for k in range(30):
+            d = 2 + k % 7
+            q = _rotation(rng, d)
+            center = SpdMatrix((q * rng.uniform(0.5, 2.0, d)) @ q.T)
+            repeated = SpdMatrix((q * np.repeat(rng.uniform(0.5, 2.0, (d + 1) // 2), 2)[:d]) @ q.T)
+            commuting = compound._symmetrize((q * rng.uniform(-2.0, 2.0, d)) @ q.T)
+            w = _rotation(rng, d)
+            symmetric = compound._symmetrize((w * rng.uniform(-2.0, 2.0, d)) @ w.T)
+            general = rng.standard_normal((d, d))
+            assert self._assert_same_decision(center, commuting) is not None
+            assert self._assert_same_decision(repeated, commuting) is not None
+            assert self._assert_same_decision(center, center.entries) is not None
+            assert self._assert_same_decision(center, symmetric) is None
+            assert self._assert_same_decision(center, general) is None
+
+    @pytest.mark.parametrize("scale, found", [(0.5, True), (1.0, None), (1.5, False), (2.0, False)])
+    def test_antisymmetric_part_at_the_diagonal_tolerance(self, scale, found):
+        # V^T H V = D + e A with A antisymmetric, off its diagonal e: within
+        # _is_diagonal's tolerance the axes are found, beyond it not (at 1.5
+        # times it, also not for a tolerance twice as large), and the
+        # pre-filter decides as the full search does either way
+        rng = np.random.default_rng(101)
+        for d in (2, 3, 5, 8):
+            q = _rotation(rng, d)
+            center = SpdMatrix((q * rng.uniform(0.5, 2.0, d)) @ q.T)
+            weights = rng.uniform(1.5, 3.0, d)
+            tolerance = 1e-10 * float(weights.max())
+            a = np.zeros((d, d))
+            a[0, 1], a[1, 0] = 1.0, -1.0
+            h = center._eigvecs @ (np.diag(weights) + scale * tolerance * a) @ center._eigvecs.T
+            assert float(np.abs(h - h.T).max()) < _prefilter_bound(h)  # the full search runs
+            axes = self._assert_same_decision(center, h)
+            if found is not None:
+                assert (axes is not None) == found
+
+    @pytest.mark.parametrize("margin, decided", [(1.001, True), (0.999, False)])
+    def test_prefilter_decides_beyond_its_bound_alone(self, margin, decided):
+        # above the bound the center's eigenvectors are never computed
+        rng = np.random.default_rng(103)
+        for d in (2, 4, 9):
+            g = rng.standard_normal((d, d))
+            h = g + g.T
+            h[0, 1] += margin * _prefilter_bound(h)
+            center = random_spd(rng, d)
+            assert compound._commuting_channel_axes(center, h) is None
+            assert ("_eigvecs" not in vars(center)) == decided
+            assert _full_axes_search(center, h) is None
+
+
 class TestTransportCoordinates:
     def test_coordinates_of_a_ball_point(self):
         # Y = (S - I) * W built from the optimal map has the distance as its
@@ -577,7 +663,8 @@ class TestTransportCoordinates:
             coords = compound._TransportCoordinates(center, h, power)
             y = rng.standard_normal((d, d)) + np.eye(d)
             y = (y + y.T) * (float(rng.uniform()) * radius / np.linalg.norm(y + y.T))
-            value, (_, noise, g, (_, per_mode, rate)) = coords.objective(y)
+            value, (_, noise, g, (_, per_mode, rate), point) = coords.objective(y)
+            assert point is noise  # not jittered
             assert value == rate
             vt = compound._whitened_gains(coords.channel, noise)[1]
             reference = _inverse_difference(coords.channel, noise, (vt.T * per_mode) @ vt)
@@ -625,8 +712,9 @@ class TestTransportCoordinates:
         raw = coords.noise(s_map)
         assert np.linalg.eigvalsh(raw)[0] == 0.0
         jittered, jitter = compound._ensure_positive_definite(SpdMatrix(raw))
-        _, (kept, noise, g, _) = coords.objective(y)
+        _, (kept, noise, g, _, point) = coords.objective(y)
         assert jitter > 0.0 and np.array_equal(kept, s_map)
+        assert np.array_equal(point, raw)  # the ball point, not jittered
         assert np.array_equal(noise, jittered.entries)
         assert np.all(np.isfinite(g)) and np.abs(g).max() > 1e10
         _assert_symmetric_nsd(g)
@@ -657,7 +745,26 @@ class TestTransportCoordinates:
             x = rng.standard_normal((d, d))
             x = x + x.T
             norm = float(np.linalg.norm(x))
-            assert compound._project_ball(x, 0.5 * norm).tobytes() == (x * (0.5 * norm / norm)).tobytes()
+            projected, projected_norm = compound._project_ball(x, 0.5 * norm)
+            assert projected.tobytes() == (x * (0.5 * norm / norm)).tobytes()
+            assert projected_norm == math.sqrt(float(np.vdot(projected, projected)))  # as a fresh norm reads it
+
+    def test_coordinates_share_the_centers_cached_eigendecomposition(self, monkeypatch):
+        # the coordinates read the center's read-only eigenvalues and
+        # eigenvectors instead of copying them, and a solve leaves them as
+        # they were
+        request = _benchmark_like(np.random.default_rng(83), 6)
+        center = request.ball.center
+        vals, vecs = center._eigvals, center._eigvecs
+        before = vals.copy(), vecs.copy()
+        built, coordinates = [], compound._TransportCoordinates
+        monkeypatch.setattr(compound, "_TransportCoordinates", lambda *args: built.append(coordinates(*args)) or built[-1])
+        result = compound_capacity(request)
+        assert result.diagnostics.solver_path == "projected-gradient" and len(built) == 1
+        assert built[0].lam is vals and built[0].basis is vecs
+        assert center._eigvals is vals and center._eigvecs is vecs
+        assert np.array_equal(vals, before[0]) and np.array_equal(vecs, before[1])
+        assert not vals.flags.writeable and not vecs.flags.writeable
 
     def test_general_solve_builds_no_matrix_per_iteration(self, monkeypatch):
         # an evaluation factors the noise once and inverts nothing, so the
@@ -988,6 +1095,37 @@ def _benchmark_like(rng, d):
     return CompoundCapacityRequest(
         BwBall(center, 0.2 * math.sqrt(center.trace)), ChannelMatrix(h), center.trace
     )
+
+
+def _step_count_cases():
+    """Seeded general-channel requests: benchmark-like at d = 2..8, whose
+    optimum lies on the sphere; balls of radius sqrt(tr C) at d = 2..4; and
+    singular centers, jittered, at d = 3, 4."""
+    rng = np.random.default_rng(3131)
+    for d in range(2, 9):
+        yield _benchmark_like(rng, d)
+    for d in (2, 3, 4):
+        g = rng.standard_normal((d, d))
+        center = SpdMatrix(g @ g.T + 0.05 * np.eye(d))
+        channel = ChannelMatrix(rng.standard_normal((d, d)))
+        yield CompoundCapacityRequest(BwBall(center, math.sqrt(center.trace)), channel, center.trace)
+    for d in (3, 4):
+        g = rng.standard_normal((d, d - 1))
+        yield CompoundCapacityRequest(BwBall(SpdMatrix(g @ g.T), 0.3), ChannelMatrix(rng.standard_normal((d, d))), 2.0)
+
+
+class TestProjectedGradientSteps:
+    def test_step_counts_are_pinned(self):
+        # the iterations of seeded solves, exactly: a changed gradient, line
+        # search, Barzilai-Borwein step or stopping rule moves them
+        requests = list(_step_count_cases())
+        results = [compound_capacity(request) for request in requests]
+        assert [r.diagnostics.iterations for r in results] == [4, 6, 7, 6, 6, 10, 8, 7, 16, 21, 11, 13]
+        assert {r.diagnostics.solver_path for r in results} == {"projected-gradient"}
+        assert [r.diagnostics.jitter > 0.0 for r in results] == [False] * 10 + [True] * 2
+        for request, result in zip(requests[:7], results):
+            radius = request.ball.radius
+            assert bw_distance(request.ball.center, result.worst_case_cov) == pytest.approx(radius, rel=1e-12)
 
 
 class TestCertificate:
