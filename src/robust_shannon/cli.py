@@ -94,7 +94,8 @@ def _parse_number(text: str, flag: str, kind=float):
 
 
 def _parse_grid(text: str, flag: str) -> list[float]:
-    """Either a single float or 'start:stop:count'; every rejection names ``--flag``."""
+    """Either a single float or 'start:stop:count' with finite ends whose span
+    stop - start is finite too; every rejection names ``--flag``."""
     if ":" not in text:
         return [_parse_number(text, flag)]
     parts = text.split(":")
@@ -102,6 +103,8 @@ def _parse_grid(text: str, flag: str) -> list[float]:
         raise ValueError(f"--{flag}: grid spec must be start:stop:count, got {text!r}")
     start, stop = _parse_number(parts[0], flag), _parse_number(parts[1], flag)
     count = _parse_number(parts[2], flag, int)
+    if not math.isfinite(stop - start):  # also where an end is not finite
+        raise ValueError(f"--{flag}: grid ends must be finite and stop - start in the float range, got {text!r}")
     if count < 1:
         raise ValueError(f"--{flag}: grid count must be at least 1, got {count}")
     try:
@@ -136,6 +139,8 @@ def _resolve_center(args) -> SpdMatrix:
             variance = args.sigma0_scalar**2
         except OverflowError:
             raise ValueError(f"--sigma0-scalar {args.sigma0_scalar} overflows when squared") from None
+        if variance == 0.0:
+            raise ValueError(f"--sigma0-scalar {args.sigma0_scalar} underflows to 0 when squared")
         return SpdMatrix([[variance]])
     return load_covariance(args.center)
 

@@ -55,10 +55,10 @@ Frank-Wolfe gap, whose linear minimization over the ball is a scalar dual
 search, solved by Newton steps that climb onto the root of a trust-region
 secular equation from below, so every step gives a valid bound. For the
 RDF it is the analogous linearization bound in the coordinates where the
-reduced problem is concave. Every search starts at the dual multiplier
-fitted to the returned point: the eigen-reductions' at its spectrum, in
-lock step over the rows in numpy, and the general channel's at its
-transport map, on its one row in Python floats. A singular noise center is
+reduced problem is concave. The eigen-reductions search in lock step over
+the rows in numpy, from the dual multiplier fitted to each returned
+spectrum; the general channel searches its one row in Python floats, from
+the cold start left of the root. A singular noise center is
 made positive definite by a small diagonal jitter, reported as
 ``SolverDiagnostics.jitter``.
 """
@@ -836,15 +836,8 @@ class _TransportCoordinates:
         return (m + m.T) / self.weight
 
     def gap(self, inner, radius) -> float:
-        """``_gradient_gap`` at the noise of an inner solve, its search
-        started at the least-squares dual multiplier of the map S there:
-        <A S, S - I> / ||S - I||^2 with A = -G, from A T = gamma (T - I) at
-        the maximizer's map T; NaN, so the cold start, at S = I."""
-        s, g = inner[0], inner[2]
-        move = s - self.eye
-        norm = float(np.vdot(move, move))
-        start = -float(np.vdot(g @ s, move)) / norm if norm > 0.0 else math.nan
-        return _gradient_gap(g, inner[1], self.lam, radius, start)
+        """``_gradient_gap`` at the noise of an inner solve."""
+        return _gradient_gap(inner[2], inner[1], self.lam, radius)
 
 
 def compound_capacity(req: CompoundCapacityRequest) -> CompoundResult:
@@ -975,7 +968,7 @@ def _check_unit_distortion(given, unit, d):
         raise failure
 
 
-def _gradient_gap(g, noise, center_vals, radius, start):
+def _gradient_gap(g, noise, center_vals, radius):
     """Frank-Wolfe duality gap of the capacity at the noise W, in nats, from
     the Danskin gradient G there, both in the center's eigenbasis.
 
@@ -983,14 +976,13 @@ def _gradient_gap(g, noise, center_vals, radius, start):
     so the optimum is at least C(W) - tr(G W) - max over the ball of
     tr(-G N). The maximum is bounded from above by ``_row_support``, the
     secular search of ``_ball_support`` on this one row in Python floats,
-    searched from ``start`` (NaN for the cold start). So the gap bounds
-    C(W) - C* from above, and so does its positive part, which is returned:
-    a reading below zero is rounding at a converged point. The center is
-    diag(center_vals) in this basis, so with -G = Q diag(a) Q^T, b_i =
-    sum_k Q_ki^2 center_vals_k.
+    from its cold start. So the gap bounds C(W) - C* from above, and so does
+    its positive part, which is returned: a reading below zero is rounding
+    at a converged point. The center is diag(center_vals) in this basis, so
+    with -G = Q diag(a) Q^T, b_i = sum_k Q_ki^2 center_vals_k.
     """
     a, q = _lapack.eigh(-g)
-    support = _row_support(a.tolist(), ((q * q).T @ center_vals).tolist(), radius, start)
+    support = _row_support(a.tolist(), ((q * q).T @ center_vals).tolist(), radius)
     return max(0.0, float(np.sum(g * noise)) + support)
 
 
@@ -1070,41 +1062,28 @@ def _ball_support(a, b, radius, start):
     return support
 
 
-def _row_support(a, b, radius, start):
+def _row_support(a, b, radius):
     """``_ball_support`` of one row, the lists ``a`` and ``b``, in Python
-    floats, searched from ``start``.
+    floats, from its cold start.
 
     The cold start and the Newton steps are ``_ball_support``'s, and so is
     the root; sums run in order, so the bound can differ from it in the
-    last bits. A start right of the cold one is taken as it is where
-    f(start) > r^2, left of the root. Right of the root, one Newton step on
-    f^{-1/2}, which is concave, lands left of it, and is taken where it
-    moves left and stays right of the cold start (else the cold start is:
-    a start so far right that f underflows gives no step). Any other start,
-    NaN or not right of the cold start, is replaced by the cold one. So
-    every iterate is a valid gamma, and the search climbs onto the root
-    from below, as from the cold start.
+    last bits.
     """
     top = max(a)
     if not top > 0.0:
         return 0.0  # A is negative semidefinite, and N is PSD
     r2 = radius * radius
     root = [math.sqrt(bi) * abs(ai) for ai, bi in zip(a, b)]
-    cold = max(max(ai + ri / radius for ai, ri in zip(a, root)), top * (1.0 + 1e-12))
-    gamma, warm = (start, True) if start > cold else (cold, False)
+    gamma = max(max(ai + ri / radius for ai, ri in zip(a, root)), top * (1.0 + 1e-12))
     for _ in range(MAX_SECULAR_NEWTON):
         f, rise = _secular_pass(a, root, gamma)
-        step = f * (math.sqrt(f) / radius - 1.0) / rise if rise > 0.0 else 0.0
-        if warm and not f > r2:  # a start right of the root: one step back
-            back = gamma + step
-            gamma = back if cold < back < gamma else cold
-        elif not f > r2:  # at the root, or past it in the hard case
+        if not f > r2:  # at the root, or past it in the hard case
             break
-        else:
-            gamma += step
-            if not step > 1e-15 * gamma:
-                break
-        warm = False
+        step = f * (math.sqrt(f) / radius - 1.0) / rise if rise > 0.0 else 0.0
+        gamma += step
+        if not step > 1e-15 * gamma:
+            break
     return gamma * (r2 + sum(bi * ai / (gamma - ai) for ai, bi in zip(a, b)))
 
 

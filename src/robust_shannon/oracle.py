@@ -14,6 +14,7 @@ over the frontier is the extremum over the whole grid.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,7 @@ from .psd_geometry import (
     GaussianLaw,
     SpdMatrix,
     _check_radius,
+    _real,
     gaussian_w2,
     random_psd_in_ball,
 )
@@ -79,15 +81,20 @@ class GelbrichReport:
 
 
 def sample_gaussian(law: GaussianLaw, n: int, seed: int) -> SampleCloud:
-    """n i.i.d. draws from the law, deterministic per seed.
+    """n i.i.d. draws from the law, deterministic per seed; ValueError
+    unless n is an integer (as ``operator.index`` reads one) of at least 1.
 
     Generator: numpy PCG64 (standard normals via ziggurat), colored by the
     symmetric square root of the covariance.
     """
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    try:
+        count = operator.index(n)
+    except TypeError:
+        count = 0
+    if count < 1:
+        raise ValueError(f"n must be an integer of at least 1, got {n!r}")
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n, law.dim))
+    z = rng.standard_normal((count, law.dim))
     return SampleCloud(law.mean + z @ law.cov._root, seed)
 
 
@@ -266,13 +273,14 @@ def brute_force_compound(
     diag = np.diag(center.entries)
     if float(np.abs(center.entries - np.diag(diag)).max()) > 1e-12 * max(1.0, center.trace):
         raise ValueError("center must be diagonal")
-    if not (float(grid_step) > 0.0 and math.isfinite(grid_step)):
+    step = _real(grid_step)
+    if not (step > 0.0 and math.isfinite(step)):
         raise ValueError(f"grid_step must be positive and finite, got {grid_step}")
     r = _check_radius(r)
     budget = _check_distortion(budget) if kind == "rdf" else _check_power(budget)
     s = np.sqrt(diag)
     axes = [
-        np.arange(max(0.0, si - r), si + r + 0.5 * grid_step, grid_step) for si in s
+        np.arange(max(0.0, si - r), si + r + 0.5 * step, step) for si in s
     ]
     spectra = _grid_frontier(axes, s, r * (1.0 + 1e-12) + 1e-15) ** 2
     if kind == "rdf":

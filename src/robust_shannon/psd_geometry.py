@@ -317,7 +317,7 @@ def bw_geodesic_point(center: SpdMatrix, target: SpdMatrix, t: float) -> SpdMatr
     ``_geodesic_ends`` with the target's square root as its factor, so it
     is PSD by construction, for any center, singular or zero included.
     """
-    t = float(t)
+    t = _real(t)
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t}")
     if t == 0.0:

@@ -273,6 +273,52 @@ def test_subnormal_distortion_exits_2(capsys):
     assert "distortion 1e-310 is too small" in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (SWEEP_CAPACITY + ("--power", "0:inf:3"), "--power"),
+        (SWEEP_CAPACITY + ("--power=-1e308:1e308:3",), "--power"),
+        (SWEEP_CAPACITY + ("--power=-inf:1:1",), "--power"),
+        (SWEEP_CAPACITY + ("--power", "nan:1:3"), "--power"),
+        (SWEEP_RDF + ("--distortion", "1:inf:2"), "--distortion"),
+        (SWEEP_RDF + ("--distortion=-1.7e308:1.7e308:1",), "--distortion"),
+    ],
+    ids=["stop_inf", "span_overflows", "start_minus_inf", "start_nan", "distortion_stop_inf",
+         "distortion_span_overflows_one_point"],
+)
+def test_grid_ends_beyond_the_float_range_exit_2(capsys, argv, flag):
+    # they emitted numpy RuntimeWarnings and blamed grid point 0 for a budget of nan
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {flag}: grid ends must be finite")
+
+
+def test_grid_ends_beyond_the_float_range_warn_nothing():
+    src = os.path.dirname(os.path.dirname(robust_shannon.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "robust_shannon", *SWEEP_CAPACITY, "--power", "0:inf:3"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "--power" in done.stderr and "RuntimeWarning" not in done.stderr
+
+
+@pytest.mark.parametrize("command", ["capacity", "compound-rdf", "sweep"])
+def test_sigma0_whose_square_underflows_exits_2(capsys, command):
+    # capacity blamed a zero trace, and compound-rdf solved around a zero center
+    argv = {
+        "capacity": ("capacity", "--sigma0-scalar", "1e-200", "--power", "1"),
+        "compound-rdf": ("compound-rdf", "--sigma0-scalar", "1e-200", "--radius", "1", "--distortion", "1"),
+        "sweep": ("sweep", "--kind", "capacity", "--sigma0-scalar", "1e-170", "--radii", "0,1", "--power", "1"),
+    }[command]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "--sigma0-scalar" in err and "underflows to 0 when squared" in err
+
+
 SWEEP_RDF_TWO_RADII = ("sweep", "--kind", "rdf", "--sigma0-scalar", "1", "--radii", "0,0.5")
 
 
@@ -543,7 +589,7 @@ def test_sweep_bad_budget_reports_grid_point(capsys):
     assert "grid point 0 (r=0.5, budget=0.0)" in err
     code, _, err = run_cli(
         capsys, "sweep", "--kind", "capacity", "--sigma0-scalar", "1",
-        "--radii", "0.5", "--power", "nan:1:3",
+        "--radii", "0.5", "--power", "nan",
     )
     assert code == 2
     assert "grid point 0 (r=0.5, budget=nan)" in err

@@ -1062,7 +1062,7 @@ def _frank_wolfe_gap(h, center, noise, input_cov, radius):
     noise, _ = compound._ensure_positive_definite(noise)
     g = _inverse_difference(h, noise.entries, input_cov.entries)
     lam, basis = symmetric_eig(center)
-    return compound._gradient_gap(basis.T @ g @ basis, basis.T @ noise.entries @ basis, lam, radius, math.nan)
+    return compound._gradient_gap(basis.T @ g @ basis, basis.T @ noise.entries @ basis, lam, radius)
 
 
 def _inverse_difference(h, noise, input_cov):
@@ -1085,6 +1085,24 @@ def _pd_battery(seed):
         radius = float(rng.uniform(0.05, 2.0)) * math.sqrt(center.trace)
         power = math.exp(rng.uniform(math.log(0.01), math.log(20.0))) * center.trace
         yield CompoundCapacityRequest(BwBall(center, radius), h, power)
+
+
+def _singular_battery():
+    """The 24 requests of the singular battery: ``default_rng(77)``, d =
+    2..4, a rank d - 1 center C = G G^T with G of size d x (d - 1), a
+    Gaussian channel, rank one (its first column times its first row) for
+    odd i, and the radius and power drawn as in the PD battery."""
+    rng = np.random.default_rng(77)
+    for i in range(24):
+        d = 2 + i % 3
+        g = rng.standard_normal((d, d - 1))
+        center = SpdMatrix(g @ g.T)
+        h = rng.standard_normal((d, d))
+        if i % 2:
+            h = np.outer(h[:, 0], h[0, :])
+        radius = float(rng.uniform(0.05, 2.0)) * math.sqrt(center.trace)
+        power = math.exp(rng.uniform(math.log(0.01), math.log(20.0))) * center.trace
+        yield CompoundCapacityRequest(BwBall(center, radius), ChannelMatrix(h), power)
 
 
 def _benchmark_like(rng, d):
@@ -1249,6 +1267,24 @@ class TestCertificate:
         for request in _pd_battery(seed):
             result = compound_capacity(request)
             assert result.diagnostics.certificate_gap <= 1e-8 * max(1.0, abs(result.value_nats))
+
+    def test_singular_battery_certified_or_raised_with_a_finite_gap(self):
+        # a fast subset: instances 5, 7, 9, 11, 17 and 23 run all 10 000
+        # iterations (20-35 s each) and raise, and 19 takes about 3 s; of the
+        # other 17, instance 20 raises once its line search cannot move
+        slow = {5, 7, 9, 11, 17, 19, 23}
+        for i, request in enumerate(_singular_battery()):
+            if i in slow:
+                continue
+            try:
+                result = compound_capacity(request)
+            except SolverNoConverge as exc:
+                assert math.isfinite(exc.diagnostics.certificate_gap)
+                assert exc.diagnostics.jitter > 0.0
+                continue
+            diagnostics = result.diagnostics
+            assert diagnostics.solver_path == "projected-gradient" and diagnostics.jitter > 0.0
+            assert diagnostics.certificate_gap <= 1e-10 * max(1.0, abs(result.value_nats))
 
     def test_rdf_gap_at_small_positive_rates(self):
         # D just below the largest trace in the ball leaves rates in (0,
@@ -1429,82 +1465,45 @@ def _support_rows():
         yield a, b, 1e-110
 
 
-def _secular_root(a, b, radius):
-    """The root of sum_i b_i a_i^2 / (gamma - a_i)^2 = r^2 right of max(a), by
-    bisection."""
-    top = float(a.max())
-    lo, hi = top, top + math.sqrt(float(np.sum(b * a * a))) / radius
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break
-        with np.errstate(divide="ignore"):
-            f = float(np.sum(b * a * a / (mid - a) ** 2))
-        lo, hi = (mid, hi) if f > radius * radius else (lo, mid)
-    return hi
-
-
 class TestRowSupport:
     """The general-channel gap's support search, in Python floats from the
-    dual multiplier of the returned map."""
+    cold start."""
 
     def test_equals_the_numpy_search_from_the_same_start(self):
-        # from the cold start, and from a start left of the root, which both
-        # searches take as it is
         for a, b, radius in _support_rows():
             cold = compound._ball_support(a[None], b, np.array([radius]), np.full(1, math.nan))[0]
-            got = compound._row_support(a.tolist(), b.tolist(), radius, math.nan)
+            got = compound._row_support(a.tolist(), b.tolist(), radius)
             assert got == pytest.approx(cold, rel=1e-15, abs=0.0)
-            start = float(a.max() + 0.5 * (_secular_root(a, b, radius) - a.max()))
-            numpy = compound._ball_support(a[None], b, np.array([radius]), np.array([start]))[0]
-            got = compound._row_support(a.tolist(), b.tolist(), radius, start)
-            assert got == pytest.approx(numpy, rel=1e-15, abs=0.0)
 
     def test_negative_semidefinite_support_is_zero(self):
         for a in ([0.0], [-1.0, -0.5, 0.0], [-2.0, -1e-300]):
-            assert compound._row_support(a, [1.0] * len(a), 0.5, 1.0) == 0.0
-
-    def test_any_start_gives_a_valid_bound(self):
-        # NaN and a start below max(a) give the cold search; left of the
-        # root the search climbs from the start; right of it one step back
-        # lands left of it, so the search ends on the cold one's root, and
-        # so it does from a start where f underflows to 0
-        for a, b, radius in _support_rows():
-            cold = compound._row_support(a.tolist(), b.tolist(), radius, math.nan)
-            root, top = _secular_root(a, b, radius), float(a.max())
-            for start in (0.5 * top, top):
-                assert compound._row_support(a.tolist(), b.tolist(), radius, start) == cold
-            for start in (top + 0.5 * (root - top), root * (1.0 + 1e-9), root * 1.5, root * 1e3, 1e300, math.inf):
-                warm = compound._row_support(a.tolist(), b.tolist(), radius, start)
-                assert warm >= cold * (1.0 - 1e-15)
-                if start > root:
-                    assert warm == pytest.approx(cold, rel=1e-15, abs=0.0)
+            assert compound._row_support(a, [1.0] * len(a), 0.5) == 0.0
 
     def test_general_channel_gaps_match_the_cold_numpy_search(self, monkeypatch):
         # on the PD batteries, against _ball_support from the cold start: the
         # same values, iterations and failures, and the same gaps to rounding
         monkeypatch.setattr(compound, "MAX_ITERATIONS", 3000)
         requests = [request for seed in (2024, 2025, 2026, 2027) for request in _pd_battery(seed)]
-        warm = [_capacity_outcome(request) for request in requests]
+        rows = [_capacity_outcome(request) for request in requests]
         support = compound._ball_support
         monkeypatch.setattr(
             compound, "_row_support",
-            lambda a, b, radius, start: float(support(np.array([a]), np.array(b), np.array([radius]), np.full(1, math.nan))[0]),
+            lambda a, b, radius: float(support(np.array([a]), np.array(b), np.array([radius]), np.full(1, math.nan))[0]),
         )
-        cold = [_capacity_outcome(request) for request in requests]
-        assert [w[:-1] for w in warm] == [c[:-1] for c in cold]
-        for (value, _, worst, gap), (*_, cold_gap) in zip(warm, cold):
-            assert abs(gap - cold_gap) <= 1e-15 * (1.0 if worst is None else max(1.0, abs(value)))
+        numpy = [_capacity_outcome(request) for request in requests]
+        assert [row[:-1] for row in rows] == [row[:-1] for row in numpy]
+        for (value, _, worst, gap), (*_, numpy_gap) in zip(rows, numpy):
+            assert abs(gap - numpy_gap) <= 1e-15 * (1.0 if worst is None else max(1.0, abs(value)))
 
     def test_general_channel_certificates_take_few_secular_passes(self, monkeypatch):
-        # a pass evaluates f and its slope once: here the search takes 2 or 3
-        # passes (2.3 on average) from the returned map's multiplier and 4 or
-        # 5 from the cold start, so a wrong start or slope shows
+        # a pass evaluates f and its slope once: here the search takes 4 or 5
+        # passes (4.55 on average) from the cold start, so a wrong start or
+        # slope shows
         passes, search, secular = [], compound._row_support, compound._secular_pass
 
-        def counted_search(a, b, radius, start):
+        def counted_search(a, b, radius):
             passes.append(0)
-            return search(a, b, radius, start)
+            return search(a, b, radius)
 
         def counted_pass(a, root, gamma):
             passes[-1] += 1
@@ -1515,7 +1514,7 @@ class TestRowSupport:
         rng = np.random.default_rng(53)
         for d in (4, 8, 16, 32) * 5:
             compound_capacity(_benchmark_like(rng, d))
-        assert max(passes) <= 3 and sum(passes) <= 2.6 * len(passes)
+        assert max(passes) <= 5 and sum(passes) <= 4.6 * len(passes)
 
 
 def _capacity_outcome(request):

@@ -62,6 +62,17 @@ class TestSampleGaussian:
         with pytest.raises(ValueError):
             sample_gaussian(law, 0, 0)
 
+    @pytest.mark.parametrize("n", [2.5, None, math.nan, 3.0, "3", [3], -1])
+    def test_rejects_a_count_that_is_not_a_positive_integer(self, n):
+        # 2.5, None and NaN raised TypeError from inside numpy
+        law = GaussianLaw([0.0], SpdMatrix.from_diag([1.0]))
+        with pytest.raises(ValueError, match="n must be an integer of at least 1"):
+            sample_gaussian(law, n, 0)
+
+    def test_takes_any_integer_count(self):
+        law = GaussianLaw([0.0], SpdMatrix.from_diag([1.0]))
+        assert sample_gaussian(law, np.int64(5), 3).points.tobytes() == sample_gaussian(law, 5, 3).points.tobytes()
+
 
 class TestEmpiricalW2:
     def test_identical_clouds(self):
@@ -251,6 +262,12 @@ class TestBruteForceCompound:
             brute_force_compound("rdf", SpdMatrix.identity(2), 0.1, -1.0, 1e-2)
         with pytest.raises(ValueError):
             brute_force_compound("rdf", SpdMatrix.identity(2), 0.1, 1.0, 0.0)
+
+    @pytest.mark.parametrize("step", [None, [1e-2], "x", 10**400], ids=["none", "list", "text", "int_beyond_float_range"])
+    def test_step_float_cannot_read_is_a_value_error(self, step):
+        # they raised TypeError or OverflowError
+        with pytest.raises(ValueError, match="grid_step must be positive and finite"):
+            brute_force_compound("rdf", SpdMatrix.identity(2), 0.1, 1.0, step)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_radius_or_step(self, bad):

@@ -282,6 +282,14 @@ def test_geodesic_t_out_of_range():
         bw_geodesic_point(a, a, 1.5)
 
 
+@pytest.mark.parametrize("t", [None, [0.5], "x", 10**400], ids=["none", "list", "text", "int_beyond_float_range"])
+def test_geodesic_t_float_cannot_read_is_a_value_error(t):
+    # they raised TypeError or OverflowError
+    a = SpdMatrix.identity(2)
+    with pytest.raises(ValueError, match=r"t must lie in \[0, 1\]"):
+        bw_geodesic_point(a, a, t)
+
+
 def test_ball_project_inside_unchanged():
     ball = BwBall(SpdMatrix.identity(2), 5.0)
     m = SpdMatrix.from_diag([1.5, 2.0])
